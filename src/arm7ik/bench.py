@@ -8,15 +8,14 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import BenchmarkSpec
-from .core import Budget, ConvergenceTrace, SolverId, average_traces
+from .core import ConvergenceTrace, SolverId, average_traces, default_budget
 from .kinematics import KinematicModel, sample_workspace
-from .registry import default_budget, entry, make_config, run_solver
+from .registry import make_config, run_solver
 
 REPORT_COLUMNS = [
     "algorithm", "iteration_count", "best_fitness", "worst_fitness",
@@ -74,15 +73,15 @@ def batch_hash(targets):
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-def weighted_average_fitness(successful_results):
-    """Fitness average over successful runs, weighted by each run's trace
-    sample count; equal-length runs degenerate to the plain mean."""
-    results = list(successful_results)
-    if not results:
-        return None
-    weights = [max(1, len(r.trace)) for r in results]
-    total = sum(weights)
-    return sum(w * r.final_fitness for w, r in zip(weights, results)) / total
+def spec_budget(spec: BenchmarkSpec, solver_id):
+    """The budget of one solver in a campaign: its default budget with the
+    spec's `budgets` entry on top. An unknown key is a ValueError."""
+    name = SolverId(solver_id).value
+    over = spec.budgets.get(name, {})
+    try:
+        return replace(default_budget(name), **over)
+    except TypeError as exc:
+        raise ValueError(f"bad {name} budget {over}: {exc}") from exc
 
 
 def _run_record(algo, target_index, repeat, seed_key, target, result, success):
@@ -130,53 +129,41 @@ def aggregate_records(algo_value, records):
     )
 
 
-def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None,
-                  parallel=0):
+def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
     """Run every listed algorithm over the shared target batch.
 
     Returns (reports, averaged_traces, runs, metadata). Averaged traces
     cover successful runs only; timing columns are machine-dependent.
-    DTNR refuses to start without a trained tree.
+    DTNR refuses to start without a trained tree, and every algorithm's
+    config and budget is built before the first solve.
     """
     algos = [SolverId(a) for a in spec.algorithms]
     if SolverId.DTNR in algos and tree is None:
         raise ValueError("benchmark includes DTNR but no tree was provided")
+    configs = {a: make_config(a, spec.configs.get(a.value)) for a in algos}
+    budgets = {a: spec_budget(spec, a) for a in algos}
 
     targets = generate_target_batch(model, spec)
     runs = []
     reports = []
     traces = {}
 
-    def one_solve(algo, algo_idx, t_idx, rep):
-        seed_key = (spec.master_seed, algo_idx, t_idx, rep)
-        rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-        config = make_config(algo, spec.configs.get(algo.value))
-        budget_over = spec.budgets.get(algo.value, {})
-        budget = Budget(
-            max_iterations=budget_over.get(
-                "max_iterations", entry(algo).default_iterations),
-            tolerance=budget_over.get("tolerance", 1e-9),
-            wall_clock_limit=budget_over.get("wall_clock_limit"),
-        )
-        result = run_solver(algo, model, targets[t_idx], rng, config, budget,
-                            tree=tree)
-        success = result.final_fitness < spec.success_threshold
-        return _run_record(algo, t_idx, rep, seed_key, targets[t_idx], result,
-                           success), result
-
     for algo_idx, algo in enumerate(algos):
-        jobs = [(t, rep) for t in range(spec.n_targets)
-                for rep in range(spec.repeats_per_target)]
-        if parallel and parallel > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                outcomes = list(pool.map(
-                    lambda job: one_solve(algo, algo_idx, job[0], job[1]), jobs))
-        else:
-            outcomes = [one_solve(algo, algo_idx, t, rep) for t, rep in jobs]
-        records = [rec for rec, _ in outcomes]
+        records = []
+        succ_traces = []
+        for t_idx in range(spec.n_targets):
+            for rep in range(spec.repeats_per_target):
+                seed_key = (spec.master_seed, algo_idx, t_idx, rep)
+                rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+                result = run_solver(algo, model, targets[t_idx], rng,
+                                    configs[algo], budgets[algo], tree=tree)
+                success = result.final_fitness < spec.success_threshold
+                records.append(_run_record(algo, t_idx, rep, seed_key,
+                                           targets[t_idx], result, success))
+                if success:
+                    succ_traces.append(result.trace)
         runs.extend(records)
         reports.append(aggregate_records(algo.value, records))
-        succ_traces = [res.trace for rec, res in outcomes if rec["success"]]
         traces[algo.value] = (average_traces(succ_traces)
                               if succ_traces else ConvergenceTrace())
 
@@ -187,7 +174,6 @@ def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None,
         "repeats_per_target": spec.repeats_per_target,
         "sampler": spec.sampler,
         "target_batch_sha256": batch_hash(targets),
-        "parallel": int(parallel or 0),
     }
     return reports, traces, runs, metadata
 
@@ -269,12 +255,13 @@ def load_runs_jsonl(path):
 def sweep_parameter(solver_id, parameter, grid, repeats, model,
                     spec: BenchmarkSpec, tree=None):
     """Grid sweep of one config field: per value, `repeats` runs over the
-    spec's mini-batch; records the best mean fitness of the repeats and
-    the mean of the two best repeat times."""
+    spec's mini-batch under the spec's budget; records the best mean
+    fitness of the repeats and the mean of the two best repeat times."""
     solver_id = SolverId(solver_id)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     base = dict(spec.configs.get(solver_id.value, {}))
+    budget = spec_budget(spec, solver_id)
     targets = generate_target_batch(model, spec)
     best_fitness = []
     best2_times = []
@@ -291,7 +278,7 @@ def sweep_parameter(solver_id, parameter, grid, repeats, model,
                 rng = np.random.default_rng(np.random.SeedSequence(
                     (spec.master_seed, v_idx, rep, t_idx)))
                 res = run_solver(solver_id, model, target, rng, config,
-                                 default_budget(solver_id), tree=tree)
+                                 budget, tree=tree)
                 total_time += res.elapsed
                 fits.append(res.final_fitness)
             rep_fitness.append(float(np.mean(fits)))

@@ -16,9 +16,9 @@ import numpy as np
 from . import bench as bench_mod
 from . import ml
 from .config import ConfigError, default_model, load_benchmark_spec, load_robot
-from .core import Budget, SolverId
+from .core import DEFAULT_ITERATIONS, Budget, SolverId
 from .kinematics import (end_effector_position, sample_workspace)
-from .registry import default_budget, entry, make_config, run_solver
+from .registry import make_config, run_solver
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -88,7 +88,7 @@ def cmd_solve(args):
     overrides = _parse_overrides(args.opt)
     config = make_config(solver, overrides)
     budget = Budget(
-        max_iterations=args.max_iterations or entry(solver).default_iterations,
+        max_iterations=args.max_iterations or DEFAULT_ITERATIONS[solver],
         tolerance=args.tolerance,
     )
     rng = np.random.default_rng(args.seed)
@@ -182,7 +182,7 @@ def cmd_bench(args):
     if tree_path:
         tree = ml.load_model(tree_path)
     reports, traces, runs, metadata = bench_mod.run_benchmark(
-        model, spec, tree=tree, parallel=args.parallel)
+        model, spec, tree=tree)
     bench_mod.export_report(args.out, reports, traces, runs, metadata)
     for r in reports:
         print(f"{r.algorithm}\tSR={r.success_rate:.1f}%\t"
@@ -265,8 +265,6 @@ def build_parser():
     p.add_argument("--spec", required=True, help="benchmark spec YAML")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--tree", help="trained tree model file (dtnr)")
-    p.add_argument("--parallel", type=int, default=0,
-                   help="solve targets with N worker threads")
 
     p = add("report", cmd_report, "re-aggregate a runs.jsonl into report.csv")
     p.add_argument("--runs", required=True)

@@ -1,10 +1,14 @@
-"""Shared solver contract: budgets, convergence traces and results."""
+"""Shared solver contract: budgets, convergence traces, results and the
+one loop that drives every solver."""
 from __future__ import annotations
 
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class SolverId(str, enum.Enum):
@@ -36,6 +40,26 @@ class Budget:
             raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+
+
+# Each solver's iteration cap when no budget is given: Newton steps, simplex
+# moves, CCD cycles, temperature levels or generations.
+DEFAULT_ITERATIONS = {
+    SolverId.DTNR: 15,
+    SolverId.NR: 30,
+    SolverId.NM: 799,
+    SolverId.SA: 400,
+    SolverId.PSO: 200,
+    SolverId.QPSO: 302,
+    SolverId.CCD: 300,
+    SolverId.AFSA: 200,
+    SolverId.GA: 100,
+    SolverId.DE: 100,
+}
+
+
+def default_budget(solver_id):
+    return Budget(max_iterations=DEFAULT_ITERATIONS[SolverId(solver_id)])
 
 
 class ConvergenceTrace:
@@ -108,10 +132,46 @@ class SolveResult:
 
     def same_outcome(self, other: "SolveResult") -> bool:
         """Equality modulo wall-clock fields (the determinism check)."""
-        import numpy as np
         return (np.array_equal(self.joints, other.joints)
                 and self.final_fitness == other.final_fitness
                 and self.iterations_used == other.iterations_used
                 and self.converged == other.converged
                 and [s[:2] for s in self.trace.samples]
                 == [s[:2] for s in other.trace.samples])
+
+
+def population_best(points, values):
+    """The fittest of a population as a step: (point, fitness, fitness)."""
+    i = int(np.argmin(values))
+    f = float(values[i])
+    return points[i], f, f
+
+
+def run_steps(steps, budget: Budget, finish) -> SolveResult:
+    """Drive a solver's step generator under `budget`.
+
+    `steps` yields (best_joints, best_fitness, recorded_fitness) for its
+    start point and then once per iteration, and returns to stop early.
+    The trace logs each recorded_fitness. The solve stops once best_fitness
+    is under the tolerance, at the iteration cap, or past the wall-clock
+    limit (checked from iteration 1 on). The result holds the last yield,
+    its joints passed through `finish`; a generator must not change an
+    array it has yielded.
+    """
+    start = time.perf_counter()
+    trace = ConvergenceTrace()
+    for it, (joints, best, recorded) in enumerate(steps):
+        elapsed = time.perf_counter() - start
+        trace.record(it, recorded, elapsed)
+        if best < budget.tolerance or it >= budget.max_iterations:
+            break
+        if it and budget.wall_clock_limit and elapsed > budget.wall_clock_limit:
+            break
+    return SolveResult(
+        joints=finish(joints),
+        final_fitness=best,
+        iterations_used=it,
+        elapsed=time.perf_counter() - start,
+        converged=best < budget.tolerance,
+        trace=trace,
+    )

@@ -3,12 +3,11 @@ initial joint guess, then Newton-Raphson refines only the first three
 joints against the position target."""
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Budget, ConvergenceTrace, SolveResult
+from .core import SolverId, default_budget, run_steps
 from .kinematics import KinematicModel, dh_transform, wrap_angle
 from .ml import RegressionTree
 from .numeric import (DIVERGENCE_GUARD, STALL_STEP_NORM, NewtonConfig,
@@ -18,9 +17,7 @@ from .numeric import (DIVERGENCE_GUARD, STALL_STEP_NORM, NewtonConfig,
 @dataclass(frozen=True)
 class DtnrConfig:
     refine_joint_count: int = 3
-    newton: NewtonConfig = field(
-        default_factory=lambda: NewtonConfig(max_iterations=15))
-    fallback_enabled: bool = False
+    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if not 1 <= self.refine_joint_count <= 7:
@@ -31,18 +28,19 @@ def solve_dtnr(tree: RegressionTree, model: KinematicModel, target,
                config=None, budget=None):
     """Predict joints with the tree, then iterate Newton-Raphson on the
     leading refine_joint_count joints using the corresponding sub-block
-    of the position Jacobian. The distal joints stay bitwise at the tree
-    seed unless the (off-by-default) full-chain fallback fires.
-    """
+    of the position Jacobian. The distal joints stay at the tree seed,
+    bit for bit."""
     config = config or DtnrConfig()
-    budget = budget or Budget(max_iterations=config.newton.max_iterations)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
-
-    seed = tree.predict(target)
     k = config.refine_joint_count
-    q = np.asarray(seed, dtype=float).copy()
+    return run_steps(_dtnr_steps(tree, model, target, config),
+                     budget or default_budget(SolverId.DTNR),
+                     lambda q: np.concatenate([wrap_angle(q[:k]), q[k:]]))
+
+
+def _dtnr_steps(tree, model, target, config):
+    k = config.refine_joint_count
+    q = np.asarray(tree.predict(target), dtype=float).copy()
 
     # The distal joints never move, so their chain collapses to one fixed
     # transform; each iteration then only rebuilds the first k frames.
@@ -65,15 +63,11 @@ def solve_dtnr(tree: RegressionTree, model: KinematicModel, target,
     p, sub_jac = proximal_state(q)
     best_q = q.copy()
     best_f = float(np.linalg.norm(p - target))
-    trace.record(0, best_f, time.perf_counter() - start)  # tree stage
-    stage_boundary = 0
+    yield best_q, best_f, best_f  # tree stage
 
-    max_iter = min(config.newton.max_iterations, budget.max_iterations)
     prev_f = best_f
     rises = 0
-    it = 0
-    while it < max_iter and best_f >= budget.tolerance:
-        it += 1
+    while True:
         step = pseudo_inverse(sub_jac, config.newton.damping) @ (p - target)
         q = q.copy()
         q[:k] = q[:k] - config.newton.step_scale * step
@@ -83,32 +77,8 @@ def solve_dtnr(tree: RegressionTree, model: KinematicModel, target,
             best_f, best_q = f, q.copy()
         rises = rises + 1 if f > prev_f else 0
         prev_f = f
-        trace.record(it, f, time.perf_counter() - start)
+        yield best_q, best_f, f
         if rises >= DIVERGENCE_GUARD or not np.all(np.isfinite(q)):
-            break
+            return
         if np.linalg.norm(step) < STALL_STEP_NORM:
-            break  # at the constrained optimum of the proximal joints
-
-    used_fallback = False
-    if best_f >= budget.tolerance and config.fallback_enabled:
-        from .numeric import solve_newton_raphson
-        used_fallback = True
-        fb = solve_newton_raphson(model, target, seed, config.newton, budget)
-        if fb.final_fitness < best_f:
-            best_q, best_f = np.asarray(fb.joints), fb.final_fitness
-
-    out = best_q.copy()
-    out[:k] = wrap_angle(out[:k])
-    if used_fallback:
-        out = wrap_angle(out)
-    result = SolveResult(
-        joints=out,
-        final_fitness=best_f,
-        iterations_used=it,
-        elapsed=time.perf_counter() - start,
-        converged=best_f < budget.tolerance,
-        trace=trace,
-    )
-    result.stage_boundary = stage_boundary
-    result.used_fallback = used_fallback
-    return result
+            return  # at the constrained optimum of the proximal joints

@@ -1,14 +1,12 @@
 """Evolutionary IK solvers: genetic algorithm and differential evolution."""
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Budget, ConvergenceTrace, SolveResult
+from .core import SolverId, default_budget, population_best, run_steps
 from .kinematics import KinematicModel, batch_fitness, wrap_angle
-from .numeric import _finish
 
 
 @dataclass(frozen=True)
@@ -17,7 +15,6 @@ class GaConfig:
     mutation_probability: float = 0.01
     crossover_probability: float = 0.9
     elitism_count: int = 2
-    generations: int = 100
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -33,7 +30,6 @@ class DeConfig:
     mutation_probability: float = 0.001  # doubles as the noise sigma (rad)
     differential_weight: float = 0.8
     crossover_rate: float = 0.9
-    generations: int = 100
 
     def __post_init__(self):
         if self.differential_weight < 0:
@@ -69,23 +65,21 @@ def solve_ga(model: KinematicModel, target, config=None, budget=None,
     displaced by the best new ones and the best fitness never regresses.
     """
     config = config or GaConfig()
-    budget = budget or Budget(max_iterations=config.generations)
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
+    return run_steps(_ga_steps(model, target, config, rng, seed),
+                     budget or default_budget(SolverId.GA), wrap_angle)
 
+
+def _ga_steps(model, target, config, rng, seed):
     n = config.population_size
     pop = rng.uniform(model.lower, model.upper, size=(n, 7))
     if seed is not None:
         pop[0] = np.asarray(seed, dtype=float)
     values = batch_fitness(model, pop, target)
-    trace.record(0, float(values.min()), time.perf_counter() - start)
+    yield population_best(pop, values)
 
-    max_gen = min(config.generations, budget.max_iterations)
-    gen = 0
-    while gen < max_gen and values.min() >= budget.tolerance:
-        gen += 1
+    while True:
         children = np.empty((n, 7))
         for k in range(n):
             p1 = pop[_tournament(rng, values)]
@@ -96,13 +90,7 @@ def solve_ga(model: KinematicModel, target, config=None, budget=None,
         merged_values = np.concatenate([values, child_values])
         keep = np.argsort(merged_values, kind="stable")[:n]
         pop, values = merged[keep], merged_values[keep]
-        trace.record(gen, float(values.min()), time.perf_counter() - start)
-        if budget.wall_clock_limit and time.perf_counter() - start > budget.wall_clock_limit:
-            break
-
-    best = int(np.argmin(values))
-    return _finish(model, pop[best], float(values[best]), gen, start, budget,
-                   trace)
+        yield population_best(pop, values)
 
 
 def solve_de(model: KinematicModel, target, config=None, budget=None,
@@ -111,12 +99,13 @@ def solve_de(model: KinematicModel, target, config=None, budget=None,
     vector (sigma = mutation_probability rad per gene) and greedy
     selection."""
     config = config or DeConfig()
-    budget = budget or Budget(max_iterations=config.generations)
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
+    return run_steps(_de_steps(model, target, config, rng, seed),
+                     budget or default_budget(SolverId.DE), wrap_angle)
 
+
+def _de_steps(model, target, config, rng, seed):
     n = config.population_size
     if n < 4:
         raise ValueError("DE needs a population of at least 4")
@@ -124,12 +113,9 @@ def solve_de(model: KinematicModel, target, config=None, budget=None,
     if seed is not None:
         pop[0] = np.asarray(seed, dtype=float)
     values = batch_fitness(model, pop, target)
-    trace.record(0, float(values.min()), time.perf_counter() - start)
+    yield population_best(pop, values)
 
-    max_gen = min(config.generations, budget.max_iterations)
-    gen = 0
-    while gen < max_gen and values.min() >= budget.tolerance:
-        gen += 1
+    while True:
         trials = np.empty((n, 7))
         for k in range(n):
             choices = [i for i in range(n) if i != k]
@@ -146,10 +132,4 @@ def solve_de(model: KinematicModel, target, config=None, budget=None,
         better = trial_values < values
         pop[better] = trials[better]
         values[better] = trial_values[better]
-        trace.record(gen, float(values.min()), time.perf_counter() - start)
-        if budget.wall_clock_limit and time.perf_counter() - start > budget.wall_clock_limit:
-            break
-
-    best = int(np.argmin(values))
-    return _finish(model, pop[best], float(values[best]), gen, start, budget,
-                   trace)
+        yield population_best(pop, values)

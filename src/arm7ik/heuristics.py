@@ -3,26 +3,23 @@ simulated annealing."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Budget, ConvergenceTrace, SolveResult
+from .core import SolverId, default_budget, run_steps
 from .kinematics import (KinematicModel, fitness, joint_frames, wrap_angle)
-from .numeric import _finish
 
 
 @dataclass(frozen=True)
 class CcdConfig:
-    max_cycles: int = 300
     per_joint_tolerance: float = 1e-12
     loop_guard: int = 30
     sweep_order: str = "tip_to_base"  # or "base_to_tip"
 
     def __post_init__(self):
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be >= 1")
+        if self.sweep_order not in ("tip_to_base", "base_to_tip"):
+            raise ValueError("sweep_order must be tip_to_base or base_to_tip")
 
 
 @dataclass(frozen=True)
@@ -69,22 +66,20 @@ def solve_ccd(model: KinematicModel, target, seed, config=None, budget=None):
     through the chain. The recorded trace keeps running minima, so the
     jittery raw curve comes out clipped."""
     config = config or CcdConfig()
-    budget = budget or Budget(max_iterations=config.max_cycles)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
+    return run_steps(_ccd_steps(model, target, seed, config),
+                     budget or default_budget(SolverId.CCD), wrap_angle)
 
+
+def _ccd_steps(model, target, seed, config):
     q = wrap_angle(np.asarray(seed, dtype=float))
     best_q = q.copy()
     best_f = fitness(model, q, target)
-    trace.record(0, best_f, time.perf_counter() - start)
+    yield best_q, best_f, best_f
 
     order = range(6, -1, -1) if config.sweep_order == "tip_to_base" else range(7)
-    max_cycles = min(config.max_cycles, budget.max_iterations)
     stalled = 0
-    cycle = 0
-    while cycle < max_cycles and best_f >= budget.tolerance:
-        cycle += 1
+    while True:
         for j in order:
             delta = ccd_joint_update(model, q, j, target)
             if abs(delta) > config.per_joint_tolerance:
@@ -95,12 +90,9 @@ def solve_ccd(model: KinematicModel, target, seed, config=None, budget=None):
             stalled = 0
         else:
             stalled += 1
-        trace.record(cycle, f, time.perf_counter() - start)
+        yield best_q, best_f, f
         if stalled >= config.loop_guard:
-            break  # oscillating cycle; bail out as non-converged
-        if budget.wall_clock_limit and time.perf_counter() - start > budget.wall_clock_limit:
-            break
-    return _finish(model, best_q, best_f, cycle, start, budget, trace)
+            return  # oscillating cycle; bail out as non-converged
 
 
 def temperature_schedule(config: SaConfig):
@@ -138,23 +130,21 @@ def solve_sa(model: KinematicModel, target, config=None, budget=None,
     Cooling is geometric. The best configuration ever seen is returned.
     """
     config = config or SaConfig()
-    budget = budget or Budget(max_iterations=10_000)
+    budget = budget or default_budget(SolverId.SA)
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
+    return run_steps(_sa_steps(model, target, config, budget.tolerance, rng,
+                               seed), budget, wrap_angle)
 
+
+def _sa_steps(model, target, config, tolerance, rng, seed):
     q = np.asarray(seed, dtype=float).copy() if seed is not None \
         else model.random_joints(rng)
     e_now = fitness(model, q, target)
     best_q, best_f = q.copy(), e_now
-    trace.record(0, best_f, time.perf_counter() - start)
+    yield best_q, best_f, best_f
 
-    level = 0
     for temperature in temperature_schedule(config):
-        if level >= budget.max_iterations or best_f < budget.tolerance:
-            break
-        level += 1
         # Width cools slower than the temperature so a greedy refinement
         # phase survives after acceptance becomes selective.
         scale = config.neighborhood_scale * (
@@ -174,9 +164,6 @@ def solve_sa(model: KinematicModel, target, config=None, budget=None,
                     stay = 0
                 else:
                     stay += 1
-            if best_f < budget.tolerance:
+            if best_f < tolerance:
                 break
-        trace.record(level, best_f, time.perf_counter() - start)
-        if budget.wall_clock_limit and time.perf_counter() - start > budget.wall_clock_limit:
-            break
-    return _finish(model, best_q, best_f, level, start, budget, trace)
+        yield best_q, best_f, best_f

@@ -2,12 +2,13 @@
 and the Nelder-Mead downhill simplex."""
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Budget, ConvergenceTrace, SolveResult
+from .core import SolverId, default_budget, population_best, run_steps
+# perfbench/tracer.py wraps the kinematics functions under the names this
+# module binds, so every one of them stays imported here.
 from .kinematics import (KinematicModel, end_effector_position, fitness,
                          joint_frames, position_jacobian, wrap_angle)
 
@@ -17,7 +18,6 @@ STALL_STEP_NORM = 1e-8  # joint-space step below which Newton has stalled
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    max_iterations: int = 30
     damping: float = 0.0
     step_scale: float = 1.0
 
@@ -30,7 +30,6 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class NelderMeadConfig:
-    max_iterations: int = 799
     reflection: float = 1.0
     expansion: float = 2.0
     contraction: float = 0.5
@@ -56,40 +55,26 @@ def pseudo_inverse(jac, damping=0.0):
     return vt.T @ (s_inv[:, None] * u.T)
 
 
-def _finish(model, q, best_f, iterations, start, budget, trace):
-    q = wrap_angle(q)
-    return SolveResult(
-        joints=q,
-        final_fitness=best_f,
-        iterations_used=iterations,
-        elapsed=time.perf_counter() - start,
-        converged=best_f < budget.tolerance,
-        trace=trace,
-    )
-
-
 def solve_newton_raphson(model: KinematicModel, target, seed, config=None,
                          budget=None):
     """Iterate q <- q - step * J+ (p(q) - target) until the tolerance or
     the budget is hit. Divergence (five consecutive fitness increases) is
     reported as a non-converged result."""
     config = config or NewtonConfig()
-    budget = budget or Budget(max_iterations=config.max_iterations)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
+    return run_steps(_newton_steps(model, target, seed, config),
+                     budget or default_budget(SolverId.NR), wrap_angle)
 
+
+def _newton_steps(model, target, seed, config):
     q = np.asarray(seed, dtype=float).copy()
     best_q = q.copy()
     best_f = fitness(model, q, target)
-    trace.record(0, best_f, time.perf_counter() - start)
+    yield best_q, best_f, best_f
 
-    max_iter = min(config.max_iterations, budget.max_iterations)
     prev_f = best_f
     rises = 0
-    it = 0
-    while it < max_iter and best_f >= budget.tolerance:
-        it += 1
+    while True:
         frames = joint_frames(model, q)
         p = frames[-1][:3, 3]
         jac = np.empty((3, 7))
@@ -103,18 +88,15 @@ def solve_newton_raphson(model: KinematicModel, target, seed, config=None,
             best_f, best_q = f, q.copy()
         rises = rises + 1 if f > prev_f else 0
         prev_f = f
-        trace.record(it, f, time.perf_counter() - start)
+        yield best_q, best_f, f
         if rises >= DIVERGENCE_GUARD or not np.all(np.isfinite(q)):
-            break
+            return
         if np.linalg.norm(step) < STALL_STEP_NORM:
-            break  # pinned at a constrained optimum; no progress possible
-        if budget.wall_clock_limit and time.perf_counter() - start > budget.wall_clock_limit:
-            break
-    return _finish(model, best_q, best_f, it, start, budget, trace)
+            return  # pinned at a constrained optimum; no progress possible
 
 
 def nelder_mead_minimize(obj, x0, config=None, budget=None,
-                         restart_sampler=None, trace=None, start=None):
+                         restart_sampler=None):
     """Reflect/expand/contract/shrink simplex minimisation of an
     arbitrary objective over R^n. Returns (best_x, best_value, iterations).
 
@@ -122,9 +104,14 @@ def nelder_mead_minimize(obj, x0, config=None, budget=None,
     one is supplied (otherwise the search just stops); restarts count
     against the budget.
     """
-    config = config or NelderMeadConfig()
-    budget = budget or Budget(max_iterations=config.max_iterations)
-    start = time.perf_counter() if start is None else start
+    result = run_steps(
+        _nelder_mead_steps(obj, x0, config or NelderMeadConfig(),
+                           restart_sampler),
+        budget or default_budget(SolverId.NM), lambda x: x)
+    return result.joints, result.final_fitness, result.iterations_used
+
+
+def _nelder_mead_steps(obj, x0, config, restart_sampler):
     x0 = np.asarray(x0, dtype=float)
     dims = x0.size
 
@@ -138,25 +125,19 @@ def nelder_mead_minimize(obj, x0, config=None, budget=None,
 
     simplex = build_simplex(x0)
     values = np.array([obj(v) for v in simplex])
-    max_iter = min(config.max_iterations, budget.max_iterations)
-    it = 0
-    if trace is not None:
-        trace.record(0, float(values.min()), time.perf_counter() - start)
+    yield population_best(simplex, values)
 
-    while it < max_iter and values.min() >= budget.tolerance:
-        it += 1
+    while True:
         order = np.argsort(values)
         simplex, values = simplex[order], values[order]
 
         # Restart on simplex collapse.
         if np.ptp(simplex, axis=0).max() < 1e-15:
             if restart_sampler is None:
-                break
+                return
             simplex = build_simplex(restart_sampler())
             values = np.array([obj(v) for v in simplex])
-            if trace is not None:
-                trace.record(it, float(values.min()),
-                             time.perf_counter() - start)
+            yield population_best(simplex, values)
             continue
 
         centroid = simplex[:-1].mean(axis=0)
@@ -178,17 +159,11 @@ def nelder_mead_minimize(obj, x0, config=None, budget=None,
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contracted, f_c
             else:
-                best = simplex[0]
+                best_x = simplex[0]
                 for k in range(1, len(simplex)):
-                    simplex[k] = best + config.shrink * (simplex[k] - best)
+                    simplex[k] = best_x + config.shrink * (simplex[k] - best_x)
                     values[k] = obj(simplex[k])
-        if trace is not None:
-            trace.record(it, float(values.min()), time.perf_counter() - start)
-        if budget.wall_clock_limit and time.perf_counter() - start > budget.wall_clock_limit:
-            break
-
-    best_i = int(np.argmin(values))
-    return simplex[best_i], float(values[best_i]), it
+        yield population_best(simplex, values)
 
 
 def solve_nelder_mead(model: KinematicModel, target, seed, config=None,
@@ -196,13 +171,9 @@ def solve_nelder_mead(model: KinematicModel, target, seed, config=None,
     """Downhill simplex over the seven joint angles, minimising the
     Euclidean distance to the target position."""
     config = config or NelderMeadConfig()
-    budget = budget or Budget(max_iterations=config.max_iterations)
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
-    best_q, best_f, it = nelder_mead_minimize(
-        lambda q: fitness(model, q, target), seed, config, budget,
-        restart_sampler=lambda: model.random_joints(rng),
-        trace=trace, start=start)
-    return _finish(model, best_q, best_f, it, start, budget, trace)
+    return run_steps(
+        _nelder_mead_steps(lambda q: fitness(model, q, target), seed, config,
+                           lambda: model.random_joints(rng)),
+        budget or default_budget(SolverId.NM), wrap_angle)

@@ -1,13 +1,12 @@
-"""Uniform dispatch table over the ten solvers: config classes, default
-iteration caps and a common call signature for the benchmark and CLI."""
+"""Uniform dispatch table over the ten solvers: config classes and a
+common call signature for the benchmark and CLI."""
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Budget, SolverId
+from .core import SolverId, default_budget
 from .dtnr import DtnrConfig, solve_dtnr
 from .evolution import DeConfig, GaConfig, solve_de, solve_ga
 from .heuristics import CcdConfig, SaConfig, solve_ccd, solve_sa
@@ -17,62 +16,49 @@ from .swarm import (AfsaConfig, PsoConfig, QpsoConfig, solve_afsa, solve_pso,
                     solve_qpso)
 
 
-@dataclass(frozen=True)
-class SolverEntry:
-    solver_id: SolverId
-    config_cls: type
-    default_iterations: int
-    needs_tree: bool = False
-
-
-_ENTRIES = {
-    SolverId.DTNR: SolverEntry(SolverId.DTNR, DtnrConfig, 15, needs_tree=True),
-    SolverId.NR: SolverEntry(SolverId.NR, NewtonConfig, 30),
-    SolverId.NM: SolverEntry(SolverId.NM, NelderMeadConfig, 799),
-    SolverId.SA: SolverEntry(SolverId.SA, SaConfig, 400),
-    SolverId.PSO: SolverEntry(SolverId.PSO, PsoConfig, 200),
-    SolverId.QPSO: SolverEntry(SolverId.QPSO, QpsoConfig, 302),
-    SolverId.CCD: SolverEntry(SolverId.CCD, CcdConfig, 300),
-    SolverId.AFSA: SolverEntry(SolverId.AFSA, AfsaConfig, 200),
-    SolverId.GA: SolverEntry(SolverId.GA, GaConfig, 100),
-    SolverId.DE: SolverEntry(SolverId.DE, DeConfig, 100),
+_CONFIGS = {
+    SolverId.DTNR: DtnrConfig,
+    SolverId.NR: NewtonConfig,
+    SolverId.NM: NelderMeadConfig,
+    SolverId.SA: SaConfig,
+    SolverId.PSO: PsoConfig,
+    SolverId.QPSO: QpsoConfig,
+    SolverId.CCD: CcdConfig,
+    SolverId.AFSA: AfsaConfig,
+    SolverId.GA: GaConfig,
+    SolverId.DE: DeConfig,
 }
 
 
-def entry(solver_id) -> SolverEntry:
-    return _ENTRIES[SolverId(solver_id)]
-
-
 def all_solver_ids():
-    return list(_ENTRIES)
+    return list(_CONFIGS)
 
 
 def make_config(solver_id, overrides=None):
     """Build the solver's config dataclass, applying keyword overrides."""
-    e = entry(solver_id)
+    solver_id = SolverId(solver_id)
+    config_cls = _CONFIGS[solver_id]
     overrides = dict(overrides or {})
-    if e.solver_id is SolverId.DTNR and "newton" in overrides:
-        overrides["newton"] = NewtonConfig(**overrides["newton"])
-    names = {f.name for f in dataclasses.fields(e.config_cls)}
+    if solver_id is SolverId.DTNR and "newton" in overrides:
+        overrides["newton"] = make_config(SolverId.NR, overrides["newton"])
+    names = {f.name for f in dataclasses.fields(config_cls)}
     unknown = set(overrides) - names
     if unknown:
         raise ValueError(
-            f"unknown {e.solver_id.value} config keys: {sorted(unknown)}")
-    return e.config_cls(**overrides)
-
-
-def default_budget(solver_id, tolerance=1e-9):
-    return Budget(max_iterations=entry(solver_id).default_iterations,
-                  tolerance=tolerance)
+            f"unknown {solver_id.value} config keys: {sorted(unknown)}")
+    return config_cls(**overrides)
 
 
 def run_solver(solver_id, model, target, rng, config=None, budget=None,
                tree=None):
     """One solve with a uniform signature. Seed-requiring solvers draw
-    their start point from `rng`; DTNR requires a trained tree."""
+    their start point from `rng`; DTNR requires a trained tree. The
+    target must be three finite numbers."""
     solver_id = SolverId(solver_id)
-    config = config if config is not None else make_config(solver_id)
-    budget = budget or default_budget(solver_id)
+    target = np.asarray(target, dtype=float)
+    if target.shape != (3,) or not np.all(np.isfinite(target)):
+        raise ValueError(
+            f"target must be three finite numbers, got {target.tolist()}")
     if solver_id is SolverId.DTNR:
         if tree is None:
             raise ValueError("DTNR requires a trained regression tree")

@@ -2,15 +2,12 @@
 swarm algorithm."""
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Budget, ConvergenceTrace, SolveResult
+from .core import SolverId, default_budget, run_steps
 from .kinematics import KinematicModel, batch_fitness, fitness, wrap_angle
-from .numeric import _finish
 
 
 @dataclass(frozen=True)
@@ -19,7 +16,6 @@ class PsoConfig:
     inertia: float = 0.7298
     cognitive: float = 1.49618
     social: float = 1.49618
-    max_iterations: int = 200
 
     def __post_init__(self):
         if self.num_particles < 1:
@@ -34,7 +30,6 @@ class QpsoConfig:
     num_particles: int = 20
     beta_start: float = 1.0
     beta_end: float = 0.5
-    max_iterations: int = 302
 
     def __post_init__(self):
         if self.beta_start <= 0 or self.beta_end <= 0:
@@ -48,7 +43,6 @@ class AfsaConfig:
     max_attempt_size: int = 4
     visual_range: float = 0.6
     crowding_factor: float = 0.618
-    max_iterations: int = 200
 
     def __post_init__(self):
         if not 0 < self.exploration_q < 1:
@@ -67,12 +61,13 @@ def solve_pso(model: KinematicModel, target, config=None, budget=None,
     """Canonical gbest PSO with per-dimension random coefficients;
     positions are wrapped back into the joint limits every step."""
     config = config or PsoConfig()
-    budget = budget or Budget(max_iterations=config.max_iterations)
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
+    return run_steps(_pso_steps(model, target, config, rng, seed),
+                     budget or default_budget(SolverId.PSO), wrap_angle)
 
+
+def _pso_steps(model, target, config, rng, seed):
     n = config.num_particles
     span = model.upper - model.lower
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
@@ -84,13 +79,10 @@ def solve_pso(model: KinematicModel, target, config=None, budget=None,
     pbest_values = values.copy()
     g = int(np.argmin(values))
     gbest, gbest_value = x[g].copy(), float(values[g])
-    trace.record(0, gbest_value, time.perf_counter() - start)
+    yield gbest, gbest_value, gbest_value
 
     v_max = 0.5 * span
-    max_iter = min(config.max_iterations, budget.max_iterations)
-    it = 0
-    while it < max_iter and gbest_value >= budget.tolerance:
-        it += 1
+    while True:
         r1 = rng.random((n, 7))
         r2 = rng.random((n, 7))
         v = pso_velocity_update(v, x, pbest, gbest, config.inertia,
@@ -104,10 +96,7 @@ def solve_pso(model: KinematicModel, target, config=None, budget=None,
         g = int(np.argmin(pbest_values))
         if pbest_values[g] < gbest_value:
             gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
-        trace.record(it, gbest_value, time.perf_counter() - start)
-        if budget.wall_clock_limit and time.perf_counter() - start > budget.wall_clock_limit:
-            break
-    return _finish(model, gbest, gbest_value, it, start, budget, trace)
+        yield gbest, gbest_value, gbest_value
 
 
 def qpso_attractor(pbest, gbest, rng):
@@ -122,12 +111,14 @@ def solve_qpso(model: KinematicModel, target, config=None, budget=None,
     around an attractor with spread beta*|mbest - x|*ln(1/u), beta
     annealed linearly from beta_start to beta_end."""
     config = config or QpsoConfig()
-    budget = budget or Budget(max_iterations=config.max_iterations)
+    budget = budget or default_budget(SolverId.QPSO)
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
+    return run_steps(_qpso_steps(model, target, config, budget.max_iterations,
+                                 rng, seed), budget, wrap_angle)
 
+
+def _qpso_steps(model, target, config, max_iter, rng, seed):
     n = config.num_particles
     if n < 2:
         raise ValueError("QPSO needs at least two particles")
@@ -139,13 +130,10 @@ def solve_qpso(model: KinematicModel, target, config=None, budget=None,
     pbest_values = values.copy()
     g = int(np.argmin(values))
     gbest, gbest_value = x[g].copy(), float(values[g])
-    trace.record(0, gbest_value, time.perf_counter() - start)
+    yield gbest, gbest_value, gbest_value
 
-    max_iter = min(config.max_iterations, budget.max_iterations)
-    it = 0
-    while it < max_iter and gbest_value >= budget.tolerance:
-        it += 1
-        frac = (it - 1) / max(1, max_iter - 1)
+    for it in range(max_iter):
+        frac = it / max(1, max_iter - 1)
         beta = config.beta_start + frac * (config.beta_end - config.beta_start)
         mbest = pbest.mean(axis=0)
         p = qpso_attractor(pbest, gbest, rng)
@@ -160,10 +148,7 @@ def solve_qpso(model: KinematicModel, target, config=None, budget=None,
         g = int(np.argmin(pbest_values))
         if pbest_values[g] < gbest_value:
             gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
-        trace.record(it, gbest_value, time.perf_counter() - start)
-        if budget.wall_clock_limit and time.perf_counter() - start > budget.wall_clock_limit:
-            break
-    return _finish(model, gbest, gbest_value, it, start, budget, trace)
+        yield gbest, gbest_value, gbest_value
 
 
 def afsa_prey_step(rng, visual_range):
@@ -186,12 +171,13 @@ def solve_afsa(model: KinematicModel, target, config=None, budget=None,
     by exploration_q.
     """
     config = config or AfsaConfig()
-    budget = budget or Budget(max_iterations=config.max_iterations)
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    start = time.perf_counter()
-    trace = ConvergenceTrace()
+    return run_steps(_afsa_steps(model, target, config, rng, seed),
+                     budget or default_budget(SolverId.AFSA), wrap_angle)
 
+
+def _afsa_steps(model, target, config, rng, seed):
     n = config.population_size
     fish = rng.uniform(model.lower, model.upper, size=(n, 7))
     if seed is not None:
@@ -199,7 +185,7 @@ def solve_afsa(model: KinematicModel, target, config=None, budget=None,
     values = batch_fitness(model, fish, target)
     g = int(np.argmin(values))
     best_q, best_f = fish[g].copy(), float(values[g])
-    trace.record(0, best_f, time.perf_counter() - start)
+    yield best_q, best_f, best_f
 
     def move_toward(x, goal):
         diff = goal - x
@@ -210,10 +196,7 @@ def solve_afsa(model: KinematicModel, target, config=None, budget=None,
         return np.clip(wrap_angle(x + diff / dist * step),
                        model.lower, model.upper)
 
-    max_iter = min(config.max_iterations, budget.max_iterations)
-    it = 0
-    while it < max_iter and best_f >= budget.tolerance:
-        it += 1
+    while True:
         for i in range(n):
             x, f = fish[i], values[i]
             moved = False
@@ -259,7 +242,4 @@ def solve_afsa(model: KinematicModel, target, config=None, budget=None,
             fish[i], values[i] = x, f
             if f < best_f:
                 best_q, best_f = x.copy(), float(f)
-        trace.record(it, best_f, time.perf_counter() - start)
-        if budget.wall_clock_limit and time.perf_counter() - start > budget.wall_clock_limit:
-            break
-    return _finish(model, best_q, best_f, it, start, budget, trace)
+        yield best_q, best_f, best_f

@@ -297,8 +297,8 @@ def test_criterion_7_degenerate_contracts(arm):
     one_fish = run_solver("afsa", arm,
                           end_effector_position(arm, np.full(7, 0.5)),
                           np.random.default_rng(22),
-                          config=make_config("afsa", {"population_size": 1,
-                                                      "max_iterations": 40}))
+                          config=make_config("afsa", {"population_size": 1}),
+                          budget=Budget(max_iterations=40))
     assert np.all(np.isfinite(one_fish.joints))
     _report(7, "unreachable target rejected by all 10 solvers, single-row "
                "tree trains, population-1 fish swarm completes")

@@ -4,14 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from arm7ik import BenchmarkSpec, SolverId, make_config, default_budget
+import arm7ik.bench
+from arm7ik import (BenchmarkSpec, Budget, KinematicModel, SolverId,
+                    make_config, default_budget)
 from arm7ik.bench import (REPORT_COLUMNS, SweepResult, aggregate_records,
                           batch_hash, export_report, generate_target_batch,
                           load_runs_jsonl, read_report_csv, reaggregate_runs,
-                          run_benchmark, sweep_parameter,
-                          weighted_average_fitness, write_report_csv)
-from arm7ik.core import ConvergenceTrace, SolveResult
-from arm7ik.registry import all_solver_ids, entry, run_solver
+                          run_benchmark, sweep_parameter, write_report_csv)
+from arm7ik.core import DEFAULT_ITERATIONS
+from arm7ik.ml import fit_tree, generate_dataset
+from arm7ik.registry import all_solver_ids, run_solver
 
 
 def tiny_spec(**kw):
@@ -25,13 +27,15 @@ def tiny_spec(**kw):
     return BenchmarkSpec(**defaults)
 
 
-def fake_result(fitness, trace_len):
-    trace = ConvergenceTrace()
-    for i in range(trace_len):
-        trace.record(i, fitness + (trace_len - i), 0.0)
-    return SolveResult(joints=np.zeros(7), final_fitness=fitness,
-                       iterations_used=trace_len, elapsed=0.01,
-                       converged=False, trace=trace)
+def fake_record(fitness, trace_len, success=True):
+    return {"final_fitness": fitness, "elapsed_s": 0.01,
+            "iterations_used": trace_len, "success": success,
+            "trace": [[i, fitness + (trace_len - i), 0.0]
+                      for i in range(trace_len)]}
+
+
+def weighted_average(records):
+    return aggregate_records("x", records).average_fitness_weighted
 
 
 class TestRegistry:
@@ -47,17 +51,49 @@ class TestRegistry:
         assert config.num_particles == 5
 
     def test_dtnr_newton_subconfig(self):
-        config = make_config("dtnr", {"newton": {"max_iterations": 9}})
-        assert config.newton.max_iterations == 9
+        config = make_config("dtnr", {"newton": {"damping": 0.25}})
+        assert config.newton.damping == 0.25
+        with pytest.raises(ValueError):
+            make_config("dtnr", {"newton": {"max_iterations": 9}})
 
     def test_default_budgets_track_entries(self):
         for sid in SolverId:
             assert default_budget(sid).max_iterations == \
-                entry(sid).default_iterations
+                DEFAULT_ITERATIONS[sid]
+
+    def test_iteration_caps_are_not_config_keys(self):
+        for sid, key in (("pso", "max_iterations"), ("ga", "generations"),
+                         ("ccd", "max_cycles")):
+            with pytest.raises(ValueError):
+                make_config(sid, {key: 5})
 
     def test_run_solver_requires_tree_for_dtnr(self, model, rng):
         with pytest.raises(ValueError):
             run_solver("dtnr", model, np.array([0.5, 0.5, 1.0]), rng)
+
+    @pytest.mark.parametrize("target", [[0.5, np.inf, 1.0], [np.nan, 0, 1],
+                                        [0.5, 0.5]])
+    def test_run_solver_rejects_bad_targets(self, model, rng, target):
+        with pytest.raises(ValueError):
+            run_solver("ga", model, np.array(target), rng)
+
+
+@pytest.fixture(scope="module")
+def small_tree():
+    return fit_tree(generate_dataset(KinematicModel(), 500,
+                                     rng=np.random.default_rng(3)))
+
+
+class TestBudget:
+    @pytest.mark.parametrize("solver_id", [s.value for s in SolverId])
+    def test_wall_clock_limit_stops_every_solver(self, model, small_tree,
+                                                 solver_id):
+        budget = Budget(max_iterations=15, tolerance=1e-300,
+                        wall_clock_limit=1e-12)
+        result = run_solver(solver_id, model, np.array([0.5, 0.5, 1.0]),
+                            np.random.default_rng(0), budget=budget,
+                            tree=small_tree)
+        assert result.iterations_used <= 1
 
 
 class TestTargetBatch:
@@ -82,21 +118,25 @@ class TestTargetBatch:
 
 
 class TestWeightedAverageFitness:
+    """The report's average_fitness_weighted column: successful runs'
+    fitness weighted by their trace sample counts."""
+
     def test_equal_length_runs_degenerate_to_the_mean(self):
-        results = [fake_result(2.0, 5), fake_result(4.0, 5)]
-        assert weighted_average_fitness(results) == pytest.approx(3.0)
+        records = [fake_record(2.0, 5), fake_record(4.0, 5)]
+        assert weighted_average(records) == pytest.approx(3.0)
 
     def test_single_run_is_its_own_average(self):
-        assert weighted_average_fitness([fake_result(1.25, 3)]) == 1.25
+        assert weighted_average([fake_record(1.25, 3)]) == 1.25
 
     def test_mixed_lengths_match_direct_formula(self):
-        results = [fake_result(1.0, 2), fake_result(3.0, 6),
-                   fake_result(5.0, 4)]
+        records = [fake_record(1.0, 2), fake_record(3.0, 6),
+                   fake_record(5.0, 4), fake_record(9.0, 7, success=False)]
         expected = (2 * 1.0 + 6 * 3.0 + 4 * 5.0) / 12.0
-        assert weighted_average_fitness(results) == pytest.approx(expected)
+        assert weighted_average(records) == pytest.approx(expected)
 
     def test_empty_input_gives_none(self):
-        assert weighted_average_fitness([]) is None
+        # No successful run leaves nothing to average.
+        assert weighted_average([fake_record(2.0, 5, success=False)]) is None
 
 
 class TestRunBenchmark:
@@ -133,16 +173,6 @@ class TestRunBenchmark:
         assert [r["final_fitness"] for r in runs_a] == \
             [r["final_fitness"] for r in runs_b]
         assert [r["joints"] for r in runs_a] == [r["joints"] for r in runs_b]
-
-    def test_parallel_mode_matches_serial_outcomes(self, model):
-        spec = tiny_spec(algorithms=["nr", "ga"])
-        _, _, serial, _ = run_benchmark(model, spec)
-        _, _, parallel, _ = run_benchmark(model, spec, parallel=3)
-        key = lambda r: (r["algorithm"], r["target_index"], r["repeat"])
-        serial = sorted(serial, key=key)
-        parallel = sorted(parallel, key=key)
-        assert [r["final_fitness"] for r in serial] == \
-            [r["final_fitness"] for r in parallel]
 
     def test_dtnr_without_tree_refused_up_front(self, model):
         with pytest.raises(ValueError):
@@ -208,7 +238,8 @@ class TestSweep:
 
     def test_single_cell_matches_a_direct_solve(self, model):
         spec = tiny_spec(n_targets=2, algorithms=["ga"])
-        result = sweep_parameter("ga", "generations", [20], 1, model, spec)
+        result = sweep_parameter("ga", "population_size", [20], 1, model,
+                                 spec)
 
         targets = generate_target_batch(model, spec)
         fits = []
@@ -216,8 +247,8 @@ class TestSweep:
             rng = np.random.default_rng(np.random.SeedSequence(
                 (spec.master_seed, 0, 0, t_idx)))
             res = run_solver("ga", model, target, rng,
-                             make_config("ga", {"generations": 20}),
-                             default_budget("ga"))
+                             make_config("ga", {"population_size": 20}),
+                             Budget(max_iterations=25))
             fits.append(res.final_fitness)
         assert result.best_fitness[0] == pytest.approx(
             float(np.mean(fits)), abs=0.0)
@@ -231,4 +262,20 @@ class TestSweep:
     def test_repeats_validation(self, model):
         spec = tiny_spec(n_targets=1)
         with pytest.raises(ValueError):
-            sweep_parameter("ga", "generations", [5], 0, model, spec)
+            sweep_parameter("ga", "population_size", [5], 0, model, spec)
+
+    def test_sweep_uses_the_spec_budget(self, model, monkeypatch):
+        budgets = []
+
+        def fake_run_solver(solver_id, model, target, rng, config, budget,
+                            tree=None):
+            budgets.append(budget)
+            return run_solver(solver_id, model, target, rng, config, budget,
+                              tree=tree)
+
+        monkeypatch.setattr(arm7ik.bench, "run_solver", fake_run_solver)
+        spec = tiny_spec(n_targets=2, algorithms=["ga"],
+                         budgets={"ga": {"max_iterations": 3}})
+        sweep_parameter("ga", "population_size", [4, 6], 2, model, spec)
+        assert len(budgets) == 8
+        assert all(b.max_iterations == 3 for b in budgets)

@@ -97,10 +97,24 @@ class TestSolve:
     def test_config_overrides_flow_through(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--algo", "ga",
                                "--target", "0.5,0.5,1.0", "--seed", "1",
-                               "--opt", "generations=5",
+                               "--opt", "population_size=5",
                                "--max-iterations", "5")
         assert code == EXIT_OK
         assert json.loads(out)["iterations_used"] <= 5
+
+    def test_max_iterations_is_the_only_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--algo", "pso",
+                               "--target", "0.5,0.5,1.0",
+                               "--max-iterations", "250",
+                               "--tolerance", "1e-300")
+        assert code == EXIT_OK
+        assert json.loads(out)["iterations_used"] == 250
+
+    def test_non_finite_target_is_a_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--algo", "nr",
+                               "--target", "nan,0,1")
+        assert code == EXIT_CONFIG
+        assert "finite" in err
 
     def test_unknown_override_key_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--algo", "ga",
@@ -203,18 +217,31 @@ class TestBenchAndReport:
                              "--out", str(tmp_path / "o"))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("section,key", [("configs", "generations"),
+                                             ("budgets", "max_iter")])
+    def test_unknown_spec_key_is_a_config_error(self, capsys, tmp_path,
+                                                section, key):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text("n_targets: 1\nalgorithms: [nr, ga]\n"
+                        f"{section}:\n  ga: {{{key}: 5}}\n")
+        code, _, err = run_cli(capsys, "bench", "--spec", str(spec),
+                               "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert key in err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_command(self, capsys, tmp_path):
         spec = tmp_path / "bench.yaml"
         spec.write_text("n_targets: 1\nalgorithms: [ga]\n")
         out_csv = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--algo", "ga",
-                               "--param", "generations", "--grid", "5,10",
+                               "--param", "population_size", "--grid", "5,10",
                                "--repeats", "1", "--spec", str(spec),
                                "--out", str(out_csv))
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 2
         with open(out_csv, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["generations", "best_fitness_mm",
+        assert rows[0] == ["population_size", "best_fitness_mm",
                            "best2_time_mean_s"]
         assert len(rows) == 3

@@ -75,12 +75,12 @@ class TestBenchmarkSpec:
             "n_targets: 5\n"
             "master_seed: 3\n"
             "algorithms: [nr, ga]\n"
-            "configs:\n  ga: {generations: 10}\n"
+            "configs:\n  ga: {population_size: 10}\n"
             "budgets:\n  ga: {max_iterations: 10}\n")
         spec = load_benchmark_spec(path)
         assert spec.n_targets == 5
         assert spec.algorithms == [SolverId.NR, SolverId.GA]
-        assert spec.configs["ga"]["generations"] == 10
+        assert spec.configs["ga"]["population_size"] == 10
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bench.yaml"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from arm7ik import (Budget, DtnrConfig, NewtonConfig, solve_dtnr,
-                    solve_newton_raphson)
+from arm7ik import (Budget, DtnrConfig, NewtonConfig, default_budget,
+                    solve_dtnr, solve_newton_raphson)
 from arm7ik.ml import fit_tree, generate_dataset
 
 
@@ -25,8 +25,8 @@ class TestDtnrConfig:
     def test_defaults(self):
         config = DtnrConfig()
         assert config.refine_joint_count == 3
-        assert config.newton.max_iterations == 15
-        assert not config.fallback_enabled
+        assert config.newton == NewtonConfig()
+        assert default_budget("dtnr").max_iterations == 15
 
 
 class TestDtnrSolver:
@@ -58,7 +58,7 @@ class TestDtnrSolver:
             full = solve_dtnr(tree, model, target,
                               DtnrConfig(refine_joint_count=7))
             plain = solve_newton_raphson(model, target, tree.predict(target),
-                                         NewtonConfig(max_iterations=15),
+                                         NewtonConfig(),
                                          Budget(max_iterations=15))
             assert np.allclose(full.joints, plain.joints, atol=1e-10)
             assert full.converged == plain.converged
@@ -79,18 +79,6 @@ class TestDtnrSolver:
         fits = result.trace.fitness_values()
         assert result.trace.samples[0][0] == 0
         assert all(a >= b for a, b in zip(fits, fits[1:]))
-        assert result.stage_boundary == 0
-
-    def test_fallback_never_worsens_the_answer(self, trained, rng):
-        model, _, tree = trained
-        from arm7ik import sample_workspace
-        for _ in range(10):
-            target = sample_workspace(model.workspace, rng)
-            plain = solve_dtnr(tree, model, target)
-            with_fb = solve_dtnr(tree, model, target,
-                                 DtnrConfig(fallback_enabled=True))
-            assert with_fb.final_fitness <= plain.final_fitness + 1e-12
-            assert not plain.used_fallback
 
     def test_unreachable_target_not_converged(self, trained):
         model, _, tree = trained

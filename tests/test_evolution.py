@@ -48,7 +48,7 @@ class TestGaSolver:
     def test_best_fitness_never_regresses(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_ga(model, target, GaConfig(generations=40),
+        result = solve_ga(model, target, budget=Budget(max_iterations=40),
                           rng=np.random.default_rng(2))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
@@ -56,9 +56,9 @@ class TestGaSolver:
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_ga(model, target, GaConfig(generations=20),
+        a = solve_ga(model, target, budget=Budget(max_iterations=20),
                      rng=np.random.default_rng(3))
-        b = solve_ga(model, target, GaConfig(generations=20),
+        b = solve_ga(model, target, budget=Budget(max_iterations=20),
                      rng=np.random.default_rng(3))
         assert a.same_outcome(b)
 
@@ -66,7 +66,7 @@ class TestGaSolver:
         from arm7ik import KinematicModel
         model = KinematicModel(joint_limits=[(-1.5, 1.5)] * 7)
         target = end_effector_position(model, np.full(7, 0.4))
-        result = solve_ga(model, target, GaConfig(generations=15),
+        result = solve_ga(model, target, budget=Budget(max_iterations=15),
                           rng=np.random.default_rng(4))
         assert np.all(result.joints >= model.lower - 1e-12)
         assert np.all(result.joints <= model.upper + 1e-12)
@@ -92,15 +92,16 @@ class TestDeSolver:
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
         config = DeConfig(differential_weight=0.0, mutation_probability=0.0,
-                          crossover_rate=1.0, generations=25)
-        result = solve_de(model, target, config, rng=np.random.default_rng(2))
+                          crossover_rate=1.0)
+        result = solve_de(model, target, config, Budget(max_iterations=25),
+                          rng=np.random.default_rng(2))
         fits = result.trace.fitness_values()
         assert all(f == fits[0] for f in fits)
 
     def test_best_fitness_never_regresses(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_de(model, target, DeConfig(generations=40),
+        result = solve_de(model, target, budget=Budget(max_iterations=40),
                           rng=np.random.default_rng(3))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
@@ -108,9 +109,9 @@ class TestDeSolver:
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_de(model, target, DeConfig(generations=20),
+        a = solve_de(model, target, budget=Budget(max_iterations=20),
                      rng=np.random.default_rng(5))
-        b = solve_de(model, target, DeConfig(generations=20),
+        b = solve_de(model, target, budget=Budget(max_iterations=20),
                      rng=np.random.default_rng(5))
         assert a.same_outcome(b)
 

@@ -48,7 +48,8 @@ class TestCcd:
         # update degenerate; the run must terminate well under the cap.
         target = np.array([0.0, 0.0, 4.5])
         result = solve_ccd(model, target, np.zeros(7),
-                           CcdConfig(max_cycles=300, loop_guard=10))
+                           CcdConfig(loop_guard=10),
+                           Budget(max_iterations=300))
         assert not result.converged
         assert result.iterations_used < 300
 
@@ -61,7 +62,7 @@ class TestCcd:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            CcdConfig(max_cycles=0)
+            CcdConfig(sweep_order="middle_out")
 
 
 class TestSaSchedule:

@@ -74,7 +74,7 @@ class TestNewtonRaphson:
         target = end_effector_position(model, q_star)
         seed = q_star + 0.02
         one = solve_newton_raphson(model, target, seed,
-                                   NewtonConfig(max_iterations=1))
+                                   budget=Budget(max_iterations=1))
         assert one.final_fitness <= fitness(model, seed, target)
 
     def test_trace_is_monotone_and_nonempty(self, model, rng):
@@ -112,7 +112,7 @@ class TestNelderMeadCore:
 
         budget = Budget(max_iterations=500, tolerance=1e-17)
         x, value, _ = nelder_mead_minimize(obj, np.zeros(2),
-                                           NelderMeadConfig(max_iterations=500),
+                                           NelderMeadConfig(),
                                            budget)
         assert np.abs(x - center).max() < 1e-8
         assert value < 1e-16
@@ -120,7 +120,7 @@ class TestNelderMeadCore:
     def test_stops_without_restart_sampler_on_collapse(self):
         x, value, it = nelder_mead_minimize(
             lambda x: 0.0, np.zeros(3),
-            NelderMeadConfig(max_iterations=50),
+            NelderMeadConfig(),
             Budget(max_iterations=50, tolerance=1e-30))
         assert it <= 50
         assert value == 0.0

@@ -42,7 +42,7 @@ class TestPsoSolver:
     def test_gbest_curve_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_pso(model, target, PsoConfig(max_iterations=50),
+        result = solve_pso(model, target, budget=Budget(max_iterations=50),
                            rng=np.random.default_rng(2))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
@@ -50,9 +50,9 @@ class TestPsoSolver:
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_pso(model, target, PsoConfig(max_iterations=30),
+        a = solve_pso(model, target, budget=Budget(max_iterations=30),
                       rng=np.random.default_rng(3))
-        b = solve_pso(model, target, PsoConfig(max_iterations=30),
+        b = solve_pso(model, target, budget=Budget(max_iterations=30),
                       rng=np.random.default_rng(3))
         assert a.same_outcome(b)
 
@@ -90,7 +90,7 @@ class TestQpso:
     def test_gbest_curve_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_qpso(model, target, QpsoConfig(max_iterations=50),
+        result = solve_qpso(model, target, budget=Budget(max_iterations=50),
                             rng=np.random.default_rng(5))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
@@ -98,9 +98,9 @@ class TestQpso:
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_qpso(model, target, QpsoConfig(max_iterations=30),
+        a = solve_qpso(model, target, budget=Budget(max_iterations=30),
                        rng=np.random.default_rng(6))
-        b = solve_qpso(model, target, QpsoConfig(max_iterations=30),
+        b = solve_qpso(model, target, budget=Budget(max_iterations=30),
                        rng=np.random.default_rng(6))
         assert a.same_outcome(b)
 
@@ -124,8 +124,8 @@ class TestAfsa:
     def test_population_one_completes(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_afsa(model, target, AfsaConfig(population_size=1,
-                                                      max_iterations=60),
+        result = solve_afsa(model, target, AfsaConfig(population_size=1),
+                            budget=Budget(max_iterations=60),
                             rng=np.random.default_rng(1))
         assert np.all(np.isfinite(result.joints))
         assert result.iterations_used <= 60
@@ -134,14 +134,15 @@ class TestAfsa:
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
         result = solve_afsa(model, target,
-                            AfsaConfig(population_size=3, max_iterations=40),
+                            AfsaConfig(population_size=3),
+                            budget=Budget(max_iterations=40),
                             rng=np.random.default_rng(2))
         assert np.all(np.isfinite(result.joints))
 
     def test_best_curve_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_afsa(model, target, AfsaConfig(max_iterations=60),
+        result = solve_afsa(model, target, budget=Budget(max_iterations=60),
                             rng=np.random.default_rng(3))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
@@ -149,9 +150,9 @@ class TestAfsa:
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_afsa(model, target, AfsaConfig(max_iterations=40),
+        a = solve_afsa(model, target, budget=Budget(max_iterations=40),
                        rng=np.random.default_rng(4))
-        b = solve_afsa(model, target, AfsaConfig(max_iterations=40),
+        b = solve_afsa(model, target, budget=Budget(max_iterations=40),
                        rng=np.random.default_rng(4))
         assert a.same_outcome(b)
 
