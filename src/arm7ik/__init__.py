@@ -12,9 +12,10 @@ from .heuristics import (CcdConfig, SaConfig, acceptance_probability,
 from .kinematics import (DhRow, KinematicModel, WorkspaceSphere, dh_transform,
                          end_effector_position, batch_end_effector_positions,
                          batch_fitness, finite_difference_jacobian, fitness,
-                         forward_kinematics, is_reachable, joint_frames,
-                         position_jacobian, sample_workspace,
-                         sample_workspace_batch, wrap_angle)
+                         forward_kinematics, is_reachable, joint_axes,
+                         joint_frames, point_and_jacobian, position_jacobian,
+                         sample_workspace, sample_workspace_batch, tool_point,
+                         wrap_angle)
 from .numeric import (NelderMeadConfig, NewtonConfig, nelder_mead_minimize,
                       pseudo_inverse, solve_nelder_mead, solve_newton_raphson)
 from .registry import all_solver_ids, default_budget, make_config, run_solver

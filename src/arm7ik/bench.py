@@ -22,7 +22,6 @@ REPORT_COLUMNS = [
     "best_time_s", "worst_time_s", "average_fitness_mm",
     "average_fitness_weighted", "sd", "average_time_s", "success_rate",
 ]
-TIMING_COLUMNS = {"best_time_s", "worst_time_s", "average_time_s"}
 
 
 @dataclass

@@ -87,10 +87,10 @@ def cmd_solve(args):
             raise ConfigError(f"{args.tree} is not a regression tree model")
     overrides = _parse_overrides(args.opt)
     config = make_config(solver, overrides)
-    budget = Budget(
-        max_iterations=args.max_iterations or DEFAULT_ITERATIONS[solver],
-        tolerance=args.tolerance,
-    )
+    max_iterations = args.max_iterations
+    if max_iterations is None:
+        max_iterations = DEFAULT_ITERATIONS[solver]
+    budget = Budget(max_iterations=max_iterations, tolerance=args.tolerance)
     rng = np.random.default_rng(args.seed)
     result = run_solver(solver, model, target, rng, config, budget, tree=tree)
     out = {

@@ -1,7 +1,6 @@
 """YAML config loading for the robot geometry and benchmark specs."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -74,6 +73,14 @@ class BenchmarkSpec:
         if self.repeats_per_target < 1:
             raise ConfigError("repeats_per_target must be >= 1")
         self.algorithms = [SolverId(a) for a in self.algorithms]
+        for section, table in (("configs", self.configs),
+                               ("budgets", self.budgets)):
+            if not isinstance(table, dict):
+                raise ConfigError(f"{section} must map solver ids to settings")
+            unknown = set(table) - {s.value for s in SolverId}
+            if unknown:
+                raise ConfigError(
+                    f"{section}: unknown solver ids {sorted(map(str, unknown))}")
 
 
 def load_benchmark_spec(path):

@@ -3,12 +3,16 @@ initial joint guess, then Newton-Raphson refines only the first three
 joints against the position target."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import SolverId, default_budget, run_steps
-from .kinematics import KinematicModel, dh_transform, wrap_angle
+# perfbench/tracer.py wraps dh_transform under this module's name for it,
+# so it stays imported here.
+from .kinematics import (KinematicModel, dh_transform, point_and_jacobian,
+                         tool_point, wrap_angle)
 from .ml import RegressionTree
 from .numeric import (DIVERGENCE_GUARD, STALL_STEP_NORM, NewtonConfig,
                       pseudo_inverse)
@@ -27,7 +31,7 @@ class DtnrConfig:
 def solve_dtnr(tree: RegressionTree, model: KinematicModel, target,
                config=None, budget=None):
     """Predict joints with the tree, then iterate Newton-Raphson on the
-    leading refine_joint_count joints using the corresponding sub-block
+    leading refine_joint_count joints using the corresponding columns
     of the position Jacobian. The distal joints stay at the tree seed,
     bit for bit."""
     config = config or DtnrConfig()
@@ -41,44 +45,33 @@ def solve_dtnr(tree: RegressionTree, model: KinematicModel, target,
 def _dtnr_steps(tree, model, target, config):
     k = config.refine_joint_count
     q = np.asarray(tree.predict(target), dtype=float).copy()
+    t = target.tolist()
 
-    # The distal joints never move, so their chain collapses to one fixed
-    # transform; each iteration then only rebuilds the first k frames.
-    tail = np.eye(4)
-    for j in range(6, k - 1, -1):
-        tail = dh_transform(model.rows[j], q[j], model.convention) @ tail
-
-    def proximal_state(joints):
-        frames = [np.eye(4)]
-        t = np.eye(4)
-        for j in range(k):
-            t = t @ dh_transform(model.rows[j], joints[j], model.convention)
-            frames.append(t)
-        p_e = (t @ tail)[:3, 3]
-        jac = np.empty((3, k))
-        for j in range(k):
-            jac[:, j] = np.cross(frames[j][:3, 2], p_e - frames[j][:3, 3])
-        return p_e, jac
-
-    p, sub_jac = proximal_state(q)
+    tail = tool_point(model, q, k)  # the distal joints never move
+    p, jac = point_and_jacobian(model, q, k, tail)
     best_q = q.copy()
-    best_f = float(np.linalg.norm(p - target))
+    best_f = math.dist(p, t)
     yield best_q, best_f, best_f  # tree stage
 
+    # The k moving joints and the Newton step run in plain floats; only
+    # the pseudo-inverse is a numpy call.
+    head = q[:k].tolist()
+    scale = config.newton.step_scale
     prev_f = best_f
     rises = 0
     while True:
-        step = pseudo_inverse(sub_jac, config.newton.damping) @ (p - target)
-        q = q.copy()
-        q[:k] = q[:k] - config.newton.step_scale * step
-        p, sub_jac = proximal_state(q)
-        f = float(np.linalg.norm(p - target))
+        e0, e1, e2 = p[0] - t[0], p[1] - t[1], p[2] - t[2]
+        step = [a * e0 + b * e1 + c * e2 for a, b, c in
+                pseudo_inverse(jac, config.newton.damping).tolist()]
+        head = [h - scale * s for h, s in zip(head, step)]
+        p, jac = point_and_jacobian(model, head, k, tail)
+        f = math.dist(p, t)
         if f < best_f:
-            best_f, best_q = f, q.copy()
+            best_f, best_q = f, np.concatenate((head, q[k:]))
         rises = rises + 1 if f > prev_f else 0
         prev_f = f
         yield best_q, best_f, f
-        if rises >= DIVERGENCE_GUARD or not np.all(np.isfinite(q)):
+        if rises >= DIVERGENCE_GUARD or not math.isfinite(f):
             return
-        if np.linalg.norm(step) < STALL_STEP_NORM:
+        if math.hypot(*step) < STALL_STEP_NORM:
             return  # at the constrained optimum of the proximal joints

@@ -8,7 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SolverId, default_budget, run_steps
-from .kinematics import (KinematicModel, fitness, joint_frames, wrap_angle)
+# perfbench/tracer.py wraps joint_frames under this module's name for it,
+# so it stays imported here.
+from .kinematics import (KinematicModel, fitness, joint_axes, joint_frames,
+                         wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -47,18 +50,24 @@ def ccd_joint_update(model: KinematicModel, q, joint, target):
     and (target - origin) onto the plane normal to the axis align.
     Returns the signed rotation to apply.
     """
-    frames = joint_frames(model, q)
-    axis = frames[joint][:3, 2]
-    origin = frames[joint][:3, 3]
-    p_e = frames[-1][:3, 3]
-    v_cur = p_e - origin
-    v_tgt = np.asarray(target, dtype=float) - origin
-    cur_p = v_cur - np.dot(v_cur, axis) * axis
-    tgt_p = v_tgt - np.dot(v_tgt, axis) * axis
-    if np.linalg.norm(cur_p) < 1e-12 or np.linalg.norm(tgt_p) < 1e-12:
+    p_e, axes, origins = joint_axes(model, q, joint + 1)
+    axis, origin = axes[joint], origins[joint]
+    cx, cy, cz = _normal_part(p_e, origin, axis)
+    tx, ty, tz = _normal_part(np.asarray(target, dtype=float).tolist(),
+                              origin, axis)
+    if math.hypot(cx, cy, cz) < 1e-12 or math.hypot(tx, ty, tz) < 1e-12:
         return 0.0
-    return math.atan2(float(np.dot(axis, np.cross(cur_p, tgt_p))),
-                      float(np.dot(cur_p, tgt_p)))
+    ax, ay, az = axis
+    return math.atan2(ax * (cy * tz - cz * ty) + ay * (cz * tx - cx * tz)
+                      + az * (cx * ty - cy * tx),   # axis . (cur x tgt)
+                      cx * tx + cy * ty + cz * tz)
+
+
+def _normal_part(point, origin, axis):
+    """(point - origin) minus its projection onto the unit vector axis."""
+    v = [point[i] - origin[i] for i in range(3)]
+    k = v[0] * axis[0] + v[1] * axis[1] + v[2] * axis[2]
+    return [v[i] - k * axis[i] for i in range(3)]
 
 
 def solve_ccd(model: KinematicModel, target, seed, config=None, budget=None):

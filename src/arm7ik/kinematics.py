@@ -6,8 +6,9 @@ numpy arrays of shape (7,).
 """
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +28,10 @@ def wrap_angle(theta):
 
 @dataclass(frozen=True)
 class DhRow:
-    """One Denavit-Hartenberg row: rotation alpha about x, offsets a and d,
-    and a fixed theta offset added to the joint variable."""
+    """One Denavit-Hartenberg row: rotation alpha about x, offsets a and d."""
     alpha: float
     a: float
     d: float
-    theta_offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,13 @@ class KinematicModel:
         self.lower = limits[:, 0].copy()
         self.upper = limits[:, 1].copy()
 
-        # Per-row trig constants, hoisted out of the FK inner loop.
-        self._ca = np.cos([r.alpha for r in self.rows])
-        self._sa = np.sin([r.alpha for r in self.rows])
-        self._d = np.array(d)
-        self._a = np.zeros(7)
-        self._off = np.array([r.theta_offset for r in self.rows])
+        # (e^(i tilt), d) per joint, the kernel's constants (see _joint): a
+        # standard row's alpha tilts the next joint.
+        alphas = [r.alpha for r in self.rows]
+        if convention == "standard":
+            alphas = [0.0] + alphas[:-1]
+        self._links = tuple((cmath.rect(1.0, a), r.d)
+                            for a, r in zip(alphas, self.rows))
 
     @property
     def d1(self):
@@ -114,8 +114,7 @@ def dh_transform(row: DhRow, theta: float, convention: str = "standard"):
     Standard (distal) convention: Rz(theta)*Tz(d)*Tx(a)*Rx(alpha).
     Modified (proximal) convention: Rx(alpha)*Tx(a)*Rz(theta)*Tz(d).
     """
-    th = theta + row.theta_offset
-    ct, st = math.cos(th), math.sin(th)
+    ct, st = math.cos(theta), math.sin(theta)
     ca, sa = math.cos(row.alpha), math.sin(row.alpha)
     if convention == "standard":
         return np.array([
@@ -135,11 +134,15 @@ def dh_transform(row: DhRow, theta: float, convention: str = "standard"):
 
 
 def forward_kinematics(model: KinematicModel, q):
-    """Base-to-tool 4x4 transform: product of the seven joint transforms."""
+    """Base-to-tool 4x4 transform: product of the seven joint transforms.
+
+    The translation column is the kernel's tool point, so it is bit-equal
+    to end_effector_position."""
     q = np.asarray(q, dtype=float)
     t = np.eye(4)
     for i, row in enumerate(model.rows):
         t = t @ dh_transform(row, q[i], model.convention)
+    t[:3, 3] = tool_point(model, q)
     return t
 
 
@@ -154,79 +157,144 @@ def joint_frames(model: KinematicModel, q):
     return frames
 
 
+# The kinematics kernel. A standard-convention joint is Rz(theta) Tz(d)
+# Rx(alpha), a modified one Rx(alpha) Rz(theta) Tz(d); a = 0 on every row
+# of the table. Regrouped, the standard chain is the modified one with each
+# alpha moved to the next joint (the last alpha turns the tool frame but
+# moves no point or axis), so both apply one rule per joint,
+# Rx(tilt) Rz(theta) Tz(d), and differ only in the tilt table. A rotation
+# by phi within a coordinate plane is a product with the unit complex
+# number e^(i phi): `turn` for theta, `tilt` for the tilt angle. Horner's
+# rule applies the rule to a point, from the tool tip to the base; the
+# frame pass applies it to the frame, from the base to the tip, and reads
+# each joint's axis off the frame's z axis after its tilt.
+
+def _joint(turn, tilt, d, x, y, z):
+    """A point from the frame after a joint into the frame before it:
+    Rx(tilt) Rz(theta) Tz(d) (x, y, z)."""
+    xy = (x + 1j * y) * turn
+    yz = (xy.imag + 1j * (z + d)) * tilt
+    return xy.real, yz.real, yz.imag
+
+
+def _horner(model, turns, first=0):
+    """Tool point in the frame before joint `first` by Horner's rule over
+    joints 6..first, from per-joint turns that are either complex numbers
+    (one pose) or (n,) complex arrays (n poses)."""
+    x = y = z = 0.0
+    for j in range(6, first - 1, -1):
+        x, y, z = _joint(turns[j], *model._links[j], x, y, z)
+    return x, y, z
+
+
+def _turns(q):
+    """e^(i theta) per joint of one pose: one cos and one sin each."""
+    return [cmath.rect(1.0, v) for v in np.asarray(q, dtype=float).tolist()]
+
+
+def tool_point(model: KinematicModel, q, frame=0):
+    """Tool point of one pose as an (x, y, z) float triple, in the
+    kernel's frame before joint `frame` (by default the base frame; under
+    the standard convention this is DH frame `frame` turned back about x
+    by the alpha of the row before). It depends only on the joints from
+    `frame` on, so a solver that holds those still computes it once."""
+    return _horner(model, _turns(q), frame)
+
+
+def joint_axes(model: KinematicModel, q, joints=7, tail=None):
+    """Single-pose frame pass in plain floats over the leading `joints`
+    joints; `tail`, tool_point(model, q, joints) (computed when not
+    given), adds the rest. With `tail` given, only the leading `joints`
+    entries of q are read.
+
+    Returns (tool point, axes, origins): the tool point as an (x, y, z)
+    float triple, and the unit rotation axis and a point on it of each of
+    the leading joints as float triples, all in the base frame.
+    """
+    if tail is None:
+        tail = tool_point(model, q, joints)
+    turns = _turns(q[:joints])
+    # The frame's x, y and z axes and origin p in the base frame. The tilt
+    # turns y and z, then the joint turns x and y; each by the rule
+    # (u, v) -> (c u + s v, c v - s u) for the angle's cosine c and sine s.
+    xx, xy, xz = 1.0, 0.0, 0.0
+    yx, yy, yz = 0.0, 1.0, 0.0
+    zx, zy, zz = 0.0, 0.0, 1.0
+    px = py = pz = 0.0
+    axes, origins = [], []
+    for (tilt, d), turn in zip(model._links, turns):
+        c, s = tilt.real, tilt.imag
+        yx, yy, yz, zx, zy, zz = (c * yx + s * zx, c * yy + s * zy,
+                                  c * yz + s * zz, c * zx - s * yx,
+                                  c * zy - s * yy, c * zz - s * yz)
+        axes.append((zx, zy, zz))
+        origins.append((px, py, pz))
+        px, py, pz = px + d * zx, py + d * zy, pz + d * zz
+        c, s = turn.real, turn.imag
+        xx, xy, xz, yx, yy, yz = (c * xx + s * yx, c * xy + s * yy,
+                                  c * xz + s * yz, c * yx - s * xx,
+                                  c * yy - s * xy, c * yz - s * xz)
+    x, y, z = tail
+    return ((px + x * xx + y * yx + z * zx, py + x * xy + y * yy + z * zy,
+             pz + x * xz + y * yz + z * zz), axes, origins)
+
+
+def point_and_jacobian(model: KinematicModel, q, joints=7, tail=None):
+    """Tool point, an (x, y, z) float triple, and the analytic position
+    Jacobian of the leading `joints` joints, (3, joints), from one frame
+    pass (see joint_axes); column j is axis_j x (p_e - origin_j)
+    (Buss 2004)."""
+    p, axes, origins = joint_axes(model, q, joints, tail)
+    px, py, pz = p
+    rows = ([], [], [])
+    for (ax, ay, az), (ox, oy, oz) in zip(axes, origins):
+        vx, vy, vz = px - ox, py - oy, pz - oz
+        rows[0].append(ay * vz - az * vy)
+        rows[1].append(az * vx - ax * vz)
+        rows[2].append(ax * vy - ay * vx)
+    return p, np.array(rows)
+
+
 def end_effector_position(model: KinematicModel, q):
-    """Tool-point position, the translation column of the FK transform."""
-    return forward_kinematics(model, q)[:3, 3]
+    """Tool-point position, shape (3,)."""
+    return np.array(tool_point(model, q))
+
+
+def _batch_points(model, qs):
+    """Tool points of an (n, 7) array as (n,) x, y and z arrays. cos and
+    sin are written into one complex array: at n = 20 that is faster than
+    np.exp(1j * qs)."""
+    th = np.asarray(qs, dtype=float).T
+    turns = np.empty(th.shape, dtype=complex)
+    turns.real = np.cos(th)
+    turns.imag = np.sin(th)
+    return _horner(model, turns)
 
 
 def batch_end_effector_positions(model: KinematicModel, qs):
-    """Vectorised FK translation for an (n, 7) array of joint vectors.
-
-    Composes rotation/translation incrementally instead of stacking 4x4
-    products; this is the hot path for the population solvers and the
-    dataset generator.
-    """
-    qs = np.asarray(qs, dtype=float)
-    n = qs.shape[0]
-    rot = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-    pos = np.zeros((n, 3))
-    for i in range(7):
-        th = qs[:, i] + model._off[i]
-        ct, st = np.cos(th), np.sin(th)
-        ca, sa = model._ca[i], model._sa[i]
-        a, d = model._a[i], model._d[i]
-        if model.convention == "standard":
-            local_r = np.empty((n, 3, 3))
-            local_r[:, 0, 0] = ct
-            local_r[:, 0, 1] = -st * ca
-            local_r[:, 0, 2] = st * sa
-            local_r[:, 1, 0] = st
-            local_r[:, 1, 1] = ct * ca
-            local_r[:, 1, 2] = -ct * sa
-            local_r[:, 2, 0] = 0.0
-            local_r[:, 2, 1] = sa
-            local_r[:, 2, 2] = ca
-            local_p = np.stack([a * ct, a * st, np.full(n, d)], axis=1)
-        else:
-            local_r = np.empty((n, 3, 3))
-            local_r[:, 0, 0] = ct
-            local_r[:, 0, 1] = -st
-            local_r[:, 0, 2] = 0.0
-            local_r[:, 1, 0] = st * ca
-            local_r[:, 1, 1] = ct * ca
-            local_r[:, 1, 2] = -sa
-            local_r[:, 2, 0] = st * sa
-            local_r[:, 2, 1] = ct * sa
-            local_r[:, 2, 2] = ca
-            local_p = np.stack([np.full(n, a), np.full(n, -d * sa),
-                                np.full(n, d * ca)], axis=1)
-        pos = pos + np.einsum("nij,nj->ni", rot, local_p)
-        rot = np.einsum("nij,njk->nik", rot, local_r)
-    return pos
+    """Tool points of an (n, 7) array of joint vectors, shape (n, 3): one
+    Horner pass over (n,) component arrays. The hot path of the
+    population solvers and the dataset generator."""
+    return np.stack(_batch_points(model, qs), axis=1)
 
 
 def fitness(model: KinematicModel, q, target):
     """Euclidean distance (mm) from the tool point to the target."""
-    p = end_effector_position(model, q)
-    return float(np.linalg.norm(p - np.asarray(target, dtype=float)))
+    x, y, z = tool_point(model, q)
+    tx, ty, tz = np.asarray(target, dtype=float).tolist()
+    return math.hypot(x - tx, y - ty, z - tz)
 
 
 def batch_fitness(model: KinematicModel, qs, target):
     """Distances to one target for many joint vectors at once."""
-    p = batch_end_effector_positions(model, qs)
-    return np.linalg.norm(p - np.asarray(target, dtype=float), axis=1)
+    x, y, z = _batch_points(model, qs)
+    tx, ty, tz = np.asarray(target, dtype=float).tolist()
+    return np.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2)
 
 
 def position_jacobian(model: KinematicModel, q):
-    """Analytic 3x7 position Jacobian, column j = z_j x (p_e - p_j)."""
-    frames = joint_frames(model, q)
-    p_e = frames[-1][:3, 3]
-    jac = np.empty((3, 7))
-    for j in range(7):
-        z = frames[j][:3, 2]
-        p = frames[j][:3, 3]
-        jac[:, j] = np.cross(z, p_e - p)
-    return jac
+    """Analytic 3x7 position Jacobian, column j = axis_j x (p_e - origin_j)."""
+    return point_and_jacobian(model, q)[1]
 
 
 def finite_difference_jacobian(model: KinematicModel, q, step=1e-6):

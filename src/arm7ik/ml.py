@@ -244,10 +244,11 @@ class RegressionTree:
         return len(self.feature)
 
     def predict(self, position):
-        position = np.asarray(position, dtype=float)
+        x = np.asarray(position, dtype=float).tolist()
+        feature, threshold = self.feature, self.threshold
         node = 0
-        while self.feature[node] >= 0:
-            if position[self.feature[node]] <= self.threshold[node]:
+        while feature[node] >= 0:
+            if x[feature[node]] <= threshold[node]:
                 node = self.left[node]
             else:
                 node = self.right[node]

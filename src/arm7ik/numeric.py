@@ -2,6 +2,7 @@
 and the Nelder-Mead downhill simplex."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,8 @@ from .core import SolverId, default_budget, population_best, run_steps
 # perfbench/tracer.py wraps the kinematics functions under the names this
 # module binds, so every one of them stays imported here.
 from .kinematics import (KinematicModel, end_effector_position, fitness,
-                         joint_frames, position_jacobian, wrap_angle)
+                         joint_frames, point_and_jacobian, position_jacobian,
+                         wrap_angle)
 
 DIVERGENCE_GUARD = 5   # consecutive fitness increases before aborting
 STALL_STEP_NORM = 1e-8  # joint-space step below which Newton has stalled
@@ -51,8 +53,8 @@ def pseudo_inverse(jac, damping=0.0):
         m = jac.shape[0]
         return jac.T @ np.linalg.inv(jac @ jac.T + damping ** 2 * np.eye(m))
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    s_inv = np.where(s > 1e-12, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return vt.T @ (s_inv[:, None] * u.T)
+    s_inv = np.array([1.0 / v if v > 1e-12 else 0.0 for v in s.tolist()])
+    return vt.T @ (u * s_inv).T
 
 
 def solve_newton_raphson(model: KinematicModel, target, seed, config=None,
@@ -75,11 +77,7 @@ def _newton_steps(model, target, seed, config):
     prev_f = best_f
     rises = 0
     while True:
-        frames = joint_frames(model, q)
-        p = frames[-1][:3, 3]
-        jac = np.empty((3, 7))
-        for j in range(7):
-            jac[:, j] = np.cross(frames[j][:3, 2], p - frames[j][:3, 3])
+        p, jac = point_and_jacobian(model, q)
         step = config.step_scale * (pseudo_inverse(jac, config.damping)
                                     @ (p - target))
         q = q - step
@@ -89,9 +87,9 @@ def _newton_steps(model, target, seed, config):
         rises = rises + 1 if f > prev_f else 0
         prev_f = f
         yield best_q, best_f, f
-        if rises >= DIVERGENCE_GUARD or not np.all(np.isfinite(q)):
+        if rises >= DIVERGENCE_GUARD or not math.isfinite(f):
             return
-        if np.linalg.norm(step) < STALL_STEP_NORM:
+        if math.hypot(*step) < STALL_STEP_NORM:
             return  # pinned at a constrained optimum; no progress possible
 
 

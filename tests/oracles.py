@@ -38,8 +38,11 @@ def trans_x(a):
     return m
 
 
-def dh_matrix(alpha, a, d, theta):
-    """Distal-convention link transform as an explicit primitive product."""
+def dh_matrix(alpha, a, d, theta, convention="standard"):
+    """Link transform as an explicit primitive product: distal (standard)
+    or proximal (modified) convention."""
+    if convention == "modified":
+        return rot_x(alpha) @ trans_x(a) @ rot_z(theta) @ trans_z(d)
     return rot_z(theta) @ trans_z(d) @ trans_x(a) @ rot_x(alpha)
 
 
@@ -56,12 +59,12 @@ def arm_rows(lengths=(1.0, 1.0, 1.0, 1.0)):
             (0.0, 0.0, d7)]
 
 
-def fk_matrix(q, lengths=(1.0, 1.0, 1.0, 1.0)):
+def fk_matrix(q, lengths=(1.0, 1.0, 1.0, 1.0), convention="standard"):
     """Forward kinematics by a plain left-to-right matrix product."""
-    mats = [dh_matrix(alpha, a, d, theta)
+    mats = [dh_matrix(alpha, a, d, theta, convention)
             for (alpha, a, d), theta in zip(arm_rows(lengths), q)]
     return reduce(np.matmul, mats, np.eye(4))
 
 
-def fk_position(q, lengths=(1.0, 1.0, 1.0, 1.0)):
-    return fk_matrix(q, lengths)[:3, 3]
+def fk_position(q, lengths=(1.0, 1.0, 1.0, 1.0), convention="standard"):
+    return fk_matrix(q, lengths, convention)[:3, 3]

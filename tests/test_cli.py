@@ -110,6 +110,13 @@ class TestSolve:
         assert code == EXIT_OK
         assert json.loads(out)["iterations_used"] == 250
 
+    def test_zero_max_iterations_is_a_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--algo", "nr",
+                               "--target", "0.5,0.5,1.0",
+                               "--max-iterations", "0")
+        assert code == EXIT_CONFIG
+        assert "max_iterations" in err
+
     def test_non_finite_target_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--algo", "nr",
                                "--target", "nan,0,1")
@@ -228,6 +235,18 @@ class TestBenchAndReport:
                                "--out", str(tmp_path / "o"))
         assert code == EXIT_CONFIG
         assert key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section", ["configs", "budgets"])
+    def test_unknown_solver_key_is_a_config_error(self, capsys, tmp_path,
+                                                  section):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text("n_targets: 1\nalgorithms: [ga]\n"
+                        f"{section}:\n  gaa: {{max_iterations: 3}}\n")
+        code, _, err = run_cli(capsys, "bench", "--spec", str(spec),
+                               "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert "gaa" in err
         assert not (tmp_path / "o").exists()
 
     def test_sweep_command(self, capsys, tmp_path):

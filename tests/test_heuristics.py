@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from arm7ik import (Budget, CcdConfig, SaConfig, acceptance_probability,
-                    ccd_joint_update, end_effector_position, solve_ccd,
+from arm7ik import (Budget, CcdConfig, KinematicModel, SaConfig,
+                    acceptance_probability, ccd_joint_update,
+                    end_effector_position, solve_ccd,
                     solve_sa, temperature_schedule, wrap_angle)
 
 
@@ -17,18 +18,23 @@ class TestCcd:
         assert result.iterations_used == 0
 
     def test_single_joint_alignment_recovers_the_rotation(self, model, rng):
-        # Rotate only the base joint by phi; the target then lies on the
-        # circle the tool traces about that axis, so one closed-form
-        # update must return exactly phi.
-        for _ in range(25):
-            q = rng.uniform(-math.pi, math.pi, size=7)
-            phi = rng.uniform(-2.5, 2.5)
-            q_rot = q.copy()
-            q_rot[0] += phi
-            target = end_effector_position(model, q_rot)
-            delta = ccd_joint_update(model, q, 0, target)
-            assert float(wrap_angle(delta - phi)) == pytest.approx(0.0,
-                                                                   abs=1e-9)
+        # Rotate one joint by phi; the target then lies on the circle the
+        # tool traces about that joint's axis, so one closed-form update
+        # must return exactly phi. Joints 0-4 only: the tool point lies on
+        # joint 6's axis, and under the modified convention on joint 5's.
+        modified = KinematicModel(lengths=(0.36, 0.42, 0.4, 0.126),
+                                  convention="modified")
+        for arm in (model, modified):
+            for _ in range(25):
+                q = rng.uniform(-math.pi, math.pi, size=7)
+                joint = int(rng.integers(0, 5))
+                phi = rng.uniform(-2.5, 2.5)
+                q_rot = q.copy()
+                q_rot[joint] += phi
+                target = end_effector_position(arm, q_rot)
+                delta = ccd_joint_update(arm, q, joint, target)
+                assert float(wrap_angle(delta - phi)) == pytest.approx(
+                    0.0, abs=1e-9)
 
     def test_update_is_zero_on_degenerate_projection(self, model):
         # Tool point on the rotation axis: nothing to align.

@@ -7,9 +7,12 @@ from hypothesis import given, strategies as st
 from arm7ik import (DhRow, KinematicModel, WorkspaceSphere,
                     batch_end_effector_positions, batch_fitness, dh_transform,
                     end_effector_position, finite_difference_jacobian, fitness,
-                    forward_kinematics, is_reachable, position_jacobian,
-                    sample_workspace, sample_workspace_batch, wrap_angle)
+                    forward_kinematics, is_reachable, point_and_jacobian,
+                    position_jacobian, sample_workspace,
+                    sample_workspace_batch, tool_point, wrap_angle)
 import oracles
+
+NONUNIT = (0.36, 0.42, 0.4, 0.126)
 
 
 class TestWrapAngle:
@@ -72,12 +75,15 @@ class TestForwardKinematics:
                                oracles.fk_matrix(q), atol=1e-10)
 
     def test_nonunit_lengths_match_oracle(self, rng):
-        lengths = (0.36, 0.42, 0.4, 0.126)
-        model = KinematicModel(lengths=lengths)
-        for _ in range(20):
-            q = rng.uniform(-math.pi, math.pi, size=7)
-            assert np.allclose(end_effector_position(model, q),
-                               oracles.fk_position(q, lengths), atol=1e-10)
+        for convention in ("standard", "modified"):
+            model = KinematicModel(lengths=NONUNIT, convention=convention)
+            qs = rng.uniform(-math.pi, math.pi, size=(1000, 7))
+            expected = np.array([oracles.fk_position(q, NONUNIT, convention)
+                                 for q in qs])
+            single = np.array([end_effector_position(model, q) for q in qs])
+            assert np.abs(single - expected).max() < 1e-12
+            assert np.abs(batch_end_effector_positions(model, qs)
+                          - expected).max() < 1e-12
 
     def test_rotation_block_is_orthonormal(self, model, rng):
         for _ in range(200):
@@ -112,10 +118,12 @@ class TestForwardKinematics:
         assert np.allclose(batch, single, atol=1e-12)
 
     def test_modified_convention_differs_but_is_valid(self, rng):
-        modified = KinematicModel(convention="modified")
+        modified = KinematicModel(lengths=NONUNIT, convention="modified")
         q = rng.uniform(-math.pi, math.pi, size=7)
-        r = forward_kinematics(modified, q)[:3, :3]
-        assert np.abs(r @ r.T - np.eye(3)).max() < 1e-12
+        t = forward_kinematics(modified, q)
+        assert np.abs(t[:3, :3] @ t[:3, :3].T - np.eye(3)).max() < 1e-12
+        assert np.allclose(t, oracles.fk_matrix(q, NONUNIT, "modified"),
+                           atol=1e-12)
 
 
 class TestFitness:
@@ -146,13 +154,27 @@ class TestFitness:
 
 class TestJacobian:
     def test_agrees_with_central_differences(self, model, rng):
-        worst = 0.0
-        for _ in range(100):
+        for arm in (model, KinematicModel(lengths=NONUNIT),
+                    KinematicModel(lengths=NONUNIT, convention="modified")):
+            worst = 0.0
+            for _ in range(100):
+                q = rng.uniform(-math.pi, math.pi, size=7)
+                err = np.abs(position_jacobian(arm, q)
+                             - finite_difference_jacobian(arm, q)).max()
+                worst = max(worst, err)
+            assert worst < 1e-5, arm.convention
+
+    def test_point_is_the_tool_point(self, rng):
+        for convention in ("standard", "modified"):
+            model = KinematicModel(lengths=NONUNIT, convention=convention)
             q = rng.uniform(-math.pi, math.pi, size=7)
-            err = np.abs(position_jacobian(model, q)
-                         - finite_difference_jacobian(model, q)).max()
-            worst = max(worst, err)
-        assert worst < 1e-5
+            p, jac = point_and_jacobian(model, q)
+            assert np.allclose(p, end_effector_position(model, q), atol=1e-15)
+            assert np.array_equal(jac, position_jacobian(model, q))
+            # The leading joints alone, with the rest as a fixed tool point.
+            p3, jac3 = point_and_jacobian(model, q, 3, tool_point(model, q, 3))
+            assert np.allclose(p3, p, atol=1e-15)
+            assert np.allclose(jac3, jac[:, :3], atol=1e-15)
 
     def test_last_column_is_zero(self, model, rng):
         # The tool point sits on joint 7's axis, so that joint cannot

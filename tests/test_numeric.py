@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from arm7ik import (Budget, NelderMeadConfig, NewtonConfig,
-                    end_effector_position, fitness, nelder_mead_minimize,
+from arm7ik import (Budget, KinematicModel, NelderMeadConfig, NewtonConfig,
+                    batch_end_effector_positions, end_effector_position,
+                    fitness, nelder_mead_minimize,
                     pseudo_inverse, solve_nelder_mead, solve_newton_raphson)
 
 
@@ -58,6 +59,16 @@ class TestNewtonRaphson:
             assert result.converged
             assert result.final_fitness < 1e-6
             assert result.iterations_used <= 30
+
+    def test_converges_under_the_modified_convention(self, rng):
+        model = KinematicModel(lengths=(0.36, 0.42, 0.4, 0.126),
+                               convention="modified")
+        targets = batch_end_effector_positions(
+            model, rng.uniform(model.lower, model.upper, size=(20, 7)))
+        for target in targets:
+            result = solve_newton_raphson(model, target,
+                                          model.random_joints(rng))
+            assert result.final_fitness < 1e-6
 
     def test_unreachable_target_reports_failure(self, model, rng):
         sphere = model.workspace
