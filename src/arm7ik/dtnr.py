@@ -15,7 +15,7 @@ from .kinematics import (KinematicModel, dh_transform, point_and_jacobian,
                          tool_point, wrap_angle)
 from .ml import RegressionTree
 from .numeric import (DIVERGENCE_GUARD, STALL_STEP_NORM, NewtonConfig,
-                      pseudo_inverse)
+                      pseudo_inverse, pseudo_inverse_step3)
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,22 @@ def _dtnr_steps(tree, model, target, config):
     best_f = math.dist(p, t)
     yield best_q, best_f, best_f  # tree stage
 
-    # The k moving joints and the Newton step run in plain floats; only
-    # the pseudo-inverse is a numpy call.
+    # The k moving joints and the Newton step run in plain floats. Only a
+    # damped step, or a Jacobian that is not 3x3 or is near rank 1, goes
+    # through the numpy pseudo-inverse.
     head = q[:k].tolist()
+    damping = config.newton.damping
     scale = config.newton.step_scale
     prev_f = best_f
     rises = 0
     while True:
-        e0, e1, e2 = p[0] - t[0], p[1] - t[1], p[2] - t[2]
-        step = [a * e0 + b * e1 + c * e2 for a, b, c in
-                pseudo_inverse(jac, config.newton.damping).tolist()]
+        e = (p[0] - t[0], p[1] - t[1], p[2] - t[2])
+        step = None
+        if k == 3 and not damping:
+            step = pseudo_inverse_step3(jac.tolist(), e)
+        if step is None:
+            step = [a * e[0] + b * e[1] + c * e[2]
+                    for a, b, c in pseudo_inverse(jac, damping).tolist()]
         head = [h - scale * s for h, s in zip(head, step)]
         p, jac = point_and_jacobian(model, head, k, tail)
         f = math.dist(p, t)

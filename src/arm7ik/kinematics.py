@@ -212,8 +212,11 @@ def joint_axes(model: KinematicModel, q, joints=7, tail=None):
     the leading joints as float triples, all in the base frame.
     """
     if tail is None:
-        tail = tool_point(model, q, joints)
-    turns = _turns(q[:joints])
+        turns = _turns(q)
+        tail = _horner(model, turns, joints)
+        turns = turns[:joints]
+    else:
+        turns = _turns(q[:joints])
     # The frame's x, y and z axes and origin p in the base frame. The tilt
     # turns y and z, then the joint turns x and y; each by the rule
     # (u, v) -> (c u + s v, c v - s u) for the angle's cosine c and sine s.

@@ -57,6 +57,49 @@ def pseudo_inverse(jac, damping=0.0):
     return vt.T @ (u * s_inv).T
 
 
+def pseudo_inverse_step3(rows, e):
+    """pseudo_inverse(J) @ e in plain floats for a 3x3 J given as three
+    float rows and e an (x, y, z) triple, or None when J's second singular
+    value may be below 1e-6 (leave that case to the SVD).
+
+    Like pseudo_inverse, it counts a singular value below 1e-12 as zero.
+    Rank 3 is Cramer's rule, J^-1 = adj(J) / det J, where row i of adj(J)
+    is the cross product of columns i+1 and i+2. At rank 2 (every dtnr
+    Jacobian: joints 1 to 3 turn about one shoulder point, so each column
+    is normal to the tool point's offset from it) adj(J) = k m n^T, where
+    the unit vectors n and m span the left and right null spaces. Then
+    B = J + n m^T is invertible, J+ e = B^-1 e - (n.e) m, and expanding
+    adj(B) collapses that to J+ e = m x J^T (e x n) / k.
+    """
+    (a, b, c), (d, f, g), (h, i, j) = rows
+    ex, ey, ez = e
+    adj = ((f * j - i * g, i * c - b * j, b * g - f * c),
+           (g * h - j * d, j * a - c * h, c * d - g * a),
+           (d * i - h * f, h * b - a * i, a * f - d * b))
+    # The sum of J's squared 2x2 minors is s1^2 s2^2 + s1^2 s3^2 +
+    # s2^2 s3^2, and the sum of its squared entries s1^2 + s2^2 + s3^2.
+    # Once s2 is known to be large, det^2 / minors ~ s3^2.
+    squares = [x * x + y * y + z * z for x, y, z in adj]
+    minors = squares[0] + squares[1] + squares[2]
+    if minors <= 1e-12 * (a * a + b * b + c * c + d * d + f * f + g * g
+                          + h * h + i * i + j * j):
+        return None
+    det = a * adj[0][0] + d * adj[0][1] + h * adj[0][2]
+    if det * det > 1e-24 * minors:
+        return [(x * ex + y * ey + z * ez) / det for x, y, z in adj]
+    # With n' the longest row of adj, a multiple of n, u = adj n' is a
+    # multiple of k m, and the scale factors cancel in u x h / |u|^2,
+    # h = J^T (e x n').
+    nx, ny, nz = adj[squares.index(max(squares))]
+    gx, gy, gz = ey * nz - ez * ny, ez * nx - ex * nz, ex * ny - ey * nx
+    hx, hy, hz = (a * gx + d * gy + h * gz, b * gx + f * gy + i * gz,
+                  c * gx + g * gy + j * gz)
+    ux, uy, uz = [x * nx + y * ny + z * nz for x, y, z in adj]
+    uu = ux * ux + uy * uy + uz * uz
+    return [(uy * hz - uz * hy) / uu, (uz * hx - ux * hz) / uu,
+            (ux * hy - uy * hx) / uu]
+
+
 def solve_newton_raphson(model: KinematicModel, target, seed, config=None,
                          budget=None):
     """Iterate q <- q - step * J+ (p(q) - target) until the tolerance or

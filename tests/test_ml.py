@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -258,6 +259,20 @@ class TestRegressionTree:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             fit_tree(Dataset(np.zeros((0, 7)), np.zeros((0, 3)), {}))
+
+    def test_node_tables_are_invisible_to_the_garbage_collector(
+            self, model, tmp_path):
+        # A large tree's node tables, held as lists, cost each collection
+        # that scans them ~10 ms, charged to whatever solve it lands in.
+        ds = generate_dataset(model, 200, rng=np.random.default_rng(5))
+        fitted = fit_tree(ds)
+        save_model(fitted, tmp_path / "tree.json")
+        for tree in (fitted, load_model(tmp_path / "tree.json")):
+            for table in (tree.feature, tree.threshold, tree.left,
+                          tree.right, tree.value):
+                # Nothing for the collector to visit but the table's type.
+                assert all(isinstance(r, type)
+                           for r in gc.get_referents(table))
 
 
 class TestPersistence:

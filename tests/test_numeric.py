@@ -5,8 +5,10 @@ import pytest
 
 from arm7ik import (Budget, KinematicModel, NelderMeadConfig, NewtonConfig,
                     batch_end_effector_positions, end_effector_position,
-                    fitness, nelder_mead_minimize,
-                    pseudo_inverse, solve_nelder_mead, solve_newton_raphson)
+                    fitness, nelder_mead_minimize, point_and_jacobian,
+                    pseudo_inverse, solve_nelder_mead, solve_newton_raphson,
+                    tool_point)
+from arm7ik.numeric import pseudo_inverse_step3
 
 
 class TestPseudoInverse:
@@ -33,6 +35,29 @@ class TestPseudoInverse:
         j = np.zeros((3, 7))
         j[0, 0] = 1.0  # rank one
         assert np.all(np.isfinite(pseudo_inverse(j, damping=0.1)))
+
+    def test_closed_form_3x3_step_matches_the_svd(self, rng):
+        arms = [KinematicModel(lengths=(0.36, 0.42, 0.4, 0.126),
+                               convention=c) for c in ("standard", "modified")]
+        for _ in range(200):
+            u, _, vt = np.linalg.svd(rng.normal(size=(3, 3)))
+            cases = [rng.normal(size=(3, 3)),
+                     u @ np.diag([2.0, rng.uniform(1e-3, 1.0), 0.0]) @ vt]
+            # dtnr's Jacobians, which have rank 2.
+            for arm in arms:
+                q = rng.uniform(-math.pi, math.pi, size=7)
+                cases.append(point_and_jacobian(
+                    arm, q, 3, tool_point(arm, q, 3))[1])
+            e = rng.normal(size=3)
+            for j in cases:
+                step = pseudo_inverse_step3(j.tolist(), tuple(e))
+                assert np.allclose(step, pseudo_inverse(j) @ e,
+                                   rtol=1e-9, atol=1e-9)
+
+    def test_closed_form_3x3_step_leaves_rank_one_to_the_svd(self, rng):
+        u, _, vt = np.linalg.svd(rng.normal(size=(3, 3)))
+        for j in (u @ np.diag([2.0, 0.0, 0.0]) @ vt, np.zeros((3, 3))):
+            assert pseudo_inverse_step3(j.tolist(), (1.0, 2.0, 3.0)) is None
 
 
 class TestConfigs:
