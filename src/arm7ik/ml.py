@@ -3,6 +3,7 @@ polynomial regression, a multi-output CART regression tree, and the
 evaluation metrics used to compare them."""
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import math
@@ -15,7 +16,12 @@ from .kinematics import (KinematicModel, batch_end_effector_positions,
                          wrap_angle)
 
 MODEL_FORMAT = "arm7ik-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 1  # linear and polynomial files
+TREE_VERSION = 2   # flat node tables; version 1 trees must be re-trained
+# The tree file's node tables and their little-endian types; the leaves'
+# values follow as "leaf_value", "<f8", 7 per leaf in node order.
+_TREE_TABLES = (("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
+                ("right", "<i4"))
 
 
 @dataclass
@@ -220,49 +226,35 @@ def fit_polynomial(train: Dataset, degree=8) -> PolynomialModel:
 
 class RegressionTree:
     """Multi-output CART over (x, y, z) with mean joint vectors at the
-    leaves. Stored as parallel node tables, lists while the tree is built
-    and flat arrays after (see _freeze); feature < 0 marks a leaf."""
+    leaves, stored as flat parallel node tables: `feature`, `threshold`,
+    `left` and `right` as `array.array`s, `value` as an (n_nodes, 7)
+    array. feature < 0 marks a leaf, whose row of `value` holds its mean
+    joint vector; internal nodes have all-zero rows. Every child index is
+    larger than its parent's, so a walk from the root always ends.
+
+    Arrays hold no Python objects, so the garbage collector has nothing to
+    scan in them. As lists, a 100k-row tree's ~150k-entry tables stalled
+    the first collection after a fit by about 10 ms, and added as much to
+    every full collection after it."""
 
     kind = "tree"
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[np.ndarray | None] = []
-        self.max_depth_used = 0
-
-    def _new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(None)
-        return len(self.feature) - 1
-
-    def _freeze(self):
-        """Move the node tables into flat arrays once the tree is built.
-        Arrays hold no Python objects, so the garbage collector has nothing
-        to scan in them. As lists, a 100k-row tree's ~150k-entry tables
-        stalled the first collection after a fit by about 10 ms, and added
-        as much to every full collection after it."""
-        self.feature = array("q", self.feature)
-        self.threshold = array("d", self.threshold)
-        self.left = array("q", self.left)
-        self.right = array("q", self.right)
-        value = np.zeros((len(self.value), 7))
-        for node, v in enumerate(self.value):
-            if v is not None:
-                value[node] = v
-        self.value = value
-        return self
+    def __init__(self, feature, threshold, left, right, value,
+                 max_depth_used=0):
+        self.feature = _table("q", feature, np.int64)
+        self.threshold = _table("d", threshold, np.float64)
+        self.left = _table("q", left, np.int64)
+        self.right = _table("q", right, np.int64)
+        self.value = np.array(value, dtype=float).reshape(-1, 7)
+        self.max_depth_used = int(max_depth_used)
 
     @property
     def n_nodes(self):
         return len(self.feature)
 
     def predict(self, position):
+        # Plain indexing of the array tables: for one pose this beats any
+        # numpy walk, and dtnr calls it once per solve.
         x = np.asarray(position, dtype=float).tolist()
         feature, threshold = self.feature, self.threshold
         left, right = self.left, self.right
@@ -272,95 +264,136 @@ class RegressionTree:
         return wrap_angle(self.value[node])
 
     def predict_batch(self, positions):
+        """Walk all rows down the tree together, one level per step,
+        advancing only the rows that still sit at an internal node."""
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        out = np.empty((positions.shape[0], 7))
-        stack = [(0, np.arange(positions.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if self.feature[node] < 0:
-                out[idx] = self.value[node]
-                continue
-            go_left = positions[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return wrap_angle(out)
-
-    def _node_dict(self, node):
-        if self.feature[node] < 0:
-            return {"leaf": [float(v) for v in self.value[node]]}
-        return {"feature": int(self.feature[node]),
-                "threshold": float(self.threshold[node]),
-                "left": self._node_dict(self.left[node]),
-                "right": self._node_dict(self.right[node])}
+        feature = np.frombuffer(self.feature, dtype=np.int64)
+        threshold = np.frombuffer(self.threshold, dtype=np.float64)
+        # child[2 * node + go_left]: the right child, then the left.
+        child = np.stack([np.frombuffer(self.right, dtype=np.int64),
+                          np.frombuffer(self.left, dtype=np.int64)],
+                         axis=1).ravel()
+        n, width = positions.shape
+        flat = positions.ravel()
+        leaf_of = np.zeros(n, dtype=np.int64)
+        at = np.arange(0, n * width, width)  # active rows' offsets in flat
+        node = leaf_of.copy()
+        while at.size:
+            f = feature[node]
+            inner = f >= 0
+            if not inner.all():
+                leaf_of[at[~inner] // width] = node[~inner]
+                at, node, f = at[inner], node[inner], f[inner]
+            go_left = flat[at + f] <= threshold[node]
+            node = child[2 * node + go_left]
+        return wrap_angle(self.value[leaf_of])
 
     def to_dict(self):
-        return {"format": MODEL_FORMAT, "version": MODEL_VERSION,
-                "kind": self.kind, "max_depth_used": self.max_depth_used,
-                "root": self._node_dict(0)}
+        """Model format v2: the node tables as base64 little-endian arrays,
+        and the leaves' values only, in node order."""
+        leaf = np.frombuffer(self.feature, dtype=np.int64) < 0
+        d = {"format": MODEL_FORMAT, "version": TREE_VERSION,
+             "kind": self.kind, "max_depth_used": self.max_depth_used}
+        for name, dtype in _TREE_TABLES:
+            d[name] = _pack(getattr(self, name), dtype)
+        d["leaf_value"] = _pack(self.value[leaf], "<f8")
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        tree = cls()
-        tree.max_depth_used = d.get("max_depth_used", 0)
+        version = d.get("version")
+        if version != TREE_VERSION:
+            raise ValueError(
+                f"tree model version {version!r} is not supported (this "
+                f"release reads version {TREE_VERSION}); re-train it with "
+                f"`arm7ik train --model tree`")
+        feature, threshold, left, right = (
+            _unpack(d, name, dtype) for name, dtype in _TREE_TABLES)
+        n = feature.size
+        if n == 0 or not n == threshold.size == left.size == right.size:
+            raise ValueError("tree node tables are empty or of different "
+                             "lengths")
+        leaf = feature < 0
+        if np.any(feature > 2):
+            raise ValueError("tree node splits on a feature other than "
+                             "x, y or z")
+        if np.any(left[leaf] != -1) or np.any(right[leaf] != -1):
+            raise ValueError("tree leaf has children")
+        node = np.flatnonzero(~leaf)
+        for child in (left[node], right[node]):
+            if np.any(child <= node) or np.any(child >= n):
+                raise ValueError("tree child index out of range")
+        leaf_value = _unpack(d, "leaf_value", "<f8")
+        if leaf_value.size != 7 * int(leaf.sum()):
+            raise ValueError("tree leaf-value count is not 7 x the number "
+                             "of leaves")
+        value = np.zeros((n, 7))
+        value[leaf] = leaf_value.reshape(-1, 7)
+        return cls(feature, threshold, left, right, value,
+                   d.get("max_depth_used", 0))
 
-        def build(spec):
-            node = tree._new_node()
-            if "leaf" in spec:
-                tree.value[node] = np.asarray(spec["leaf"], dtype=float)
-            else:
-                tree.feature[node] = spec["feature"]
-                tree.threshold[node] = spec["threshold"]
-                tree.left[node] = build(spec["left"])
-                tree.right[node] = build(spec["right"])
-            return node
 
-        import sys
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, 10_000))
-        try:
-            build(d["root"])
-        finally:
-            sys.setrecursionlimit(old)
-        return tree._freeze()
+def _table(typecode, values, dtype):
+    table = array(typecode)
+    table.frombytes(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    return table
 
 
-def _best_split(x, y, y_sq, min_leaf):
-    """Best (feature, threshold, sse_gain) for one node, by exhaustive
-    scan of every candidate split on each of the three features."""
-    n = x.shape[0]
-    total_sum = y.sum(axis=0)
-    total_sq = y_sq.sum()
-    parent_sse = total_sq - (total_sum @ total_sum) / n
-    best = None
-    for f in range(3):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        cum_sum = np.cumsum(ys, axis=0)
-        cum_sq = np.cumsum(y_sq[order])
-        # split after position i: left = [0..i], right = [i+1..]
-        idx = np.arange(min_leaf - 1, n - min_leaf)
-        if idx.size == 0:
-            continue
-        valid = xs[idx] < xs[idx + 1]
-        idx = idx[valid]
-        if idx.size == 0:
-            continue
-        n_left = idx + 1.0
-        n_right = n - n_left
-        left_sum = cum_sum[idx]
-        right_sum = total_sum - left_sum
-        sse = (cum_sq[idx] - np.einsum("ij,ij->i", left_sum, left_sum) / n_left
-               + (total_sq - cum_sq[idx])
-               - np.einsum("ij,ij->i", right_sum, right_sum) / n_right)
-        k = int(np.argmin(sse))
-        gain = parent_sse - sse[k]
-        if best is None or gain > best[2]:
-            thresh = 0.5 * (xs[idx[k]] + xs[idx[k] + 1])
-            best = (f, float(thresh), float(gain))
-    return best
+def _pack(values, dtype):
+    return base64.b64encode(
+        np.asarray(values).astype(dtype).tobytes()).decode("ascii")
+
+
+def _unpack(d, name, dtype):
+    try:
+        raw = base64.b64decode(d[name], validate=True)
+        return np.frombuffer(raw, dtype=dtype)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"tree model field {name!r} is missing or "
+                         f"malformed: {exc}") from None
+
+
+def _best_splits(xt, y, y_sq, orders, starts, n, min_leaf):
+    """Best split of each of B nodes that hold n rows apiece: (feature,
+    threshold), with feature -1 where no split gains more than 1e-12.
+
+    orders[0] lists each node's rows by row index, orders[1 + f] by
+    feature f; a node's rows are orders[:, start:start + n]. Every
+    candidate split on all three features of all B nodes is scored with
+    one set of (3, B, n, ...) array operations, which reproduce the
+    per-node arithmetic of a one-node scan bit for bit: sums along the
+    row axis run in the same order, and np.vecdot is the same dot product
+    as `a @ a` on a vector.
+    """
+    pos = starts[:, None] + np.arange(n)
+    by_index = orders[0, pos]
+    total_sum = y[by_index].sum(axis=1)              # (B, 7)
+    total_sq = y_sq[by_index].sum(axis=1)            # (B,)
+    parent_sse = total_sq - np.vecdot(total_sum, total_sum) / n
+    rows = orders[1:, pos]                           # (3, B, n)
+    xs = xt[np.arange(3)[:, None, None], rows]
+    cum_sum = np.cumsum(y[rows], axis=2)
+    cum_sq = np.cumsum(y_sq[rows], axis=2)
+    # split after position i: left = [0..i], right = [i+1..]
+    lo, hi = min_leaf - 1, n - min_leaf
+    valid = xs[..., lo:hi] < xs[..., lo + 1:hi + 1]
+    n_left = np.arange(lo, hi) + 1.0
+    n_right = n - n_left
+    left_sum = cum_sum[:, :, lo:hi]
+    right_sum = total_sum[:, None, :] - left_sum
+    left_sq = cum_sq[..., lo:hi]
+    sse = (left_sq - np.einsum("fbij,fbij->fbi", left_sum, left_sum) / n_left
+           + (total_sq[:, None] - left_sq)
+           - np.einsum("fbij,fbij->fbi", right_sum, right_sum) / n_right)
+    sse[~valid] = np.inf
+    k = sse.argmin(axis=2)                                        # (3, B)
+    gain = np.where(valid.any(axis=2), parent_sse - sse.min(axis=2), -np.inf)
+    f = gain.argmax(axis=0)        # the first feature wins a tie
+    b = np.arange(starts.size)
+    split = gain[f, b] > 1e-12
+    at = k[f, b] + lo
+    threshold = 0.5 * (xs[f, b, at] + xs[f, b, at + 1])
+    return np.where(split, f, -1), np.where(split, threshold, 0.0)
 
 
 def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
@@ -372,37 +405,113 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
     configurations from different IK solution branches, whose mean is
     kinematic nonsense. Memorising single rows is what makes the tree
     competitive here.
+
+    The fit is level-synchronous (presorted CART, Breiman et al. 1984):
+    each feature is argsorted once, and the rows of every node of one
+    depth are scored together, one batch per row count. Splitting a
+    node partitions its sorted row lists stably, so each child keeps its
+    rows in sorted order with ties by row index, as a stable per-node
+    argsort would have them. Nodes are numbered at the end in the order a
+    depth-first fit that pushes the left child, then the right, creates
+    them.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
+    if min_leaf < 1:
+        raise ValueError("min_leaf must be >= 1")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
     x = np.asarray(train.positions, dtype=float)
     y = np.asarray(train.joints, dtype=float)
     y_sq = np.einsum("ij,ij->i", y, y)
+    xt = np.ascontiguousarray(x.T)
+    n_rows = len(train)
+    orders = np.empty((4, n_rows), dtype=np.intp)
+    orders[0] = np.arange(n_rows)
+    for f in range(3):
+        orders[1 + f] = np.argsort(x[:, f], kind="stable")
 
-    tree = RegressionTree()
-    root = tree._new_node()
-    stack = [(root, np.arange(len(train)), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        tree.max_depth_used = max(tree.max_depth_used, depth)
-        rows_x, rows_y = x[idx], y[idx]
-        split = None
-        if depth < max_depth and idx.size >= 2 * min_leaf:
-            split = _best_split(rows_x, rows_y, y_sq[idx], min_leaf)
-            if split is not None and split[2] <= 1e-12:
-                split = None
-        if split is None:
-            tree.value[node] = rows_y.mean(axis=0)
-            continue
-        f, thresh, _ = split
-        go_left = rows_x[:, f] <= thresh
-        tree.feature[node] = f
-        tree.threshold[node] = thresh
-        tree.left[node] = tree._new_node()
-        tree.right[node] = tree._new_node()
-        stack.append((tree.left[node], idx[go_left], depth + 1))
-        stack.append((tree.right[node], idx[~go_left], depth + 1))
-    return tree._freeze()
+    # One entry per depth; node j of a level owns orders[:, s:s + counts[j]].
+    levels = []
+    counts = np.array([n_rows])
+    while counts.size:
+        depth = len(levels)
+        starts = np.cumsum(counts) - counts
+        feature = np.full(counts.size, -1)
+        threshold = np.zeros(counts.size)
+        value = np.zeros((counts.size, 7))
+        if depth < max_depth:
+            splittable = counts >= 2 * min_leaf
+            for n in np.unique(counts[splittable]):
+                group = np.flatnonzero(splittable & (counts == n))
+                feature[group], threshold[group] = _best_splits(
+                    xt, y, y_sq, orders, starts[group], int(n), min_leaf)
+        leaf = feature < 0
+        for n in np.unique(counts[leaf]):
+            group = np.flatnonzero(leaf & (counts == n))
+            value[group] = y[orders[0, starts[group, None]
+                                    + np.arange(n)]].mean(axis=1)
+        levels.append((feature, threshold, value))
+        orders, counts = _partition(x, orders, counts, feature, threshold)
+    return _depth_first(levels)
+
+
+def _partition(x, orders, counts, feature, threshold):
+    """Drop the rows of leaves and move each split node's rows to its
+    children, left then right, keeping their order in every list."""
+    node_at = np.repeat(np.arange(counts.size), counts)
+    keep = feature[node_at] >= 0
+    node_at, rows = node_at[keep], orders[:, keep]
+    to_right = np.zeros(x.shape[0], dtype=bool)
+    to_right[rows[0]] = ~(x[rows[0], feature[node_at]] <= threshold[node_at])
+    # Node j's children are 2j and 2j + 1; a stable sort by child keeps
+    # each child's rows in the order they had in the parent.
+    child = 2 * node_at + to_right[rows]
+    moved = np.take_along_axis(rows, np.argsort(child, axis=1, kind="stable"),
+                               axis=1)
+    children = np.bincount(child[0], minlength=2 * counts.size)
+    return moved, children[np.repeat(feature >= 0, 2)]
+
+
+def _depth_first(levels):
+    """Assemble the per-depth node tables into one RegressionTree, numbered
+    as a depth-first fit with a stack creates the nodes: each split node,
+    when popped, takes the next two ids for its children, and the right
+    child is popped first. So the children of the split node that is r-th
+    to be popped get ids 2r + 1 and 2r + 2, and a split node's left child
+    is popped after every split node under its right sibling."""
+    # Level-order ids: the children of the j-th split node of one level
+    # are nodes 2j and 2j + 1 of the next.
+    first = np.cumsum([0] + [f.size for f, _, _ in levels])
+    feature = np.concatenate([f for f, _, _ in levels])
+    splits = [np.flatnonzero(f >= 0) + at
+              for (f, _, _), at in zip(levels, first)]
+    left = np.full(feature.size, -1)
+    for d, split in enumerate(splits[:-1]):
+        left[split] = first[d + 1] + 2 * np.arange(split.size)
+    # Split nodes in each subtree, bottom-up.
+    below = (feature >= 0).astype(np.int64)
+    for split in reversed(splits):
+        below[split] += below[left[split]] + below[left[split] + 1]
+    # Pop rank of each split node, top-down, and the ids it gives out.
+    popped = np.zeros(feature.size, dtype=np.int64)
+    new_id = np.zeros(feature.size, dtype=np.int64)
+    for split in splits:
+        r, child = popped[split], left[split]
+        popped[child + 1] = r + 1
+        popped[child] = r + 1 + below[child + 1]
+        new_id[child] = 2 * r + 1
+        new_id[child + 1] = 2 * r + 2
+    old_id = np.empty_like(new_id)
+    old_id[new_id] = np.arange(new_id.size)
+    feature = feature[old_id]
+    internal = feature >= 0
+    child = left[old_id]
+    return RegressionTree(
+        feature, np.concatenate([t for _, t, _ in levels])[old_id],
+        np.where(internal, new_id[child], -1),
+        np.where(internal, new_id[child + 1], -1),
+        np.concatenate([v for _, _, v in levels])[old_id], len(levels) - 1)
 
 
 def save_model(model, path):
@@ -413,7 +522,7 @@ def save_model(model, path):
 def load_model(path):
     with open(path) as fh:
         d = json.load(fh)
-    if d.get("format") != MODEL_FORMAT:
+    if not isinstance(d, dict) or d.get("format") != MODEL_FORMAT:
         raise ValueError(f"not an arm7ik model file: {path}")
     kinds = {"linear": LinearModel, "polynomial": PolynomialModel,
              "tree": RegressionTree}

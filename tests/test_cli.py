@@ -190,6 +190,29 @@ class TestMlPipeline:
                              "--out", str(tmp_path / "m.json"))
         assert code == EXIT_MISSING_FILE
 
+    @pytest.mark.parametrize("flag, value", [("--min-leaf", "0"),
+                                             ("--max-depth", "-1")])
+    def test_bad_tree_hyperparameter_is_a_config_error(self, capsys,
+                                                       tmp_path, flag, value):
+        data = tmp_path / "data.csv"
+        run_cli(capsys, "dataset", "--count", "200", "--out", str(data))
+        code, _, err = run_cli(capsys, "train", "--model", "tree",
+                               "--data", str(data),
+                               "--out", str(tmp_path / "tree.json"),
+                               flag, value)
+        assert code == EXIT_CONFIG
+        assert flag.lstrip("-").replace("-", "_") in err
+
+    def test_version_1_tree_file_is_a_config_error(self, capsys, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({
+            "format": "arm7ik-model", "version": 1, "kind": "tree",
+            "max_depth_used": 0, "root": {"leaf": [0.0] * 7}}))
+        code, _, err = run_cli(capsys, "solve", "--algo", "dtnr",
+                               "--target", "0.4,0.3,1.2", "--tree", str(tree))
+        assert code == EXIT_CONFIG
+        assert "re-train" in err
+
 
 class TestBenchAndReport:
     def test_bench_then_independent_reaggregation(self, capsys, tmp_path):

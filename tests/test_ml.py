@@ -1,9 +1,12 @@
+import base64
 import gc
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arm7ik import KinematicModel, wrap_angle
 from arm7ik.ml import (Dataset, LinearModel, PolynomialModel, RegressionTree,
@@ -174,6 +177,20 @@ class TestPolynomialModel:
             fit_polynomial(ds, degree=8)
 
 
+def assert_matches_reference(ds, **kwargs):
+    """fit_tree's node tables equal the per-node reference CART's, bit for
+    bit."""
+    tree = fit_tree(ds, **kwargs)
+    expected, deepest = oracles.reference_tree(ds.positions, ds.joints,
+                                               **kwargs)
+    got = (np.asarray(tree.feature), np.asarray(tree.threshold),
+           np.asarray(tree.left), np.asarray(tree.right), tree.value)
+    for name, a, b in zip(("feature", "threshold", "left", "right", "value"),
+                          got, expected):
+        assert np.array_equal(a, b), name
+    assert tree.max_depth_used == deepest
+
+
 class TestRegressionTree:
     def test_single_row_gives_single_leaf(self):
         joints = np.array([[0.1, 0.2, 0.3, -0.4, 0.5, -0.6, 0.7]])
@@ -260,6 +277,67 @@ class TestRegressionTree:
         with pytest.raises(ValueError):
             fit_tree(Dataset(np.zeros((0, 7)), np.zeros((0, 3)), {}))
 
+    @pytest.mark.parametrize("kwargs", [{"min_leaf": 0}, {"max_depth": -1}])
+    def test_bad_hyperparameters_rejected(self, model, kwargs):
+        ds = generate_dataset(model, 50, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            fit_tree(ds, **kwargs)
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 6, 84])
+    @pytest.mark.parametrize("min_leaf", [1, 3, 10])
+    def test_node_tables_match_the_per_node_reference(self, model, min_leaf,
+                                                      max_depth):
+        # Quantised positions tie on every feature, and repeated positions
+        # with different joints leave nodes that no split can separate.
+        ds = generate_dataset(model, 300, rng=np.random.default_rng(6))
+        positions = np.round(ds.positions, 1)
+        positions[::7] = positions[0]
+        assert_matches_reference(Dataset(ds.joints, positions, {}),
+                                 max_depth=max_depth, min_leaf=min_leaf)
+
+    def test_node_tables_match_the_reference_on_a_larger_set(self, model):
+        ds = generate_dataset(model, 2000, rng=np.random.default_rng(8))
+        assert_matches_reference(
+            Dataset(ds.joints, np.round(ds.positions, 2), {}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), levels=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1), min_leaf=st.integers(1, 5),
+           max_depth=st.integers(0, 10),
+           spread=st.sampled_from([3.0, 1e-6, 1e-7]))
+    def test_node_tables_match_the_reference_on_random_data(
+            self, n, levels, seed, min_leaf, max_depth, spread):
+        # Small spreads put split gains around the 1e-12 floor.
+        rng = np.random.default_rng(seed)
+        positions = 0.25 * rng.integers(0, levels, size=(n, 3))
+        joints = 0.1 + rng.uniform(-spread, spread, size=(n, 7))
+        assert_matches_reference(Dataset(joints, positions, {}),
+                                 max_depth=max_depth, min_leaf=min_leaf)
+
+    def test_deep_chain_tree_saves_loads_and_predicts(self, tmp_path):
+        # Split node k (id 2k) sends x <= k to leaf 2k + 1 and the rest on
+        # to node 2k + 2; the last node is a leaf at depth 20,000.
+        depth = 20_000
+        ids = np.arange(2 * depth + 1)
+        split = (ids % 2 == 0) & (ids < 2 * depth)
+        value = np.zeros((ids.size, 7))
+        value[~split] = 5e-5 * ids[~split, None]
+        tree = RegressionTree(np.where(split, 0, -1),
+                              np.where(split, ids // 2, 0.0),
+                              np.where(split, ids + 1, -1),
+                              np.where(split, ids + 2, -1), value, depth)
+        save_model(tree, tmp_path / "chain.json")
+        back = load_model(tmp_path / "chain.json")
+        assert back.n_nodes == ids.size
+        assert back.max_depth_used == depth
+        probe = np.array([[x, 0.0, 0.0]
+                          for x in (-1.0, 0.5, 9_999.5, 19_999.5, 3e4)])
+        batch = back.predict_batch(probe)
+        assert np.array_equal(batch,
+                              np.array([back.predict(p) for p in probe]))
+        assert np.array_equal(batch, tree.predict_batch(probe))
+        assert batch[-1, 0] == pytest.approx(2.0)
+
     def test_node_tables_are_invisible_to_the_garbage_collector(
             self, model, tmp_path):
         # A large tree's node tables, held as lists, cost each collection
@@ -297,9 +375,80 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def test_rejects_a_file_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(ValueError):
+            load_model(path)
+
     def test_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"format": "arm7ik-model", "kind": "mlp"}')
+        with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_rejects_a_version_1_tree_file(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format": "arm7ik-model", "version": 1, "kind": "tree",
+            "max_depth_used": 1,
+            "root": {"feature": 0, "threshold": 0.5,
+                     "left": {"leaf": [0.1] * 7},
+                     "right": {"leaf": [0.2] * 7}}}))
+        with pytest.raises(ValueError, match="re-train"):
+            load_model(path)
+
+    def test_rejects_a_truncated_file(self, model, tmp_path):
+        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        path = tmp_path / "tree.json"
+        save_model(fit_tree(ds), path)
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        with pytest.raises(ValueError):
+            load_model(path)
+
+    # The v2 tables' little-endian types, as documented in the README.
+    TABLE_TYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4",
+                   "right": "<i4", "leaf_value": "<f8"}
+
+    @pytest.mark.parametrize("field, tamper, message", [
+        ("threshold", lambda a: a[:-1], "lengths"),
+        ("left", lambda a: a[:-1], "lengths"),
+        ("left", lambda a: np.where(np.arange(a.size) == 0, a.size, a),
+         "out of range"),
+        ("right", lambda a: np.where(np.arange(a.size) == 0, 0, a),
+         "out of range"),
+        ("left", lambda a: np.where(a < 0, 1, a), "leaf has children"),
+        ("feature", lambda a: np.where(a >= 0, 3, a), "feature"),
+        ("leaf_value", lambda a: a[:-7], "leaf-value count"),
+        ("leaf_value", lambda a: a[:-1], "leaf-value count"),
+    ])
+    def test_rejects_inconsistent_node_tables(self, model, tmp_path, field,
+                                              tamper, message):
+        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        d = fit_tree(ds).to_dict()
+        dtype = self.TABLE_TYPES[field]
+        table = np.frombuffer(base64.b64decode(d[field]), dtype=dtype)
+        d[field] = base64.b64encode(
+            tamper(table).astype(dtype).tobytes()).decode("ascii")
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda d: d.pop("threshold"),
+        lambda d: d.update(left=d["left"][:-3]),
+        lambda d: d.update(right=12),
+        lambda d: d.update(feature="not base64!"),
+    ])
+    def test_rejects_missing_or_malformed_tables(self, model, tmp_path,
+                                                 damage):
+        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        d = fit_tree(ds).to_dict()
+        damage(d)
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(d))
         with pytest.raises(ValueError):
             load_model(path)
 

@@ -6,8 +6,14 @@ the per-target seeds the acceptance suite uses, and prints one line per
 solver: a SHA-256 over joints, final fitness, iterations, the converged
 flag and the trace's (iteration, fitness) pairs, then the solver's success
 count (final fitness < 1 mm), mean iterations used and median final
-fitness. Wall-clock fields are left out. dtnr uses the tree of criterion 4
-(100k rows, seed 42, 75/25 split).
+fitness. Wall-clock fields are left out. dtnr uses the tree of criteria 3
+and 4 (100k rows, seed 42, 75/25 split).
+
+It also prints a SHA-256 over the node tables (feature, threshold, left,
+right, value) of two fitted trees: the criterion 3 tree, and the tree of
+the benchmark's learned_ik workload (25k rows, dataset seed 42, split
+seed 0). Two checkouts that print the same tree hashes fit identical
+trees.
 
 Two checkouts that print the same hashes give bit-identical solves. A
 change that only reorders floating-point sums changes the hashes; the
@@ -55,6 +61,16 @@ class Fingerprint:
                 f"median_fitness_mm={np.median(fit):.3g}")
 
 
+def tree_line(name, tree):
+    digest = hashlib.sha256()
+    for table, dtype in ((tree.feature, np.int64), (tree.threshold, float),
+                         (tree.left, np.int64), (tree.right, np.int64),
+                         (tree.value, float)):
+        digest.update(np.asarray(table, dtype=dtype).tobytes())
+    return (f"tree[{name}] {digest.hexdigest()} nodes={tree.n_nodes} "
+            f"depth={tree.max_depth_used}")
+
+
 def main(n_targets=100, dataset_rows=100_000):
     arm = KinematicModel()
     qs = np.random.default_rng(0).uniform(arm.lower, arm.upper,
@@ -74,6 +90,10 @@ def main(n_targets=100, dataset_rows=100_000):
                           seed=42)
     train, _ = split_dataset(ds, 0.25, np.random.default_rng(1))
     tree = fit_tree(train)
+    print(tree_line("criterion_3", tree), flush=True)
+    ik_train, _ = split_dataset(generate_dataset(arm, 25_000, seed=42), 0.25,
+                                seed=0)
+    print(tree_line("learned_ik", fit_tree(ik_train)), flush=True)
     fp = Fingerprint()
     for target in targets:
         fp.fold(solve_dtnr(tree, arm, target))
