@@ -14,7 +14,6 @@ class GaConfig:
     population_size: int = 30
     mutation_probability: float = 0.01
     crossover_probability: float = 0.9
-    elitism_count: int = 2
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -32,29 +31,41 @@ class DeConfig:
     crossover_rate: float = 0.9
 
     def __post_init__(self):
+        if self.population_size < 4:
+            raise ValueError("DE needs population_size >= 4")
+        if self.mutation_probability < 0:
+            raise ValueError("mutation_probability must be >= 0")
         if self.differential_weight < 0:
             raise ValueError("differential_weight must be >= 0")
         if not 0 <= self.crossover_rate <= 1:
             raise ValueError("crossover_rate must lie in [0, 1]")
 
 
-def _tournament(rng, values, size=2):
-    """Index of the fitter of `size` random individuals."""
-    picks = rng.integers(0, len(values), size=size)
-    return picks[np.argmin(values[picks])]
+def tournament_winners(rng, values, shape):
+    """Indices of the winners of `shape` independent tournaments of two
+    random individuals each: the fitter pick wins, a tie goes to the
+    first pick."""
+    picks = rng.integers(0, len(values), (*shape, 2))
+    first, second = picks[..., 0], picks[..., 1]
+    return np.where(values[first] <= values[second], first, second)
 
 
 def ga_offspring(rng, p1, p2, config: GaConfig, model: KinematicModel):
-    """One child from two parents: per-gene uniform crossover (applied
-    with crossover_probability), then per-gene uniform-resample mutation."""
-    child = np.asarray(p1, dtype=float).copy()
-    if rng.random() < config.crossover_probability:
-        take = rng.random(7) < 0.5
-        child[take] = np.asarray(p2, dtype=float)[take]
-    mutate = rng.random(7) < config.mutation_probability
-    if mutate.any():
-        child[mutate] = rng.uniform(model.lower[mutate], model.upper[mutate])
-    return child
+    """Children from parent pairs, one per row of `p1` and `p2` (shape
+    (7,) or (n, 7)): per-gene uniform crossover (applied to each child
+    with crossover_probability), then per-gene uniform-resample mutation
+    within the joint limits."""
+    p1 = np.asarray(p1, dtype=float)
+    first = p1.reshape(-1, 7)
+    n = len(first)
+    crossed = rng.random((n, 1)) < config.crossover_probability
+    take = crossed & (rng.random((n, 7)) < 0.5)
+    children = np.where(take, np.asarray(p2, dtype=float).reshape(-1, 7),
+                        first)
+    mutate = rng.random((n, 7)) < config.mutation_probability
+    joints = np.nonzero(mutate)[1]
+    children[mutate] = rng.uniform(model.lower[joints], model.upper[joints])
+    return children.reshape(p1.shape)
 
 
 def solve_ga(model: KinematicModel, target, config=None, budget=None,
@@ -80,11 +91,9 @@ def _ga_steps(model, target, config, rng, seed):
     yield population_best(pop, values)
 
     while True:
-        children = np.empty((n, 7))
-        for k in range(n):
-            p1 = pop[_tournament(rng, values)]
-            p2 = pop[_tournament(rng, values)]
-            children[k] = ga_offspring(rng, p1, p2, config, model)
+        parents = tournament_winners(rng, values, (2, n))
+        children = ga_offspring(rng, pop[parents[0]], pop[parents[1]],
+                                config, model)
         child_values = batch_fitness(model, children, target)
         merged = np.vstack([pop, children])
         merged_values = np.concatenate([values, child_values])
@@ -105,10 +114,29 @@ def solve_de(model: KinematicModel, target, config=None, budget=None,
                      budget or default_budget(SolverId.DE), wrap_angle)
 
 
+def de_donors(rng, n):
+    """(n, 3) donor indices for DE/rand/1: row k holds three distinct
+    indices, none equal to k, drawn uniformly."""
+    donors = np.argsort(rng.random((n, n - 1)), axis=1)[:, :3]
+    return donors + (donors >= np.arange(n)[:, None])
+
+
+def de_trials(rng, pop, config: DeConfig, model: KinematicModel):
+    """One trial per row of `pop`: DE/rand/1 mutant plus Gaussian noise,
+    binomial crossover with at least one gene taken from the mutant,
+    then wrapped and clipped into the joint limits."""
+    n = len(pop)
+    a, b, c = de_donors(rng, n).T
+    mutants = (pop[a] + config.differential_weight * (pop[b] - pop[c])
+               + rng.normal(0.0, config.mutation_probability, (n, 7)))
+    cross = rng.random((n, 7)) < config.crossover_rate
+    cross[np.arange(n), rng.integers(0, 7, n)] = True
+    return np.clip(wrap_angle(np.where(cross, mutants, pop)),
+                   model.lower, model.upper)
+
+
 def _de_steps(model, target, config, rng, seed):
     n = config.population_size
-    if n < 4:
-        raise ValueError("DE needs a population of at least 4")
     pop = rng.uniform(model.lower, model.upper, size=(n, 7))
     if seed is not None:
         pop[0] = np.asarray(seed, dtype=float)
@@ -116,18 +144,7 @@ def _de_steps(model, target, config, rng, seed):
     yield population_best(pop, values)
 
     while True:
-        trials = np.empty((n, 7))
-        for k in range(n):
-            choices = [i for i in range(n) if i != k]
-            a, b, c = rng.choice(choices, size=3, replace=False)
-            mutant = pop[a] + config.differential_weight * (pop[b] - pop[c])
-            if config.mutation_probability > 0:
-                mutant = mutant + rng.normal(
-                    0.0, config.mutation_probability, size=7)
-            cross = rng.random(7) < config.crossover_rate
-            cross[rng.integers(0, 7)] = True
-            trial = np.where(cross, mutant, pop[k])
-            trials[k] = np.clip(wrap_angle(trial), model.lower, model.upper)
+        trials = de_trials(rng, pop, config, model)
         trial_values = batch_fitness(model, trials, target)
         better = trial_values < values
         pop[better] = trials[better]

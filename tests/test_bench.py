@@ -178,6 +178,16 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(model, tiny_spec(algorithms=["dtnr"]))
 
+    def test_bad_de_config_refused_before_any_solve(self, model, monkeypatch):
+        calls = []
+        monkeypatch.setattr(arm7ik.bench, "run_solver",
+                            lambda *a, **kw: calls.append(a))
+        spec = tiny_spec(algorithms=["nr", "de"],
+                         configs={"de": {"population_size": 3}})
+        with pytest.raises(ValueError):
+            run_benchmark(model, spec)
+        assert calls == []
+
 
 class TestReportFiles:
     def test_column_order(self):

@@ -129,6 +129,18 @@ class TestSolve:
                                "--opt", "warp_speed=9")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("algo, opt", [
+        ("ga", "elitism_count=7"),
+        ("de", "population_size=3"),
+        ("de", "mutation_probability=-1"),
+    ])
+    def test_removed_or_out_of_range_option_is_a_config_error(
+            self, capsys, algo, opt):
+        code, _, err = run_cli(capsys, "solve", "--algo", algo,
+                               "--target", "0.5,0.5,1.0", "--opt", opt)
+        assert code == EXIT_CONFIG
+        assert opt.split("=")[0] in err
+
     def test_dtnr_without_tree_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--algo", "dtnr",
                                "--target", "0.5,0.5,1.0")

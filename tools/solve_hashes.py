@@ -22,9 +22,15 @@ three summary columns then show whether the outcomes still agree:
     PYTHONPATH=src python tools/solve_hashes.py > new.txt
     (cd ../parent && PYTHONPATH=src python ../repo/tools/solve_hashes.py) > old.txt
     diff old.txt new.txt
+
+`--seed N` draws the target batch from master seed N in place of 0, for
+checking that a change which re-draws a solver's outcomes leaves their
+distribution intact on batches other than the acceptance batch:
+
+    PYTHONPATH=src python tools/solve_hashes.py --seed 3
 """
+import argparse
 import hashlib
-import sys
 
 import numpy as np
 
@@ -71,10 +77,10 @@ def tree_line(name, tree):
             f"depth={tree.max_depth_used}")
 
 
-def main(n_targets=100, dataset_rows=100_000):
+def main(n_targets=100, dataset_rows=100_000, seed=0):
     arm = KinematicModel()
-    qs = np.random.default_rng(0).uniform(arm.lower, arm.upper,
-                                          size=(n_targets, 7))
+    qs = np.random.default_rng(seed).uniform(arm.lower, arm.upper,
+                                             size=(n_targets, 7))
     targets = batch_end_effector_positions(arm, qs)
     total = hashlib.sha256()
     for algo_idx, algo in enumerate(STANDALONE):
@@ -103,4 +109,11 @@ def main(n_targets=100, dataset_rows=100_000):
 
 
 if __name__ == "__main__":
-    main(*(int(a) for a in sys.argv[1:]))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("n_targets", nargs="?", type=int, default=100)
+    parser.add_argument("dataset_rows", nargs="?", type=int, default=100_000)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master seed of the target batch (default 0, "
+                             "the acceptance batch)")
+    args = parser.parse_args()
+    main(args.n_targets, args.dataset_rows, args.seed)
