@@ -2,16 +2,19 @@
 simulated annealing."""
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SolverId, default_budget, run_steps
-# perfbench/tracer.py wraps joint_frames under this module's name for it,
-# so it stays imported here.
-from .kinematics import (KinematicModel, fitness, joint_axes, joint_frames,
-                         wrap_angle)
+# perfbench/tracer.py wraps fitness and joint_frames under this module's
+# names for it, so both stay imported here, though the solvers below
+# evaluate poses through the Horner partials and the frame pass instead.
+from .kinematics import (BASE_FRAME, KinematicModel, fitness, frame_pass,
+                         frame_point, horner_partials, joint_axes,
+                         joint_frames, wrap_angle, wrap_float)
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,15 @@ def ccd_joint_update(model: KinematicModel, q, joint, target):
     Returns the signed rotation to apply.
     """
     p_e, axes, origins = joint_axes(model, q, joint + 1)
-    axis, origin = axes[joint], origins[joint]
+    return _ccd_rotation(p_e, axes[joint], origins[joint],
+                         np.asarray(target, dtype=float).tolist())
+
+
+def _ccd_rotation(p_e, axis, origin, target):
+    """ccd_joint_update from the tool point p_e and the joint's axis and
+    origin, all float triples in the base frame."""
     cx, cy, cz = _normal_part(p_e, origin, axis)
-    tx, ty, tz = _normal_part(np.asarray(target, dtype=float).tolist(),
-                              origin, axis)
+    tx, ty, tz = _normal_part(target, origin, axis)
     if math.hypot(cx, cy, cz) < 1e-12 or math.hypot(tx, ty, tz) < 1e-12:
         return 0.0
     ax, ay, az = axis
@@ -81,27 +89,63 @@ def solve_ccd(model: KinematicModel, target, seed, config=None, budget=None):
 
 
 def _ccd_steps(model, target, seed, config):
-    q = wrap_angle(np.asarray(seed, dtype=float))
-    best_q = q.copy()
-    best_f = fitness(model, q, target)
+    # The pose is a list of floats with its turns e^(i theta) and Horner
+    # partials h (see horner_partials). Joint j's update needs the frame
+    # after it, which takes the tool point h[j + 1] into the base frame.
+    # Tip to base, every joint's frame comes from one pass up the chain
+    # before the sweep (the joints before the one updated have not moved
+    # yet), and h is refreshed one joint at a time behind the sweep. Base
+    # to tip, every h[j + 1] comes from one Horner pass per cycle (the
+    # joints after the one updated have not moved yet), and the frame
+    # grows one joint at a time ahead of the sweep.
+    q = wrap_angle(np.asarray(seed, dtype=float)).tolist()
+    turns = [cmath.rect(1.0, v) for v in q]
+    h = horner_partials(model, turns)
+    target = target.tolist()
+    best_q, best_f = q[:], math.dist(h[0], target)
     yield best_q, best_f, best_f
 
-    order = range(6, -1, -1) if config.sweep_order == "tip_to_base" else range(7)
+    tolerance = config.per_joint_tolerance
     stalled = 0
     while True:
-        for j in order:
-            delta = ccd_joint_update(model, q, j, target)
-            if abs(delta) > config.per_joint_tolerance:
-                q[j] = wrap_angle(q[j] + delta)
-        f = fitness(model, q, target)
+        if config.sweep_order == "tip_to_base":
+            passes, frame = [], BASE_FRAME
+            for j in range(7):
+                passes.append(frame_pass(model, turns[j:j + 1], j, frame))
+                frame = passes[j][2]
+            for j in range(6, -1, -1):
+                _ccd_move(q, turns, j, passes[j], h[j + 1], target, tolerance)
+                h = horner_partials(model, turns, h, j, j)
+        else:
+            frame = BASE_FRAME
+            for j in range(7):
+                step = frame_pass(model, turns[j:j + 1], j, frame)
+                if _ccd_move(q, turns, j, step, h[j + 1], target, tolerance):
+                    step = frame_pass(model, turns[j:j + 1], j, frame)
+                frame = step[2]
+            h = horner_partials(model, turns)
+        f = math.dist(h[0], target)
         if f < best_f - 1e-15:
-            best_f, best_q = f, q.copy()
+            best_f, best_q = f, q[:]
             stalled = 0
         else:
             stalled += 1
         yield best_q, best_f, f
         if stalled >= config.loop_guard:
             return  # oscillating cycle; bail out as non-converged
+
+
+def _ccd_move(q, turns, joint, step, tail, target, tolerance):
+    """Turn one joint of the pose (q, turns) by its ccd_joint_update, from
+    `step`, the frame pass over that joint alone, and `tail`, the tool
+    point in the frame after it; returns whether the joint moved."""
+    (axis,), (origin,), frame = step
+    delta = _ccd_rotation(frame_point(frame, tail), axis, origin, target)
+    if abs(delta) > tolerance:
+        q[joint] = wrap_float(q[joint] + delta)
+        turns[joint] = cmath.rect(1.0, q[joint])
+        return True
+    return False
 
 
 def temperature_schedule(config: SaConfig):
@@ -147,10 +191,19 @@ def solve_sa(model: KinematicModel, target, config=None, budget=None,
 
 
 def _sa_steps(model, target, config, tolerance, rng, seed):
-    q = np.asarray(seed, dtype=float).copy() if seed is not None \
-        else model.random_joints(rng)
-    e_now = fitness(model, q, target)
-    best_q, best_f = q.copy(), e_now
+    # The pose is a list of floats with its turns e^(i theta) and Horner
+    # partials h (see horner_partials). A proposal for joint j re-turns
+    # only that joint and re-applies joints j..0 from h[j + 1]; turns and h
+    # keep the proposal only when it is accepted. A uniform draw is taken
+    # as numpy's rng.uniform(low, high) makes it, low + (high - low) *
+    # rng.random(), so the random stream is the one that call would use.
+    q = (np.asarray(seed, dtype=float) if seed is not None
+         else model.random_joints(rng)).tolist()
+    turns = [cmath.rect(1.0, v) for v in q]
+    h = horner_partials(model, turns)
+    target = target.tolist()
+    e_now = math.dist(h[0], target)
+    best_q, best_f = q[:], e_now
     yield best_q, best_f, best_f
 
     for temperature in temperature_schedule(config):
@@ -158,18 +211,22 @@ def _sa_steps(model, target, config, tolerance, rng, seed):
         # phase survives after acceptance becomes selective.
         scale = config.neighborhood_scale * (
             temperature / config.t_max) ** config.step_decay
+        width = scale - -scale
         stay = 0
         while stay < config.max_stay_counter:
             for j in range(7):
-                q_new = q.copy()
-                q_new[j] = wrap_angle(q_new[j] + rng.uniform(-scale, scale))
-                e_new = fitness(model, q_new, target)
+                theta = wrap_float(q[j] + (-scale + width * rng.random()))
+                turn, turns[j] = turns[j], cmath.rect(1.0, theta)
+                trial = horner_partials(model, turns, h, j)
+                e_new = math.dist(trial[0], target)
                 delta = e_new - e_now
                 if (delta < 0 or rng.random() < acceptance_probability(
                         delta, temperature, config.paper_literal_acceptance)):
-                    q, e_now = q_new, e_new
-                if e_new < best_f:
-                    best_q, best_f = q_new.copy(), e_new
+                    q[j], h, e_now = theta, trial, e_new
+                else:
+                    turns[j] = turn
+                if e_new < best_f:  # below e_now too, so q holds it
+                    best_q, best_f = q[:], e_new
                     stay = 0
                 else:
                     stay += 1

@@ -26,6 +26,12 @@ def wrap_angle(theta):
     return -((-np.asarray(theta, dtype=float) + math.pi) % TWO_PI - math.pi)
 
 
+def wrap_float(theta):
+    """wrap_angle of one Python float, bit-equal to it: float % and
+    np.remainder round the same way."""
+    return -((-theta + math.pi) % TWO_PI - math.pi)
+
+
 @dataclass(frozen=True)
 class DhRow:
     """One Denavit-Hartenberg row: rotation alpha about x, offsets a and d."""
@@ -192,6 +198,26 @@ def _turns(q):
     return [cmath.rect(1.0, v) for v in np.asarray(q, dtype=float).tolist()]
 
 
+def horner_partials(model, turns, partials=None, joint=6, first=0):
+    """Horner partials of one pose from its per-joint turns (complex
+    numbers): h[k], the tool point in the frame before joint k, for
+    k = 0..7, with h[7] = (0, 0, 0) and h[0] the tool point; h[k] is the
+    same floats as tool_point(model, q, frame=k).
+
+    Horner's rule runs from the tip, so after joints joint..0 of a pose
+    move, the h[k] of `partials` for k > joint still hold. This returns a
+    copy of `partials` with joints joint..first re-applied from
+    h[joint + 1]; h[k] for k < first are copied as they were.
+    """
+    h = ([None] * 7 + [(0.0, 0.0, 0.0)] if partials is None
+         else list(partials))
+    x, y, z = h[joint + 1]
+    links = model._links
+    for k in range(joint, first - 1, -1):
+        x, y, z = h[k] = _joint(turns[k], *links[k], x, y, z)
+    return h
+
+
 def tool_point(model: KinematicModel, q, frame=0):
     """Tool point of one pose as an (x, y, z) float triple, in the
     kernel's frame before joint `frame` (by default the base frame; under
@@ -217,15 +243,29 @@ def joint_axes(model: KinematicModel, q, joints=7, tail=None):
         turns = turns[:joints]
     else:
         turns = _turns(q[:joints])
-    # The frame's x, y and z axes and origin p in the base frame. The tilt
-    # turns y and z, then the joint turns x and y; each by the rule
-    # (u, v) -> (c u + s v, c v - s u) for the angle's cosine c and sine s.
-    xx, xy, xz = 1.0, 0.0, 0.0
-    yx, yy, yz = 0.0, 1.0, 0.0
-    zx, zy, zz = 0.0, 0.0, 1.0
-    px = py = pz = 0.0
+    axes, origins, frame = frame_pass(model, turns)
+    return frame_point(frame, tail), axes, origins
+
+
+# The base frame as the frame pass holds a frame: its x, y and z axes and
+# its origin, twelve floats in the base frame.
+BASE_FRAME = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def frame_pass(model: KinematicModel, turns, first=0, frame=BASE_FRAME):
+    """Single-pose frame pass in plain floats over the joints from
+    `first` on whose turns (complex numbers) `turns` lists, starting from
+    `frame`, the frame before joint `first`.
+
+    Returns (axes, origins, frame): the unit rotation axis and a point on
+    it of each joint passed as float triples, and the frame after the
+    last one (see BASE_FRAME), all in the base frame.
+    """
+    xx, xy, xz, yx, yy, yz, zx, zy, zz, px, py, pz = frame
     axes, origins = [], []
-    for (tilt, d), turn in zip(model._links, turns):
+    # The tilt turns y and z, then the joint turns x and y; each by the rule
+    # (u, v) -> (c u + s v, c v - s u) for the angle's cosine c and sine s.
+    for (tilt, d), turn in zip(model._links[first:], turns):
         c, s = tilt.real, tilt.imag
         yx, yy, yz, zx, zy, zz = (c * yx + s * zx, c * yy + s * zy,
                                   c * yz + s * zz, c * zx - s * yx,
@@ -237,9 +277,15 @@ def joint_axes(model: KinematicModel, q, joints=7, tail=None):
         xx, xy, xz, yx, yy, yz = (c * xx + s * yx, c * xy + s * yy,
                                   c * xz + s * yz, c * yx - s * xx,
                                   c * yy - s * xy, c * yz - s * xz)
-    x, y, z = tail
-    return ((px + x * xx + y * yx + z * zx, py + x * xy + y * yy + z * zy,
-             pz + x * xz + y * yz + z * zz), axes, origins)
+    return axes, origins, (xx, xy, xz, yx, yy, yz, zx, zy, zz, px, py, pz)
+
+
+def frame_point(frame, point):
+    """A point given in `frame` (see BASE_FRAME), in the base frame."""
+    xx, xy, xz, yx, yy, yz, zx, zy, zz, px, py, pz = frame
+    x, y, z = point
+    return (px + x * xx + y * yx + z * zx, py + x * xy + y * yy + z * zy,
+            pz + x * xz + y * yz + z * zz)
 
 
 def point_and_jacobian(model: KinematicModel, q, joints=7, tail=None):

@@ -1,13 +1,18 @@
 """Independent cross-check implementations used as test oracles.
 
-Everything here is deliberately written from primitive operations
+The kinematics oracles are deliberately written from primitive operations
 (elementary rotation/translation matrices, explicit loops) rather than
-reusing the library's own composition code.
+reusing the library's own composition code. The reference tree fit and
+solver loops are the straightforward versions of code the library runs
+in a faster form; tests require the two to agree bit for bit.
 """
 import math
 from functools import reduce
 
 import numpy as np
+
+from arm7ik.heuristics import acceptance_probability, temperature_schedule
+from arm7ik.kinematics import fitness, joint_axes, wrap_angle
 
 
 def rot_z(theta):
@@ -146,3 +151,84 @@ def reference_tree(positions, joints, max_depth=84, min_leaf=1):
     value = np.array([np.zeros(7) if v is None else v for v in value])
     return (np.array(feature), np.array(threshold), np.array(left),
             np.array(right), value), deepest
+
+
+def reference_ccd_steps(model, target, seed, config):
+    """cyclic coordinate descent as a step generator (see core.run_steps),
+    with a full frame pass and Horner tail per joint update (through
+    joint_axes) and a full fitness per cycle, on numpy joint vectors."""
+    q = wrap_angle(np.asarray(seed, dtype=float))
+    best_q = q.copy()
+    best_f = fitness(model, q, target)
+    yield best_q, best_f, best_f
+
+    order = range(6, -1, -1) if config.sweep_order == "tip_to_base" else range(7)
+    stalled = 0
+    while True:
+        for j in order:
+            delta = _reference_ccd_update(model, q, j, target)
+            if abs(delta) > config.per_joint_tolerance:
+                q[j] = wrap_angle(q[j] + delta)
+        f = fitness(model, q, target)
+        if f < best_f - 1e-15:
+            best_f, best_q = f, q.copy()
+            stalled = 0
+        else:
+            stalled += 1
+        yield best_q, best_f, f
+        if stalled >= config.loop_guard:
+            return
+
+
+def _reference_ccd_update(model, q, joint, target):
+    """The closed-form rotation of one joint that aligns the projections
+    of (tool - origin) and (target - origin) normal to its axis."""
+    def normal_part(point, origin, axis):
+        v = [point[i] - origin[i] for i in range(3)]
+        k = v[0] * axis[0] + v[1] * axis[1] + v[2] * axis[2]
+        return [v[i] - k * axis[i] for i in range(3)]
+
+    p_e, axes, origins = joint_axes(model, q, joint + 1)
+    axis, origin = axes[joint], origins[joint]
+    cx, cy, cz = normal_part(p_e, origin, axis)
+    tx, ty, tz = normal_part(np.asarray(target, dtype=float).tolist(),
+                             origin, axis)
+    if math.hypot(cx, cy, cz) < 1e-12 or math.hypot(tx, ty, tz) < 1e-12:
+        return 0.0
+    ax, ay, az = axis
+    return math.atan2(ax * (cy * tz - cz * ty) + ay * (cz * tx - cx * tz)
+                      + az * (cx * ty - cy * tx),
+                      cx * tx + cy * ty + cz * tz)
+
+
+def reference_sa_steps(model, target, config, tolerance, rng, seed):
+    """Simulated annealing as a step generator (see core.run_steps), with a
+    full fitness per proposal on numpy joint vectors and numpy's
+    wrap_angle and rng.uniform."""
+    q = np.asarray(seed, dtype=float).copy() if seed is not None \
+        else model.random_joints(rng)
+    e_now = fitness(model, q, target)
+    best_q, best_f = q.copy(), e_now
+    yield best_q, best_f, best_f
+
+    for temperature in temperature_schedule(config):
+        scale = config.neighborhood_scale * (
+            temperature / config.t_max) ** config.step_decay
+        stay = 0
+        while stay < config.max_stay_counter:
+            for j in range(7):
+                q_new = q.copy()
+                q_new[j] = wrap_angle(q_new[j] + rng.uniform(-scale, scale))
+                e_new = fitness(model, q_new, target)
+                delta = e_new - e_now
+                if (delta < 0 or rng.random() < acceptance_probability(
+                        delta, temperature, config.paper_literal_acceptance)):
+                    q, e_now = q_new, e_new
+                if e_new < best_f:
+                    best_q, best_f = q_new.copy(), e_new
+                    stay = 0
+                else:
+                    stay += 1
+            if best_f < tolerance:
+                break
+        yield best_q, best_f, best_f

@@ -7,6 +7,26 @@ from arm7ik import (Budget, CcdConfig, KinematicModel, SaConfig,
                     acceptance_probability, ccd_joint_update,
                     end_effector_position, solve_ccd,
                     solve_sa, temperature_schedule, wrap_angle)
+from arm7ik.core import run_steps
+import oracles
+
+NONUNIT = (0.36, 0.42, 0.4, 0.126)
+# Both conventions, and a joint limit box other than (-pi, pi).
+ARMS = {
+    "unit": KinematicModel(),
+    "standard": KinematicModel(lengths=NONUNIT),
+    "modified": KinematicModel(lengths=NONUNIT, convention="modified"),
+    "limits": KinematicModel(joint_limits=[(-1.0, 1.0)] * 7),
+}
+
+
+def _targets(arm, rng, count):
+    """FK targets of random poses, plus one past the workspace that no
+    solve reaches."""
+    targets = [end_effector_position(arm, arm.random_joints(rng))
+               for _ in range(count)]
+    sphere = arm.workspace
+    return targets + [np.array([0.0, 0.0, sphere.h + sphere.r + 0.5])]
 
 
 class TestCcd:
@@ -140,3 +160,43 @@ class TestSaSolver:
                           budget=Budget(max_iterations=40))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
+
+
+class TestAgainstReference:
+    """The sa and ccd loops run on cached Horner partials; each must give
+    the same outcome, bit for bit, as the reference loops in
+    tests/oracles.py, which evaluate every move with a full FK."""
+
+    @pytest.mark.parametrize("arm_name", sorted(ARMS))
+    @pytest.mark.parametrize("sweep_order", ["tip_to_base", "base_to_tip"])
+    def test_ccd_matches_reference(self, arm_name, sweep_order):
+        arm = ARMS[arm_name]
+        config = CcdConfig(sweep_order=sweep_order)
+        budget = Budget(max_iterations=300)
+        rng = np.random.default_rng(17)
+        for target in _targets(arm, rng, 5):
+            for _ in range(2):
+                seed = arm.random_joints(rng)
+                got = solve_ccd(arm, target, seed, config, budget)
+                want = run_steps(oracles.reference_ccd_steps(
+                    arm, target, seed, config), budget, wrap_angle)
+                assert got.same_outcome(want)
+
+    @pytest.mark.parametrize("arm_name", sorted(ARMS))
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_sa_matches_reference(self, arm_name, literal):
+        arm = ARMS[arm_name]
+        config = SaConfig(paper_literal_acceptance=literal)
+        budget = Budget(max_iterations=25)
+        rng = np.random.default_rng(23)
+        for i, target in enumerate(_targets(arm, rng, 3)):
+            for draw in range(2):
+                # One solve from a given start point, one from a drawn one.
+                seed = arm.random_joints(rng) if draw else None
+                got = solve_sa(arm, target, config, budget,
+                               np.random.default_rng((i, draw)), seed)
+                want = run_steps(oracles.reference_sa_steps(
+                    arm, target, config, budget.tolerance,
+                    np.random.default_rng((i, draw)), seed), budget,
+                    wrap_angle)
+                assert got.same_outcome(want)

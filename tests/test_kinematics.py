@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from arm7ik import (DhRow, KinematicModel, WorkspaceSphere,
                     forward_kinematics, is_reachable, point_and_jacobian,
                     position_jacobian, sample_workspace,
                     sample_workspace_batch, tool_point, wrap_angle)
+from arm7ik.kinematics import frame_pass, horner_partials, wrap_float
 import oracles
 
 NONUNIT = (0.36, 0.42, 0.4, 0.126)
@@ -32,6 +34,19 @@ class TestWrapAngle:
         w = float(wrap_angle(theta))
         assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-9)
         assert math.isclose(math.cos(w), math.cos(theta), abs_tol=1e-9)
+
+    def test_float_wrap_is_bit_equal(self, rng):
+        values = [math.pi, -math.pi, 0.0, -0.0, 1e6, -1e6, 1e6 + 0.37,
+                  -1e6 - 0.37, 3 * math.pi, -3 * math.pi]
+        values += rng.uniform(-20, 20, size=10_000).tolist()
+        for v in values:
+            w = wrap_float(v)
+            assert type(w) is float
+            assert np.float64(w).tobytes() == wrap_angle(v).tobytes(), v
+
+
+def _turns(q):
+    return [cmath.rect(1.0, v) for v in q]
 
 
 class TestDhTransform:
@@ -150,6 +165,47 @@ class TestFitness:
         batch = batch_fitness(model, qs, target)
         loop = [fitness(model, q, target) for q in qs]
         assert np.allclose(batch, loop, atol=1e-12)
+
+
+class TestHornerPartials:
+    def test_each_partial_is_the_tool_point_in_its_frame(self, rng):
+        for convention in ("standard", "modified"):
+            model = KinematicModel(lengths=NONUNIT, convention=convention)
+            for _ in range(20):
+                q = rng.uniform(-math.pi, math.pi, size=7)
+                h = horner_partials(model, _turns(q.tolist()))
+                assert h[7] == (0.0, 0.0, 0.0)
+                for k in range(7):
+                    assert h[k] == tool_point(model, q, frame=k), (convention, k)
+
+    def test_moving_one_joint_reapplies_only_the_joints_below(self, rng):
+        for convention in ("standard", "modified"):
+            model = KinematicModel(lengths=NONUNIT, convention=convention)
+            q = rng.uniform(-math.pi, math.pi, size=7).tolist()
+            h = horner_partials(model, _turns(q))
+            for j in range(7):
+                moved = list(q)
+                moved[j] += 0.3
+                turns = _turns(moved)
+                again = horner_partials(model, turns, h, j)
+                assert again == horner_partials(model, turns)
+                assert again[j + 1:] == h[j + 1:]
+                # A range joint..first leaves the partials below first.
+                one = horner_partials(model, turns, h, j, j)
+                assert one[j:] == again[j:] and one[:j] == h[:j]
+
+
+class TestFramePass:
+    def test_a_pass_in_pieces_equals_one_pass(self, rng):
+        for convention in ("standard", "modified"):
+            model = KinematicModel(lengths=NONUNIT, convention=convention)
+            turns = _turns(rng.uniform(-math.pi, math.pi, size=7).tolist())
+            whole = frame_pass(model, turns)
+            for j in range(1, 7):
+                head = frame_pass(model, turns[:j])
+                tail = frame_pass(model, turns[j:], j, head[2])
+                assert (head[0] + tail[0], head[1] + tail[1],
+                        tail[2]) == whole
 
 
 class TestJacobian:

@@ -28,6 +28,12 @@ checking that a change which re-draws a solver's outcomes leaves their
 distribution intact on batches other than the acceptance batch:
 
     PYTHONPATH=src python tools/solve_hashes.py --seed 3
+
+`--algos sa,ccd` hashes only the listed solvers, and fits the two trees
+only when dtnr is listed. Each solver keeps its per-target seeds, so its
+line is the one a full run prints:
+
+    PYTHONPATH=src python tools/solve_hashes.py --algos sa,ccd
 """
 import argparse
 import hashlib
@@ -40,6 +46,7 @@ from arm7ik.ml import fit_tree, generate_dataset, split_dataset
 
 # The acceptance suite's solver order, which its per-run seeds depend on.
 STANDALONE = ["nr", "nm", "sa", "pso", "qpso", "ccd", "afsa", "ga", "de"]
+ALGOS = STANDALONE + ["dtnr"]
 
 
 class Fingerprint:
@@ -77,13 +84,15 @@ def tree_line(name, tree):
             f"depth={tree.max_depth_used}")
 
 
-def main(n_targets=100, dataset_rows=100_000, seed=0):
+def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS):
     arm = KinematicModel()
     qs = np.random.default_rng(seed).uniform(arm.lower, arm.upper,
                                              size=(n_targets, 7))
     targets = batch_end_effector_positions(arm, qs)
     total = hashlib.sha256()
     for algo_idx, algo in enumerate(STANDALONE):
+        if algo not in algos:
+            continue
         fp = Fingerprint()
         for t_idx, target in enumerate(targets):
             rng = np.random.default_rng(
@@ -92,6 +101,13 @@ def main(n_targets=100, dataset_rows=100_000, seed=0):
                                budget=default_budget(algo)))
         print(fp.line(algo), flush=True)
         total.update(fp.digest.digest())
+    if "dtnr" in algos:
+        total.update(dtnr_lines(arm, targets, dataset_rows).digest())
+    print("all", total.hexdigest())
+
+
+def dtnr_lines(arm, targets, dataset_rows):
+    """Print both tree lines and dtnr's line; returns dtnr's digest."""
     ds = generate_dataset(arm, dataset_rows, 0.1, np.random.default_rng(42),
                           seed=42)
     train, _ = split_dataset(ds, 0.25, np.random.default_rng(1))
@@ -104,8 +120,7 @@ def main(n_targets=100, dataset_rows=100_000, seed=0):
     for target in targets:
         fp.fold(solve_dtnr(tree, arm, target))
     print(fp.line("dtnr"))
-    total.update(fp.digest.digest())
-    print("all", total.hexdigest())
+    return fp.digest
 
 
 if __name__ == "__main__":
@@ -115,5 +130,12 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed of the target batch (default 0, "
                              "the acceptance batch)")
+    parser.add_argument("--algos", default=",".join(ALGOS),
+                        help="comma-separated solvers to hash (default: "
+                             "all ten)")
     args = parser.parse_args()
-    main(args.n_targets, args.dataset_rows, args.seed)
+    algos = args.algos.split(",")
+    unknown = sorted(set(algos) - set(ALGOS))
+    if unknown:
+        parser.error(f"unknown solvers: {unknown}; choose from {ALGOS}")
+    main(args.n_targets, args.dataset_rows, args.seed, algos)
