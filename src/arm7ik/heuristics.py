@@ -2,7 +2,6 @@
 simulated annealing."""
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ from .core import SolverId, default_budget, run_steps
 # evaluate poses through the Horner partials and the frame pass instead.
 from .kinematics import (BASE_FRAME, KinematicModel, fitness, frame_pass,
                          frame_point, horner_partials, joint_axes,
-                         joint_frames, wrap_angle, wrap_float)
+                         joint_frames, pose_turns, wrap_angle, wrap_float)
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,8 @@ class SaConfig:
             raise ValueError("need t_max > t_min > 0")
         if not 0 < self.cooling_rate < 1:
             raise ValueError("cooling_rate must be in (0, 1)")
+        if self.max_stay_counter < 1:
+            raise ValueError("max_stay_counter must be >= 1")
 
 
 def ccd_joint_update(model: KinematicModel, q, joint, target):
@@ -89,7 +90,7 @@ def solve_ccd(model: KinematicModel, target, seed, config=None, budget=None):
 
 
 def _ccd_steps(model, target, seed, config):
-    # The pose is a list of floats with its turns e^(i theta) and Horner
+    # The pose is a list of floats with its turns (see pose_turns) and Horner
     # partials h (see horner_partials). Joint j's update needs the frame
     # after it, which takes the tool point h[j + 1] into the base frame.
     # Tip to base, every joint's frame comes from one pass up the chain
@@ -99,7 +100,7 @@ def _ccd_steps(model, target, seed, config):
     # joints after the one updated have not moved yet), and the frame
     # grows one joint at a time ahead of the sweep.
     q = wrap_angle(np.asarray(seed, dtype=float)).tolist()
-    turns = [cmath.rect(1.0, v) for v in q]
+    turns = pose_turns(q)
     h = horner_partials(model, turns)
     target = target.tolist()
     best_q, best_f = q[:], math.dist(h[0], target)
@@ -143,7 +144,7 @@ def _ccd_move(q, turns, joint, step, tail, target, tolerance):
     delta = _ccd_rotation(frame_point(frame, tail), axis, origin, target)
     if abs(delta) > tolerance:
         q[joint] = wrap_float(q[joint] + delta)
-        turns[joint] = cmath.rect(1.0, q[joint])
+        turns[joint] = (math.cos(q[joint]), math.sin(q[joint]))
         return True
     return False
 
@@ -191,7 +192,7 @@ def solve_sa(model: KinematicModel, target, config=None, budget=None,
 
 
 def _sa_steps(model, target, config, tolerance, rng, seed):
-    # The pose is a list of floats with its turns e^(i theta) and Horner
+    # The pose is a list of floats with its turns (see pose_turns) and Horner
     # partials h (see horner_partials). A proposal for joint j re-turns
     # only that joint and re-applies joints j..0 from h[j + 1]; turns and h
     # keep the proposal only when it is accepted. A uniform draw is taken
@@ -199,7 +200,7 @@ def _sa_steps(model, target, config, tolerance, rng, seed):
     # rng.random(), so the random stream is the one that call would use.
     q = (np.asarray(seed, dtype=float) if seed is not None
          else model.random_joints(rng)).tolist()
-    turns = [cmath.rect(1.0, v) for v in q]
+    turns = pose_turns(q)
     h = horner_partials(model, turns)
     target = target.tolist()
     e_now = math.dist(h[0], target)
@@ -216,7 +217,7 @@ def _sa_steps(model, target, config, tolerance, rng, seed):
         while stay < config.max_stay_counter:
             for j in range(7):
                 theta = wrap_float(q[j] + (-scale + width * rng.random()))
-                turn, turns[j] = turns[j], cmath.rect(1.0, theta)
+                turn, turns[j] = turns[j], (math.cos(theta), math.sin(theta))
                 trial = horner_partials(model, turns, h, j)
                 e_new = math.dist(trial[0], target)
                 delta = e_new - e_now

@@ -6,7 +6,6 @@ numpy arrays of shape (7,).
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -88,12 +87,12 @@ class KinematicModel:
         self.lower = limits[:, 0].copy()
         self.upper = limits[:, 1].copy()
 
-        # (e^(i tilt), d) per joint, the kernel's constants (see _joint): a
+        # (cos tilt, sin tilt, d) per joint, the kernel's constants: a
         # standard row's alpha tilts the next joint.
         alphas = [r.alpha for r in self.rows]
         if convention == "standard":
             alphas = [0.0] + alphas[:-1]
-        self._links = tuple((cmath.rect(1.0, a), r.d)
+        self._links = tuple((math.cos(a), math.sin(a), r.d)
                             for a, r in zip(alphas, self.rows))
 
     @property
@@ -169,38 +168,46 @@ def joint_frames(model: KinematicModel, q):
 # alpha moved to the next joint (the last alpha turns the tool frame but
 # moves no point or axis), so both apply one rule per joint,
 # Rx(tilt) Rz(theta) Tz(d), and differ only in the tilt table. A rotation
-# by phi within a coordinate plane is a product with the unit complex
-# number e^(i phi): `turn` for theta, `tilt` for the tilt angle. Horner's
-# rule applies the rule to a point, from the tool tip to the base; the
-# frame pass applies it to the frame, from the base to the tip, and reads
-# each joint's axis off the frame's z axis after its tilt.
+# by phi within a coordinate plane takes (u, v) to (c u - s v, s u + c v),
+# with c and s the cosine and sine of phi: a pose holds each joint's turn
+# as the pair (cos theta, sin theta), and the model each joint's tilt as
+# (cos tilt, sin tilt). Horner's rule applies the rule to a point, from the
+# tool tip to the base; the frame pass applies it to the frame, from the
+# base to the tip, and reads each joint's axis off the frame's z axis after
+# its tilt. One pose runs in Python floats. A batch of n poses runs Horner's
+# rule on (n,) complex arrays, where each rotation is a product with
+# e^(i phi); numpy's complex product rounds differently from the float
+# products, so a batch row and the same pose alone can differ in the last
+# bit.
 
-def _joint(turn, tilt, d, x, y, z):
-    """A point from the frame after a joint into the frame before it:
-    Rx(tilt) Rz(theta) Tz(d) (x, y, z)."""
-    xy = (x + 1j * y) * turn
-    yz = (xy.imag + 1j * (z + d)) * tilt
-    return xy.real, yz.real, yz.imag
-
-
-def _horner(model, turns, first=0):
-    """Tool point in the frame before joint `first` by Horner's rule over
-    joints 6..first, from per-joint turns that are either complex numbers
-    (one pose) or (n,) complex arrays (n poses)."""
-    x = y = z = 0.0
-    for j in range(6, first - 1, -1):
-        x, y, z = _joint(turns[j], *model._links[j], x, y, z)
+def _horner(model, turns, first=0, joint=6, point=(0.0, 0.0, 0.0),
+            partials=None):
+    """Horner's rule over joints joint..first of one pose from its turns
+    (see pose_turns): `point`, given in the frame after joint `joint`, in
+    the frame before joint `first`, as an (x, y, z) float triple. With a
+    list `partials`, each joint k passed stores its point as partials[k]."""
+    x, y, z = point
+    links = model._links
+    for k in range(joint, first - 1, -1):
+        c, s = turns[k]
+        tc, ts, d = links[k]
+        x, y = x * c - y * s, x * s + y * c
+        z += d
+        y, z = y * tc - z * ts, y * ts + z * tc
+        if partials is not None:
+            partials[k] = (x, y, z)
     return x, y, z
 
 
-def _turns(q):
-    """e^(i theta) per joint of one pose: one cos and one sin each."""
-    return [cmath.rect(1.0, v) for v in np.asarray(q, dtype=float).tolist()]
+def pose_turns(q):
+    """The turn (cos theta, sin theta) of each joint of one pose."""
+    return [(math.cos(v), math.sin(v))
+            for v in np.asarray(q, dtype=float).tolist()]
 
 
 def horner_partials(model, turns, partials=None, joint=6, first=0):
-    """Horner partials of one pose from its per-joint turns (complex
-    numbers): h[k], the tool point in the frame before joint k, for
+    """Horner partials of one pose from its per-joint turns (see
+    pose_turns): h[k], the tool point in the frame before joint k, for
     k = 0..7, with h[7] = (0, 0, 0) and h[0] the tool point; h[k] is the
     same floats as tool_point(model, q, frame=k).
 
@@ -211,10 +218,7 @@ def horner_partials(model, turns, partials=None, joint=6, first=0):
     """
     h = ([None] * 7 + [(0.0, 0.0, 0.0)] if partials is None
          else list(partials))
-    x, y, z = h[joint + 1]
-    links = model._links
-    for k in range(joint, first - 1, -1):
-        x, y, z = h[k] = _joint(turns[k], *links[k], x, y, z)
+    _horner(model, turns, first, joint, h[joint + 1], h)
     return h
 
 
@@ -224,7 +228,7 @@ def tool_point(model: KinematicModel, q, frame=0):
     the standard convention this is DH frame `frame` turned back about x
     by the alpha of the row before). It depends only on the joints from
     `frame` on, so a solver that holds those still computes it once."""
-    return _horner(model, _turns(q), frame)
+    return _horner(model, pose_turns(q), frame)
 
 
 def joint_axes(model: KinematicModel, q, joints=7, tail=None):
@@ -238,11 +242,11 @@ def joint_axes(model: KinematicModel, q, joints=7, tail=None):
     the leading joints as float triples, all in the base frame.
     """
     if tail is None:
-        turns = _turns(q)
+        turns = pose_turns(q)
         tail = _horner(model, turns, joints)
         turns = turns[:joints]
     else:
-        turns = _turns(q[:joints])
+        turns = pose_turns(q[:joints])
     axes, origins, frame = frame_pass(model, turns)
     return frame_point(frame, tail), axes, origins
 
@@ -254,7 +258,7 @@ BASE_FRAME = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 def frame_pass(model: KinematicModel, turns, first=0, frame=BASE_FRAME):
     """Single-pose frame pass in plain floats over the joints from
-    `first` on whose turns (complex numbers) `turns` lists, starting from
+    `first` on whose turns (see pose_turns) `turns` lists, starting from
     `frame`, the frame before joint `first`.
 
     Returns (axes, origins, frame): the unit rotation axis and a point on
@@ -265,15 +269,14 @@ def frame_pass(model: KinematicModel, turns, first=0, frame=BASE_FRAME):
     axes, origins = [], []
     # The tilt turns y and z, then the joint turns x and y; each by the rule
     # (u, v) -> (c u + s v, c v - s u) for the angle's cosine c and sine s.
-    for (tilt, d), turn in zip(model._links[first:], turns):
-        c, s = tilt.real, tilt.imag
+    for (c, s, d), turn in zip(model._links[first:], turns):
         yx, yy, yz, zx, zy, zz = (c * yx + s * zx, c * yy + s * zy,
                                   c * yz + s * zz, c * zx - s * yx,
                                   c * zy - s * yy, c * zz - s * yz)
         axes.append((zx, zy, zz))
         origins.append((px, py, pz))
         px, py, pz = px + d * zx, py + d * zy, pz + d * zz
-        c, s = turn.real, turn.imag
+        c, s = turn
         xx, xy, xz, yx, yy, yz = (c * xx + s * yx, c * xy + s * yy,
                                   c * xz + s * yz, c * yx - s * xx,
                                   c * yy - s * xy, c * yz - s * xz)
@@ -317,7 +320,12 @@ def _batch_points(model, qs):
     turns = np.empty(th.shape, dtype=complex)
     turns.real = np.cos(th)
     turns.imag = np.sin(th)
-    return _horner(model, turns)
+    x = y = z = 0.0
+    for turn, (c, s, d) in zip(turns[::-1], model._links[::-1]):
+        xy = (x + 1j * y) * turn
+        yz = (xy.imag + 1j * (z + d)) * complex(c, s)
+        x, y, z = xy.real, yz.real, yz.imag
+    return x, y, z
 
 
 def batch_end_effector_positions(model: KinematicModel, qs):

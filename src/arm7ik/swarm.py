@@ -32,6 +32,8 @@ class QpsoConfig:
     beta_end: float = 0.5
 
     def __post_init__(self):
+        if self.num_particles < 2:
+            raise ValueError("QPSO needs num_particles >= 2")
         if self.beta_start <= 0 or self.beta_end <= 0:
             raise ValueError("beta must stay positive over the schedule")
 
@@ -45,6 +47,8 @@ class AfsaConfig:
     crowding_factor: float = 0.618
 
     def __post_init__(self):
+        if self.population_size < 1:
+            raise ValueError("population_size must be >= 1")
         if not 0 < self.exploration_q < 1:
             raise ValueError("exploration_q must lie in (0, 1)")
         if self.visual_range <= 0:
@@ -120,8 +124,6 @@ def solve_qpso(model: KinematicModel, target, config=None, budget=None,
 
 def _qpso_steps(model, target, config, max_iter, rng, seed):
     n = config.num_particles
-    if n < 2:
-        raise ValueError("QPSO needs at least two particles")
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
     if seed is not None:
         x[0] = np.asarray(seed, dtype=float)

@@ -2,10 +2,12 @@
 
 The kinematics oracles are deliberately written from primitive operations
 (elementary rotation/translation matrices, explicit loops) rather than
-reusing the library's own composition code. The reference tree fit and
-solver loops are the straightforward versions of code the library runs
-in a faster form; tests require the two to agree bit for bit.
+reusing the library's own composition code. The single-pose kernel in
+complex numbers, the reference tree fit and the solver loops are the
+straightforward versions of code the library runs in a faster form;
+tests require the two to agree bit for bit.
 """
+import cmath
 import math
 from functools import reduce
 
@@ -73,6 +75,87 @@ def fk_matrix(q, lengths=(1.0, 1.0, 1.0, 1.0), convention="standard"):
 
 def fk_position(q, lengths=(1.0, 1.0, 1.0, 1.0), convention="standard"):
     return fk_matrix(q, lengths, convention)[:3, 3]
+
+
+# The single-pose kernel in Python complex numbers: the rule Rx(tilt)
+# Rz(theta) Tz(d) per joint, each plane rotation a product with e^(i phi)
+# from cmath.rect, the tilts taken from arm_rows' alphas (under the
+# standard convention each alpha tilts the next joint). The library runs
+# the same rule as float products, which round alike, so the two must
+# agree with ==.
+
+def reference_turns(q):
+    """e^(i theta) per joint of one pose."""
+    return [cmath.rect(1.0, v) for v in np.asarray(q, dtype=float).tolist()]
+
+
+def _reference_links(model):
+    alphas = [alpha for alpha, _, _ in arm_rows(model.lengths)]
+    if model.convention == "standard":
+        alphas = [0.0] + alphas[:-1]
+    return [(cmath.rect(1.0, alpha), d)
+            for alpha, (_, _, d) in zip(alphas, arm_rows(model.lengths))]
+
+
+def _reference_joint(turn, tilt, d, x, y, z):
+    xy = (x + 1j * y) * turn
+    yz = (xy.imag + 1j * (z + d)) * tilt
+    return xy.real, yz.real, yz.imag
+
+
+def reference_partials(model, q):
+    """h[k], the tool point in the frame before joint k, k = 0..7, by
+    Horner's rule from the tip."""
+    turns, links = reference_turns(q), _reference_links(model)
+    h = [None] * 7 + [(0.0, 0.0, 0.0)]
+    for k in range(6, -1, -1):
+        h[k] = _reference_joint(turns[k], *links[k], *h[k + 1])
+    return h
+
+
+def reference_joint_axes(model, q, joints=7):
+    """(tool point, axes, origins) of the leading `joints` joints by a
+    frame pass from the base over complex turns and tilts, with the
+    Horner partial of the joints after them as the tail."""
+    turns, links = reference_turns(q), _reference_links(model)
+    xx, xy, xz, yx, yy, yz, zx, zy, zz, px, py, pz = (
+        1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    axes, origins = [], []
+    for (tilt, d), turn in zip(links[:joints], turns):
+        c, s = tilt.real, tilt.imag
+        yx, yy, yz, zx, zy, zz = (c * yx + s * zx, c * yy + s * zy,
+                                  c * yz + s * zz, c * zx - s * yx,
+                                  c * zy - s * yy, c * zz - s * yz)
+        axes.append((zx, zy, zz))
+        origins.append((px, py, pz))
+        px, py, pz = px + d * zx, py + d * zy, pz + d * zz
+        c, s = turn.real, turn.imag
+        xx, xy, xz, yx, yy, yz = (c * xx + s * yx, c * xy + s * yy,
+                                  c * xz + s * yz, c * yx - s * xx,
+                                  c * yy - s * xy, c * yz - s * xz)
+    x, y, z = reference_partials(model, q)[joints]
+    point = (px + x * xx + y * yx + z * zx, py + x * xy + y * yy + z * zy,
+             pz + x * xz + y * yz + z * zz)
+    return point, axes, origins
+
+
+def reference_jacobian(model, q, joints=7):
+    """(tool point, 3 x joints Jacobian rows as lists): column j is
+    axis_j x (p_e - origin_j)."""
+    (px, py, pz), axes, origins = reference_joint_axes(model, q, joints)
+    rows = [[], [], []]
+    for (ax, ay, az), (ox, oy, oz) in zip(axes, origins):
+        vx, vy, vz = px - ox, py - oy, pz - oz
+        rows[0].append(ay * vz - az * vy)
+        rows[1].append(az * vx - ax * vz)
+        rows[2].append(ax * vy - ay * vx)
+    return (px, py, pz), rows
+
+
+def reference_fitness(model, q, target):
+    x, y, z = reference_partials(model, q)[0]
+    tx, ty, tz = np.asarray(target, dtype=float).tolist()
+    return math.hypot(x - tx, y - ty, z - tz)
 
 
 def _reference_best_split(x, y, y_sq, min_leaf):

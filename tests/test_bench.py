@@ -188,6 +188,21 @@ class TestRunBenchmark:
             run_benchmark(model, spec)
         assert calls == []
 
+    @pytest.mark.parametrize("algo, config", [
+        ("qpso", {"num_particles": 1}),
+        ("afsa", {"population_size": 0}),
+        ("sa", {"max_stay_counter": 0}),
+    ])
+    def test_bad_solver_config_refused_before_any_solve(
+            self, model, monkeypatch, algo, config):
+        calls = []
+        monkeypatch.setattr(arm7ik.bench, "run_solver",
+                            lambda *a, **kw: calls.append(a))
+        spec = tiny_spec(algorithms=["nr", algo], configs={algo: config})
+        with pytest.raises(ValueError):
+            run_benchmark(model, spec)
+        assert calls == []
+
 
 class TestReportFiles:
     def test_column_order(self):

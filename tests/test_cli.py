@@ -133,6 +133,9 @@ class TestSolve:
         ("ga", "elitism_count=7"),
         ("de", "population_size=3"),
         ("de", "mutation_probability=-1"),
+        ("qpso", "num_particles=1"),
+        ("afsa", "population_size=0"),
+        ("sa", "max_stay_counter=0"),
     ])
     def test_removed_or_out_of_range_option_is_a_config_error(
             self, capsys, algo, opt):

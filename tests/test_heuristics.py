@@ -101,6 +101,10 @@ class TestSaSchedule:
             SaConfig(t_max=1.0, t_min=2.0)
         with pytest.raises(ValueError):
             SaConfig(cooling_rate=1.5)
+        for stay in (0, -1):
+            with pytest.raises(ValueError):
+                SaConfig(max_stay_counter=stay)
+        SaConfig(max_stay_counter=1)
 
 
 class TestAcceptanceProbability:

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -8,10 +7,11 @@ from hypothesis import given, strategies as st
 from arm7ik import (DhRow, KinematicModel, WorkspaceSphere,
                     batch_end_effector_positions, batch_fitness, dh_transform,
                     end_effector_position, finite_difference_jacobian, fitness,
-                    forward_kinematics, is_reachable, point_and_jacobian,
-                    position_jacobian, sample_workspace,
+                    forward_kinematics, is_reachable, joint_axes,
+                    point_and_jacobian, position_jacobian, sample_workspace,
                     sample_workspace_batch, tool_point, wrap_angle)
-from arm7ik.kinematics import frame_pass, horner_partials, wrap_float
+from arm7ik.kinematics import (frame_pass, horner_partials, pose_turns,
+                               wrap_float)
 import oracles
 
 NONUNIT = (0.36, 0.42, 0.4, 0.126)
@@ -46,7 +46,7 @@ class TestWrapAngle:
 
 
 def _turns(q):
-    return [cmath.rect(1.0, v) for v in q]
+    return [(math.cos(v), math.sin(v)) for v in q]
 
 
 class TestDhTransform:
@@ -193,6 +193,81 @@ class TestHornerPartials:
                 # A range joint..first leaves the partials below first.
                 one = horner_partials(model, turns, h, j, j)
                 assert one[j:] == again[j:] and one[:j] == h[:j]
+
+
+SPECIAL_ANGLES = (0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
+                  1e-300)
+
+
+# Both conventions on the default lengths and on NONUNIT, each with its
+# own pose seed, so the kernel is checked on 10,000 random poses in all.
+KERNEL_ARMS = [((1.0, 1.0, 1.0, 1.0), "standard", 8),
+               ((1.0, 1.0, 1.0, 1.0), "modified", 9),
+               (NONUNIT, "standard", 10), (NONUNIT, "modified", 11)]
+
+
+def _kernel_poses(seed, count=2_500):
+    """`count` random poses over the joint limit range (-2 pi, 2 pi), then
+    poses made of SPECIAL_ANGLES: each angle on every joint, 200 random
+    picks of them, and 200 random poses with about half their joints
+    replaced by a pick."""
+    rng = np.random.default_rng(seed)
+    special = np.array(SPECIAL_ANGLES)
+    picks = special[rng.integers(0, special.size, size=(400, 7))]
+    mixed = rng.uniform(-2 * math.pi, 2 * math.pi, size=(200, 7))
+    swap = rng.random((200, 7)) < 0.5
+    mixed[swap] = picks[200:][swap]
+    return (rng.uniform(-2 * math.pi, 2 * math.pi, size=(count, 7)).tolist()
+            + [[v] * 7 for v in SPECIAL_ANGLES] + picks[:200].tolist()
+            + mixed.tolist())
+
+
+class TestAgainstComplexReference:
+    """The float kernel against oracles' complex-number kernel, with ==:
+    Python's complex product rounds each of its four products and two sums
+    as the kernel's float products do. Only the sign of an exact zero can
+    differ (the complex form adds +0.0 where the float form does not), and
+    == does not see it."""
+
+    def test_turns_are_cmath_rect(self, rng):
+        values = list(SPECIAL_ANGLES) + rng.uniform(-7, 7, 100_000).tolist()
+        got = np.array(pose_turns(values))
+        expected = np.array([(t.real, t.imag)
+                             for t in oracles.reference_turns(values)])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lengths, convention, seed", KERNEL_ARMS)
+    def test_points_partials_and_fitness(self, lengths, convention, seed):
+        model = KinematicModel(lengths=lengths, convention=convention)
+        rng = np.random.default_rng(21)
+        for q in _kernel_poses(seed):
+            h = oracles.reference_partials(model, q)
+            assert horner_partials(model, pose_turns(q)) == h, q
+            for k in range(7):
+                assert tool_point(model, q, k) == h[k], (q, k)
+            j = int(rng.integers(7))
+            moved = list(q)
+            moved[j] = float(rng.uniform(-math.pi, math.pi))
+            assert (horner_partials(model, pose_turns(moved), h, j)
+                    == oracles.reference_partials(model, moved)), (q, j)
+            target = rng.uniform(-3, 3, size=3)
+            assert (fitness(model, q, target)
+                    == oracles.reference_fitness(model, q, target)), q
+
+    @pytest.mark.parametrize("lengths, convention, seed", KERNEL_ARMS)
+    def test_axes_and_jacobian(self, lengths, convention, seed):
+        model = KinematicModel(lengths=lengths, convention=convention)
+        rng = np.random.default_rng(22)
+        for q in _kernel_poses(seed):
+            joints = int(rng.integers(1, 8))
+            ref = oracles.reference_joint_axes(model, q, joints)
+            assert joint_axes(model, q, joints) == ref, (q, joints)
+            p, rows = oracles.reference_jacobian(model, q, joints)
+            got_p, jac = point_and_jacobian(model, q, joints)
+            assert got_p == p and jac.tolist() == rows, (q, joints)
+            tail = tool_point(model, q, joints)
+            got_p, jac = point_and_jacobian(model, q[:joints], joints, tail)
+            assert got_p == p and jac.tolist() == rows, (q, joints)
 
 
 class TestFramePass:

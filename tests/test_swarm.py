@@ -113,6 +113,10 @@ class TestQpso:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QpsoConfig(beta_start=0.0)
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError):
+                QpsoConfig(num_particles=n)
+        QpsoConfig(num_particles=2)
 
 
 class TestAfsa:
@@ -161,3 +165,6 @@ class TestAfsa:
             AfsaConfig(exploration_q=1.0)
         with pytest.raises(ValueError):
             AfsaConfig(visual_range=0.0)
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                AfsaConfig(population_size=n)

@@ -15,6 +15,14 @@ the benchmark's learned_ik workload (25k rows, dataset seed 42, split
 seed 0). Two checkouts that print the same tree hashes fit identical
 trees.
 
+It first prints a SHA-256 per DH convention over the kernel's outputs on
+200 fixed random poses of the arm with lengths (0.36, 0.42, 0.4, 0.126):
+the tool point in the frame before each joint (`tool_point` at frames
+0-6), the tool point and Jacobian of `point_and_jacobian`, and the rows
+of `batch_end_effector_positions`. Each float is hashed as `==` compares
+it, so -0.0 and 0.0 hash alike. These lines fold into no other hash, so a
+change to the kernel alone shows as a change in these two lines.
+
 Two checkouts that print the same hashes give bit-identical solves. A
 change that only reorders floating-point sums changes the hashes; the
 three summary columns then show whether the outcomes still agree:
@@ -41,7 +49,8 @@ import hashlib
 import numpy as np
 
 from arm7ik import (KinematicModel, batch_end_effector_positions,
-                    default_budget, run_solver, solve_dtnr)
+                    default_budget, point_and_jacobian, run_solver,
+                    solve_dtnr, tool_point)
 from arm7ik.ml import fit_tree, generate_dataset, split_dataset
 
 # The acceptance suite's solver order, which its per-run seeds depend on.
@@ -84,7 +93,28 @@ def tree_line(name, tree):
             f"depth={tree.max_depth_used}")
 
 
+def kernel_line(convention, n_poses=200):
+    arm = KinematicModel(lengths=(0.36, 0.42, 0.4, 0.126),
+                         convention=convention)
+    qs = np.random.default_rng(2024).uniform(-np.pi, np.pi, size=(n_poses, 7))
+    digest = hashlib.sha256()
+
+    def fold(values):
+        digest.update((np.asarray(values, dtype=float) + 0.0).tobytes())
+
+    for q in qs:
+        for frame in range(7):
+            fold(tool_point(arm, q, frame))
+        p, jac = point_and_jacobian(arm, q)
+        fold(p)
+        fold(jac)
+    fold(batch_end_effector_positions(arm, qs))
+    return f"kernel[{convention}] {digest.hexdigest()}"
+
+
 def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS):
+    for convention in ("standard", "modified"):
+        print(kernel_line(convention), flush=True)
     arm = KinematicModel()
     qs = np.random.default_rng(seed).uniform(arm.lower, arm.upper,
                                              size=(n_targets, 7))
