@@ -3,7 +3,8 @@ solvers (numerical, heuristic, evolutionary, swarm, tree-seeded hybrid),
 data-driven IK models, and a reproducible benchmark harness."""
 
 from .config import BenchmarkSpec, ConfigError, default_model, load_robot
-from .core import Budget, ConvergenceTrace, SolveResult, SolverId, average_traces
+from .core import (Budget, ConvergenceTrace, SolveResult, SolverId,
+                   average_traces, default_budget)
 from .dtnr import DtnrConfig, solve_dtnr
 from .evolution import DeConfig, GaConfig, ga_offspring, solve_de, solve_ga
 from .heuristics import (CcdConfig, SaConfig, acceptance_probability,
@@ -18,7 +19,7 @@ from .kinematics import (DhRow, KinematicModel, WorkspaceSphere, dh_transform,
                          wrap_angle)
 from .numeric import (NelderMeadConfig, NewtonConfig, nelder_mead_minimize,
                       pseudo_inverse, solve_nelder_mead, solve_newton_raphson)
-from .registry import all_solver_ids, default_budget, make_config, run_solver
+from .registry import make_config, run_solver
 from .swarm import (AfsaConfig, PsoConfig, QpsoConfig, solve_afsa, solve_pso,
                     solve_qpso)
 

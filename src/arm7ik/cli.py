@@ -121,15 +121,12 @@ def cmd_train(args):
     ds = ml.Dataset.load_csv(args.data)
     rng = np.random.default_rng(args.seed)
     train, test = ml.split_dataset(ds, args.test_fraction, rng)
-    if args.model == "linear":
-        fitted = ml.fit_linear(train)
-    elif args.model == "poly":
-        fitted = ml.fit_polynomial(train, degree=args.degree)
-    elif args.model == "tree":
+    if args.model == "tree":
         fitted = ml.fit_tree(train, max_depth=args.max_depth,
                              min_leaf=args.min_leaf)
     else:
-        raise ConfigError(f"unknown model type {args.model!r}")
+        fitted = ml.fit_polynomial(
+            train, 1 if args.model == "linear" else args.degree)
     ml.save_model(fitted, args.out)
     model, _ = _model_from_args(args)
     metrics = ml.evaluate(fitted, test, model)

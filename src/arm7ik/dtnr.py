@@ -65,7 +65,7 @@ def _dtnr_steps(tree, model, target, config):
         e = (p[0] - t[0], p[1] - t[1], p[2] - t[2])
         step = None
         if k == 3 and not damping:
-            step = pseudo_inverse_step3(jac.tolist(), e)
+            step = pseudo_inverse_step3(jac, e)
         if step is None:
             step = [a * e[0] + b * e[1] + c * e[2]
                     for a, b, c in pseudo_inverse(jac, damping).tolist()]

@@ -69,7 +69,7 @@ def ga_offspring(rng, p1, p2, config: GaConfig, model: KinematicModel):
 
 
 def solve_ga(model: KinematicModel, target, config=None, budget=None,
-             rng=None, seed=None):
+             rng=None):
     """Genetic algorithm with tournament-2 selection, per-gene uniform
     crossover and uniform-resample mutation. Replacement merges parents
     and offspring and keeps the best, so worst old individuals are
@@ -78,15 +78,13 @@ def solve_ga(model: KinematicModel, target, config=None, budget=None,
     config = config or GaConfig()
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    return run_steps(_ga_steps(model, target, config, rng, seed),
+    return run_steps(_ga_steps(model, target, config, rng),
                      budget or default_budget(SolverId.GA), wrap_angle)
 
 
-def _ga_steps(model, target, config, rng, seed):
+def _ga_steps(model, target, config, rng):
     n = config.population_size
     pop = rng.uniform(model.lower, model.upper, size=(n, 7))
-    if seed is not None:
-        pop[0] = np.asarray(seed, dtype=float)
     values = batch_fitness(model, pop, target)
     yield population_best(pop, values)
 
@@ -103,14 +101,14 @@ def _ga_steps(model, target, config, rng, seed):
 
 
 def solve_de(model: KinematicModel, target, config=None, budget=None,
-             rng=None, seed=None):
+             rng=None):
     """DE/rand/1/bin with a small Gaussian noise term on the mutant
     vector (sigma = mutation_probability rad per gene) and greedy
     selection."""
     config = config or DeConfig()
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    return run_steps(_de_steps(model, target, config, rng, seed),
+    return run_steps(_de_steps(model, target, config, rng),
                      budget or default_budget(SolverId.DE), wrap_angle)
 
 
@@ -135,11 +133,9 @@ def de_trials(rng, pop, config: DeConfig, model: KinematicModel):
                    model.lower, model.upper)
 
 
-def _de_steps(model, target, config, rng, seed):
+def _de_steps(model, target, config, rng):
     n = config.population_size
     pop = rng.uniform(model.lower, model.upper, size=(n, 7))
-    if seed is not None:
-        pop[0] = np.asarray(seed, dtype=float)
     values = batch_fitness(model, pop, target)
     yield population_best(pop, values)
 

@@ -79,17 +79,21 @@ def _normal_part(point, origin, axis):
     return [v[i] - k * axis[i] for i in range(3)]
 
 
-def solve_ccd(model: KinematicModel, target, seed, config=None, budget=None):
-    """Cyclic coordinate descent: optimise one joint at a time, cycling
-    through the chain. The recorded trace keeps running minima, so the
-    jittery raw curve comes out clipped."""
+def solve_ccd(model: KinematicModel, target, config=None, budget=None,
+              rng=None, *, start=None):
+    """Cyclic coordinate descent from `start` (by default drawn from
+    `rng`): optimise one joint at a time, cycling through the chain. The
+    recorded trace keeps running minima, so the jittery raw curve comes
+    out clipped."""
     config = config or CcdConfig()
+    if start is None:
+        start = model.random_joints(rng or np.random.default_rng(0))
     target = np.asarray(target, dtype=float)
-    return run_steps(_ccd_steps(model, target, seed, config),
+    return run_steps(_ccd_steps(model, target, start, config),
                      budget or default_budget(SolverId.CCD), wrap_angle)
 
 
-def _ccd_steps(model, target, seed, config):
+def _ccd_steps(model, target, start, config):
     # The pose is a list of floats with its turns (see pose_turns) and Horner
     # partials h (see horner_partials). Joint j's update needs the frame
     # after it, which takes the tool point h[j + 1] into the base frame.
@@ -99,7 +103,7 @@ def _ccd_steps(model, target, seed, config):
     # to tip, every h[j + 1] comes from one Horner pass per cycle (the
     # joints after the one updated have not moved yet), and the frame
     # grows one joint at a time ahead of the sweep.
-    q = wrap_angle(np.asarray(seed, dtype=float)).tolist()
+    q = wrap_angle(np.asarray(start, dtype=float)).tolist()
     turns = pose_turns(q)
     h = horner_partials(model, turns)
     target = target.tolist()
@@ -175,7 +179,7 @@ def acceptance_probability(delta_e, temperature, literal=False):
 
 
 def solve_sa(model: KinematicModel, target, config=None, budget=None,
-             rng=None, seed=None):
+             rng=None):
     """Simulated annealing over the seven joint angles.
 
     Per temperature level, joints are swept one at a time with uniform
@@ -187,19 +191,18 @@ def solve_sa(model: KinematicModel, target, config=None, budget=None,
     budget = budget or default_budget(SolverId.SA)
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    return run_steps(_sa_steps(model, target, config, budget.tolerance, rng,
-                               seed), budget, wrap_angle)
+    return run_steps(_sa_steps(model, target, config, budget.tolerance, rng),
+                     budget, wrap_angle)
 
 
-def _sa_steps(model, target, config, tolerance, rng, seed):
+def _sa_steps(model, target, config, tolerance, rng):
     # The pose is a list of floats with its turns (see pose_turns) and Horner
     # partials h (see horner_partials). A proposal for joint j re-turns
     # only that joint and re-applies joints j..0 from h[j + 1]; turns and h
     # keep the proposal only when it is accepted. A uniform draw is taken
     # as numpy's rng.uniform(low, high) makes it, low + (high - low) *
     # rng.random(), so the random stream is the one that call would use.
-    q = (np.asarray(seed, dtype=float) if seed is not None
-         else model.random_joints(rng)).tolist()
+    q = model.random_joints(rng).tolist()
     turns = pose_turns(q)
     h = horner_partials(model, turns)
     target = target.tolist()

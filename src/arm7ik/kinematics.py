@@ -293,18 +293,18 @@ def frame_point(frame, point):
 
 def point_and_jacobian(model: KinematicModel, q, joints=7, tail=None):
     """Tool point, an (x, y, z) float triple, and the analytic position
-    Jacobian of the leading `joints` joints, (3, joints), from one frame
-    pass (see joint_axes); column j is axis_j x (p_e - origin_j)
-    (Buss 2004)."""
+    Jacobian of the leading `joints` joints as three rows of `joints`
+    floats, from one frame pass (see joint_axes); column j is
+    axis_j x (p_e - origin_j) (Buss 2004)."""
     p, axes, origins = joint_axes(model, q, joints, tail)
     px, py, pz = p
-    rows = ([], [], [])
+    rows = [[], [], []]
     for (ax, ay, az), (ox, oy, oz) in zip(axes, origins):
         vx, vy, vz = px - ox, py - oy, pz - oz
         rows[0].append(ay * vz - az * vy)
         rows[1].append(az * vx - ax * vz)
         rows[2].append(ax * vy - ay * vx)
-    return p, np.array(rows)
+    return p, rows
 
 
 def end_effector_position(model: KinematicModel, q):
@@ -351,7 +351,7 @@ def batch_fitness(model: KinematicModel, qs, target):
 
 def position_jacobian(model: KinematicModel, q):
     """Analytic 3x7 position Jacobian, column j = axis_j x (p_e - origin_j)."""
-    return point_and_jacobian(model, q)[1]
+    return np.array(point_and_jacobian(model, q)[1])
 
 
 def finite_difference_jacobian(model: KinematicModel, q, step=1e-6):
@@ -399,8 +399,11 @@ def sample_workspace(sphere: WorkspaceSphere, rng, law="ball"):
 def sample_workspace_batch(sphere: WorkspaceSphere, rng, count, law="ball"):
     """Stack of `count` workspace samples, shape (count, 3).
 
-    Same distribution as sample_workspace, drawn vectorised; the random
-    stream is consumed in a different order than repeated single calls.
+    Drawn vectorised from the same random stream as `count` repeated
+    sample_workspace calls: row i reads the three uniforms call i reads.
+    Under law="paper" every row equals that call's bit for bit; under
+    law="ball" numpy's power can round the cube root one ulp apart from
+    Python's, so rows agree to about 1e-16.
     """
     draws = rng.random((count, 3))
     if law == "ball":

@@ -1,6 +1,6 @@
-"""Data-driven IK: dataset generation over a joint-angle grid, linear and
-polynomial regression, a multi-output CART regression tree, and the
-evaluation metrics used to compare them."""
+"""Data-driven IK: dataset generation over a joint-angle grid,
+polynomial regression (linear regression is degree 1), a multi-output
+CART regression tree, and the evaluation metrics used to compare them."""
 from __future__ import annotations
 
 import base64
@@ -16,7 +16,7 @@ from .kinematics import (KinematicModel, batch_end_effector_positions,
                          wrap_angle)
 
 MODEL_FORMAT = "arm7ik-model"
-MODEL_VERSION = 1  # linear and polynomial files
+MODEL_VERSION = 1  # polynomial files, and linear files (degree 1)
 TREE_VERSION = 2   # flat node tables; version 1 trees must be re-trained
 # The tree file's node tables and their little-endian types; the leaves'
 # values follow as "leaf_value", "<f8", 7 per leaf in node order.
@@ -119,56 +119,6 @@ def split_dataset(ds: Dataset, test_fraction=0.25, rng=None, seed=None):
     return ds.subset(perm[n_test:]), ds.subset(perm[:n_test])
 
 
-def _affine_fit(features, targets):
-    """Least squares with an intercept column via the normal equations;
-    falls back to the pseudo-inverse on rank deficiency."""
-    x = np.hstack([np.ones((features.shape[0], 1)), features])
-    gram = x.T @ x
-    rank_deficient = bool(np.linalg.matrix_rank(gram) < gram.shape[0])
-    if rank_deficient:
-        beta = np.linalg.pinv(x) @ targets
-    else:
-        beta = np.linalg.solve(gram, x.T @ targets)
-    return beta[0], beta[1:], rank_deficient  # intercepts (7,), weights (f, 7)
-
-
-class LinearModel:
-    """Affine position -> joints map, one output head per joint."""
-
-    kind = "linear"
-
-    def __init__(self, weights, intercepts, rank_deficient=False):
-        self.weights = np.asarray(weights, dtype=float)      # (3, 7)
-        self.intercepts = np.asarray(intercepts, dtype=float)  # (7,)
-        self.rank_deficient = rank_deficient
-
-    def predict_batch(self, positions):
-        positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        return wrap_angle(positions @ self.weights + self.intercepts)
-
-    def predict(self, position):
-        return self.predict_batch(position)[0]
-
-    def to_dict(self):
-        return {"format": MODEL_FORMAT, "version": MODEL_VERSION,
-                "kind": self.kind,
-                "weights": self.weights.tolist(),
-                "intercepts": self.intercepts.tolist(),
-                "rank_deficient": self.rank_deficient}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["weights"], d["intercepts"],
-                   d.get("rank_deficient", False))
-
-
-def fit_linear(train: Dataset) -> LinearModel:
-    if len(train) < 4:
-        raise ValueError("linear fit needs at least 4 rows")
-    intercepts, weights, deficient = _affine_fit(train.positions, train.joints)
-    return LinearModel(weights, intercepts, deficient)
-
-
 def polynomial_exponents(degree):
     """All (i, j, k) with i + j + k <= degree, excluding the constant."""
     return [(i, j, k)
@@ -216,9 +166,13 @@ class PolynomialModel:
 
 
 def fit_polynomial(train: Dataset, degree=8) -> PolynomialModel:
+    """Least-squares fit of every joint on the total-degree `degree`
+    monomials of the position and a constant; degree 1 is linear
+    regression."""
     feats = polynomial_features(train.positions, degree)
     if len(train) < feats.shape[1] + 1:
-        raise ValueError("not enough rows for the polynomial expansion")
+        raise ValueError(f"a degree-{degree} fit needs at least "
+                         f"{feats.shape[1] + 1} rows")
     x = np.hstack([np.ones((feats.shape[0], 1)), feats])
     beta, *_ = np.linalg.lstsq(x, train.joints, rcond=None)
     return PolynomialModel(degree, beta[1:], beta[0])
@@ -524,8 +478,9 @@ def load_model(path):
         d = json.load(fh)
     if not isinstance(d, dict) or d.get("format") != MODEL_FORMAT:
         raise ValueError(f"not an arm7ik model file: {path}")
-    kinds = {"linear": LinearModel, "polynomial": PolynomialModel,
-             "tree": RegressionTree}
+    if d.get("kind") == "linear":  # an affine map: a degree-1 polynomial
+        d = {**d, "kind": "polynomial", "degree": 1}
+    kinds = {"polynomial": PolynomialModel, "tree": RegressionTree}
     try:
         cls = kinds[d.get("kind")]
     except KeyError:

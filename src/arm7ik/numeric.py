@@ -100,19 +100,22 @@ def pseudo_inverse_step3(rows, e):
             (ux * hy - uy * hx) / uu]
 
 
-def solve_newton_raphson(model: KinematicModel, target, seed, config=None,
-                         budget=None):
-    """Iterate q <- q - step * J+ (p(q) - target) until the tolerance or
-    the budget is hit. Divergence (five consecutive fitness increases) is
-    reported as a non-converged result."""
+def solve_newton_raphson(model: KinematicModel, target, config=None,
+                         budget=None, rng=None, *, start=None):
+    """Iterate q <- q - step * J+ (p(q) - target) from `start` (by default
+    drawn from `rng`) until the tolerance or the budget is hit. Divergence
+    (five consecutive fitness increases) is reported as a non-converged
+    result."""
     config = config or NewtonConfig()
+    if start is None:
+        start = model.random_joints(rng or np.random.default_rng(0))
     target = np.asarray(target, dtype=float)
-    return run_steps(_newton_steps(model, target, seed, config),
+    return run_steps(_newton_steps(model, target, start, config),
                      budget or default_budget(SolverId.NR), wrap_angle)
 
 
-def _newton_steps(model, target, seed, config):
-    q = np.asarray(seed, dtype=float).copy()
+def _newton_steps(model, target, start, config):
+    q = np.asarray(start, dtype=float).copy()
     best_q = q.copy()
     best_f = fitness(model, q, target)
     yield best_q, best_f, best_f
@@ -207,14 +210,18 @@ def _nelder_mead_steps(obj, x0, config, restart_sampler):
         yield population_best(simplex, values)
 
 
-def solve_nelder_mead(model: KinematicModel, target, seed, config=None,
-                      budget=None, rng=None):
-    """Downhill simplex over the seven joint angles, minimising the
-    Euclidean distance to the target position."""
+def solve_nelder_mead(model: KinematicModel, target, config=None,
+                      budget=None, rng=None, *, start=None):
+    """Downhill simplex over the seven joint angles from `start` (by
+    default drawn from `rng`), minimising the Euclidean distance to the
+    target position. A collapsed simplex restarts from a point drawn from
+    `rng`."""
     config = config or NelderMeadConfig()
     rng = rng or np.random.default_rng(0)
+    if start is None:
+        start = model.random_joints(rng)
     target = np.asarray(target, dtype=float)
     return run_steps(
-        _nelder_mead_steps(lambda q: fitness(model, q, target), seed, config,
+        _nelder_mead_steps(lambda q: fitness(model, q, target), start, config,
                            lambda: model.random_joints(rng)),
         budget or default_budget(SolverId.NM), wrap_angle)

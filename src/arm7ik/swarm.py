@@ -61,22 +61,20 @@ def pso_velocity_update(v, x, pbest, gbest, w, c1, c2, r1, r2):
 
 
 def solve_pso(model: KinematicModel, target, config=None, budget=None,
-              rng=None, seed=None):
+              rng=None):
     """Canonical gbest PSO with per-dimension random coefficients;
     positions are wrapped back into the joint limits every step."""
     config = config or PsoConfig()
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    return run_steps(_pso_steps(model, target, config, rng, seed),
+    return run_steps(_pso_steps(model, target, config, rng),
                      budget or default_budget(SolverId.PSO), wrap_angle)
 
 
-def _pso_steps(model, target, config, rng, seed):
+def _pso_steps(model, target, config, rng):
     n = config.num_particles
     span = model.upper - model.lower
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
-    if seed is not None:
-        x[0] = np.asarray(seed, dtype=float)
     v = rng.uniform(-span, span, size=(n, 7)) * 0.1
     values = batch_fitness(model, x, target)
     pbest = x.copy()
@@ -110,7 +108,7 @@ def qpso_attractor(pbest, gbest, rng):
 
 
 def solve_qpso(model: KinematicModel, target, config=None, budget=None,
-               rng=None, seed=None):
+               rng=None):
     """Quantum-behaved PSO: no velocity state; each particle is resampled
     around an attractor with spread beta*|mbest - x|*ln(1/u), beta
     annealed linearly from beta_start to beta_end."""
@@ -119,14 +117,12 @@ def solve_qpso(model: KinematicModel, target, config=None, budget=None,
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
     return run_steps(_qpso_steps(model, target, config, budget.max_iterations,
-                                 rng, seed), budget, wrap_angle)
+                                 rng), budget, wrap_angle)
 
 
-def _qpso_steps(model, target, config, max_iter, rng, seed):
+def _qpso_steps(model, target, config, max_iter, rng):
     n = config.num_particles
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
-    if seed is not None:
-        x[0] = np.asarray(seed, dtype=float)
     values = batch_fitness(model, x, target)
     pbest = x.copy()
     pbest_values = values.copy()
@@ -164,7 +160,7 @@ def afsa_prey_step(rng, visual_range):
 
 
 def solve_afsa(model: KinematicModel, target, config=None, budget=None,
-               rng=None, seed=None):
+               rng=None):
     """Artificial fish swarm with prey, swarm and follow behaviours.
 
     With the tuned population of 1, swarming and following have no
@@ -175,15 +171,13 @@ def solve_afsa(model: KinematicModel, target, config=None, budget=None,
     config = config or AfsaConfig()
     rng = rng or np.random.default_rng(0)
     target = np.asarray(target, dtype=float)
-    return run_steps(_afsa_steps(model, target, config, rng, seed),
+    return run_steps(_afsa_steps(model, target, config, rng),
                      budget or default_budget(SolverId.AFSA), wrap_angle)
 
 
-def _afsa_steps(model, target, config, rng, seed):
+def _afsa_steps(model, target, config, rng):
     n = config.population_size
     fish = rng.uniform(model.lower, model.upper, size=(n, 7))
-    if seed is not None:
-        fish[0] = np.asarray(seed, dtype=float)
     values = batch_fitness(model, fish, target)
     g = int(np.argmin(values))
     best_q, best_f = fish[g].copy(), float(values[g])

@@ -236,11 +236,11 @@ def reference_tree(positions, joints, max_depth=84, min_leaf=1):
             np.array(right), value), deepest
 
 
-def reference_ccd_steps(model, target, seed, config):
+def reference_ccd_steps(model, target, start, config):
     """cyclic coordinate descent as a step generator (see core.run_steps),
     with a full frame pass and Horner tail per joint update (through
     joint_axes) and a full fitness per cycle, on numpy joint vectors."""
-    q = wrap_angle(np.asarray(seed, dtype=float))
+    q = wrap_angle(np.asarray(start, dtype=float))
     best_q = q.copy()
     best_f = fitness(model, q, target)
     yield best_q, best_f, best_f
@@ -284,12 +284,11 @@ def _reference_ccd_update(model, q, joint, target):
                       cx * tx + cy * ty + cz * tz)
 
 
-def reference_sa_steps(model, target, config, tolerance, rng, seed):
+def reference_sa_steps(model, target, config, tolerance, rng):
     """Simulated annealing as a step generator (see core.run_steps), with a
     full fitness per proposal on numpy joint vectors and numpy's
     wrap_angle and rng.uniform."""
-    q = np.asarray(seed, dtype=float).copy() if seed is not None \
-        else model.random_joints(rng)
+    q = model.random_joints(rng)
     e_now = fitness(model, q, target)
     best_q, best_f = q.copy(), e_now
     yield best_q, best_f, best_f

@@ -25,16 +25,16 @@ import numpy as np
 import pytest
 
 from arm7ik import (Budget, KinematicModel, SolverId,
-                    batch_end_effector_positions, end_effector_position,
-                    finite_difference_jacobian, forward_kinematics,
-                    position_jacobian, sample_workspace_batch, solve_dtnr)
+                    batch_end_effector_positions, default_budget,
+                    end_effector_position, finite_difference_jacobian,
+                    forward_kinematics, position_jacobian,
+                    sample_workspace_batch, solve_dtnr)
 from arm7ik.bench import export_report, run_benchmark
 from arm7ik.config import BenchmarkSpec
 from arm7ik.heuristics import acceptance_probability
-from arm7ik.ml import (Dataset, average_fitness_on_positions, fit_linear,
-                       fit_polynomial, fit_tree, generate_dataset,
-                       split_dataset)
-from arm7ik.registry import default_budget, make_config, run_solver
+from arm7ik.ml import (Dataset, average_fitness_on_positions, fit_polynomial,
+                       fit_tree, generate_dataset, split_dataset)
+from arm7ik.registry import make_config, run_solver
 
 # The nine solvers that start from scratch (everything except the
 # tree-seeded hybrid), in the fixed order used for per-run seeds.
@@ -84,7 +84,7 @@ def desk(arm):
                           seed=42)
     train, test = split_dataset(ds, 0.25, np.random.default_rng(1))
     tree = fit_tree(train)
-    linear = fit_linear(train)
+    linear = fit_polynomial(train, 1)
     poly = fit_polynomial(train, degree=8)
     fresh = sample_workspace_batch(arm.workspace, np.random.default_rng(7),
                                    10_000)

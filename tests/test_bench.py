@@ -13,7 +13,7 @@ from arm7ik.bench import (REPORT_COLUMNS, SweepResult, aggregate_records,
                           run_benchmark, sweep_parameter, write_report_csv)
 from arm7ik.core import DEFAULT_ITERATIONS
 from arm7ik.ml import fit_tree, generate_dataset
-from arm7ik.registry import all_solver_ids, run_solver
+from arm7ik.registry import SOLVERS, run_solver
 
 
 def tiny_spec(**kw):
@@ -40,7 +40,21 @@ def weighted_average(records):
 
 class TestRegistry:
     def test_every_solver_is_registered(self):
-        assert set(all_solver_ids()) == set(SolverId)
+        assert list(SOLVERS) == list(SolverId)
+
+    @pytest.mark.parametrize("solver_id", [s.value for s in SolverId
+                                           if s is not SolverId.DTNR])
+    def test_run_solver_is_a_direct_call(self, model, solver_id):
+        # The start point, if the solver takes one, is its first draw from
+        # rng, so a direct call with the same rng solves the same way.
+        config_cls, solve = SOLVERS[SolverId(solver_id)]
+        target = np.array([0.5, 0.5, 1.0])
+        budget = Budget(max_iterations=8)
+        direct = solve(model, target, config_cls(), budget,
+                       np.random.default_rng(11))
+        table = run_solver(solver_id, model, target,
+                           np.random.default_rng(11), budget=budget)
+        assert direct.same_outcome(table)
 
     def test_make_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):

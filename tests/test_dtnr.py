@@ -57,9 +57,9 @@ class TestDtnrSolver:
             target = sample_workspace(model.workspace, rng)
             full = solve_dtnr(tree, model, target,
                               DtnrConfig(refine_joint_count=7))
-            plain = solve_newton_raphson(model, target, tree.predict(target),
-                                         NewtonConfig(),
-                                         Budget(max_iterations=15))
+            plain = solve_newton_raphson(model, target, NewtonConfig(),
+                                         Budget(max_iterations=15),
+                                         start=tree.predict(target))
             assert np.allclose(full.joints, plain.joints, atol=1e-10)
             assert full.converged == plain.converged
 

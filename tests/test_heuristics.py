@@ -33,7 +33,7 @@ class TestCcd:
     def test_target_at_end_effector_needs_no_cycles(self, model, rng):
         q = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q)
-        result = solve_ccd(model, target, q)
+        result = solve_ccd(model, target, start=q)
         assert result.converged
         assert result.iterations_used == 0
 
@@ -65,7 +65,7 @@ class TestCcd:
     def test_trace_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_ccd(model, target, model.random_joints(rng))
+        result = solve_ccd(model, target, start=model.random_joints(rng))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
@@ -73,17 +73,17 @@ class TestCcd:
         # A straight-up target from the stretched pose makes every joint
         # update degenerate; the run must terminate well under the cap.
         target = np.array([0.0, 0.0, 4.5])
-        result = solve_ccd(model, target, np.zeros(7),
-                           CcdConfig(loop_guard=10),
-                           Budget(max_iterations=300))
+        result = solve_ccd(model, target, CcdConfig(loop_guard=10),
+                           Budget(max_iterations=300), start=np.zeros(7))
         assert not result.converged
         assert result.iterations_used < 300
 
     def test_base_to_tip_order_also_works(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_ccd(model, target, model.random_joints(rng),
-                           CcdConfig(sweep_order="base_to_tip"))
+        result = solve_ccd(model, target,
+                           CcdConfig(sweep_order="base_to_tip"),
+                           start=model.random_joints(rng))
         assert np.all(np.isfinite(result.joints))
 
     def test_config_validation(self):
@@ -180,10 +180,10 @@ class TestAgainstReference:
         rng = np.random.default_rng(17)
         for target in _targets(arm, rng, 5):
             for _ in range(2):
-                seed = arm.random_joints(rng)
-                got = solve_ccd(arm, target, seed, config, budget)
+                start = arm.random_joints(rng)
+                got = solve_ccd(arm, target, config, budget, start=start)
                 want = run_steps(oracles.reference_ccd_steps(
-                    arm, target, seed, config), budget, wrap_angle)
+                    arm, target, start, config), budget, wrap_angle)
                 assert got.same_outcome(want)
 
     @pytest.mark.parametrize("arm_name", sorted(ARMS))
@@ -194,13 +194,9 @@ class TestAgainstReference:
         budget = Budget(max_iterations=25)
         rng = np.random.default_rng(23)
         for i, target in enumerate(_targets(arm, rng, 3)):
-            for draw in range(2):
-                # One solve from a given start point, one from a drawn one.
-                seed = arm.random_joints(rng) if draw else None
-                got = solve_sa(arm, target, config, budget,
-                               np.random.default_rng((i, draw)), seed)
-                want = run_steps(oracles.reference_sa_steps(
-                    arm, target, config, budget.tolerance,
-                    np.random.default_rng((i, draw)), seed), budget,
-                    wrap_angle)
-                assert got.same_outcome(want)
+            got = solve_sa(arm, target, config, budget,
+                           np.random.default_rng((i, 1)))
+            want = run_steps(oracles.reference_sa_steps(
+                arm, target, config, budget.tolerance,
+                np.random.default_rng((i, 1))), budget, wrap_angle)
+            assert got.same_outcome(want)

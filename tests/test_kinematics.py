@@ -264,10 +264,10 @@ class TestAgainstComplexReference:
             assert joint_axes(model, q, joints) == ref, (q, joints)
             p, rows = oracles.reference_jacobian(model, q, joints)
             got_p, jac = point_and_jacobian(model, q, joints)
-            assert got_p == p and jac.tolist() == rows, (q, joints)
+            assert got_p == p and jac == rows, (q, joints)
             tail = tool_point(model, q, joints)
             got_p, jac = point_and_jacobian(model, q[:joints], joints, tail)
-            assert got_p == p and jac.tolist() == rows, (q, joints)
+            assert got_p == p and jac == rows, (q, joints)
 
 
 class TestFramePass:
@@ -299,7 +299,8 @@ class TestJacobian:
         for convention in ("standard", "modified"):
             model = KinematicModel(lengths=NONUNIT, convention=convention)
             q = rng.uniform(-math.pi, math.pi, size=7)
-            p, jac = point_and_jacobian(model, q)
+            p, rows = point_and_jacobian(model, q)
+            jac = np.array(rows)
             assert np.allclose(p, end_effector_position(model, q), atol=1e-15)
             assert np.array_equal(jac, position_jacobian(model, q))
             # The leading joints alone, with the rest as a fixed tool point.
@@ -374,6 +375,29 @@ class TestSampler:
         counts, _ = np.histogram(radii, bins=edges)
         _, p_value = stats.chisquare(counts)
         assert p_value > 0.001
+
+    @pytest.mark.parametrize("lengths", [(1.0, 1.0, 1.0, 1.0), NONUNIT])
+    def test_batch_reads_the_stream_of_repeated_single_calls(self, lengths):
+        # Row i is built from the three uniforms the i-th single call
+        # reads. Under the paper law the rows are bit-equal; under the
+        # ball law numpy's power and Python's u ** (1/3) may round the
+        # radius one ulp apart, and nothing else differs.
+        sphere = KinematicModel(lengths=lengths).workspace
+        eps = np.finfo(float).eps * (sphere.h + sphere.r)
+        for seed in range(3):
+            for law in ("paper", "ball"):
+                rng_batch = np.random.default_rng(seed)
+                rng_single = np.random.default_rng(seed)
+                batch = sample_workspace_batch(sphere, rng_batch, 2000, law)
+                single = np.array([sample_workspace(sphere, rng_single, law)
+                                   for _ in range(2000)])
+                assert rng_batch.random() == rng_single.random()
+                if law == "paper":
+                    assert np.array_equal(batch, single)
+                else:
+                    assert np.abs(batch - single).max() <= 2 * eps
+                    same = np.all(batch == single, axis=1)
+                    assert same.mean() > 0.8
 
     def test_unknown_law_raises(self, model, rng):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arm7ik import KinematicModel, wrap_angle
-from arm7ik.ml import (Dataset, LinearModel, PolynomialModel, RegressionTree,
-                       evaluate, fit_linear, fit_polynomial, fit_tree,
+from arm7ik.ml import (Dataset, PolynomialModel, RegressionTree,
+                       evaluate, fit_polynomial, fit_tree,
                        generate_dataset, load_model, polynomial_exponents,
                        polynomial_features, save_model, split_dataset)
 import oracles
@@ -114,32 +114,35 @@ class TestSplitDataset:
 
 
 class TestLinearModel:
+    """Linear regression is the degree-1 polynomial."""
+
     def test_recovers_an_exact_affine_map(self, rng):
         w = rng.normal(size=(3, 7)) * 0.2
         b = rng.normal(size=7) * 0.2
         ds = synthetic_dataset(rng, f=lambda p: p @ w + b)
-        fitted = fit_linear(ds)
+        fitted = fit_polynomial(ds, 1)
         assert np.abs(fitted.weights - w).max() < 1e-9
         assert np.abs(fitted.intercepts - b).max() < 1e-9
 
     def test_matches_an_independent_least_squares_solver(self, rng):
         ds = synthetic_dataset(rng, f=lambda p: np.tanh(p @ rng.normal(
             size=(3, 7))))
-        fitted = fit_linear(ds)
+        fitted = fit_polynomial(ds, 1)
         x = np.hstack([np.ones((len(ds), 1)), ds.positions])
         beta, *_ = np.linalg.lstsq(x, ds.joints, rcond=None)
         assert np.abs(fitted.intercepts - beta[0]).max() < 1e-8
         assert np.abs(fitted.weights - beta[1:]).max() < 1e-8
 
     def test_zero_input_returns_wrapped_intercepts(self, rng):
-        fitted = LinearModel(rng.normal(size=(3, 7)), rng.normal(size=7) * 4)
+        fitted = PolynomialModel(1, rng.normal(size=(3, 7)),
+                                 rng.normal(size=7) * 4)
         assert np.allclose(fitted.predict(np.zeros(3)),
                            wrap_angle(fitted.intercepts))
 
     def test_needs_enough_rows(self, rng):
         tiny = Dataset(np.zeros((3, 7)), np.zeros((3, 3)), {})
         with pytest.raises(ValueError):
-            fit_linear(tiny)
+            fit_polynomial(tiny, 1)
 
 
 class TestPolynomialModel:
@@ -149,13 +152,13 @@ class TestPolynomialModel:
             assert len(polynomial_exponents(degree)) == expected
 
     def test_degree_one_equals_linear_fit(self, rng):
-        ds = synthetic_dataset(rng, f=lambda p: np.sin(p @ rng.normal(
-            size=(3, 7))))
-        lin = fit_linear(ds)
-        poly = fit_polynomial(ds, degree=1)
-        probe = rng.uniform(-1, 1, size=(50, 3))
-        assert np.abs(lin.predict_batch(probe)
-                      - poly.predict_batch(probe)).max() < 1e-9
+        # The degree-1 features are the position itself, so a degree-1
+        # model predicts what an affine map does, bit for bit.
+        probe = rng.uniform(-3, 3, size=(100_000, 3))
+        assert np.array_equal(polynomial_features(probe, 1), probe)
+        w, b = rng.normal(size=(3, 7)), rng.normal(size=7) * 4
+        assert np.array_equal(PolynomialModel(1, w, b).predict_batch(probe),
+                              wrap_angle(probe @ w + b))
 
     def test_recovers_an_exact_degree_two_map(self, rng):
         exps = polynomial_exponents(2)
@@ -355,7 +358,7 @@ class TestRegressionTree:
 
 class TestPersistence:
     @pytest.mark.parametrize("builder", [
-        lambda ds: fit_linear(ds),
+        lambda ds: fit_polynomial(ds, degree=1),
         lambda ds: fit_polynomial(ds, degree=3),
         lambda ds: fit_tree(ds, max_depth=8),
     ])
@@ -380,6 +383,20 @@ class TestPersistence:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_reads_a_linear_file_as_degree_one(self, rng, tmp_path):
+        # A "linear" file as older versions wrote it.
+        w, b = rng.normal(size=(3, 7)), rng.normal(size=7) * 4
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps({
+            "format": "arm7ik-model", "version": 1, "kind": "linear",
+            "weights": w.tolist(), "intercepts": b.tolist(),
+            "rank_deficient": False}))
+        back = load_model(path)
+        assert isinstance(back, PolynomialModel) and back.degree == 1
+        probe = rng.uniform(-3, 3, size=(1000, 3))
+        assert np.array_equal(back.predict_batch(probe),
+                              wrap_angle(probe @ w + b))
 
     def test_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.json"

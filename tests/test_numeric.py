@@ -46,8 +46,8 @@ class TestPseudoInverse:
             # dtnr's Jacobians, which have rank 2.
             for arm in arms:
                 q = rng.uniform(-math.pi, math.pi, size=7)
-                cases.append(point_and_jacobian(
-                    arm, q, 3, tool_point(arm, q, 3))[1])
+                cases.append(np.array(point_and_jacobian(
+                    arm, q, 3, tool_point(arm, q, 3))[1]))
             e = rng.normal(size=3)
             for j in cases:
                 step = pseudo_inverse_step3(j.tolist(), tuple(e))
@@ -80,7 +80,7 @@ class TestNewtonRaphson:
             q_star = rng.uniform(-math.pi, math.pi, size=7)
             target = end_effector_position(model, q_star)
             seed = q_star + rng.normal(0.0, 0.05, size=7)
-            result = solve_newton_raphson(model, target, seed)
+            result = solve_newton_raphson(model, target, start=seed)
             assert result.converged
             assert result.final_fitness < 1e-6
             assert result.iterations_used <= 30
@@ -92,13 +92,14 @@ class TestNewtonRaphson:
             model, rng.uniform(model.lower, model.upper, size=(20, 7)))
         for target in targets:
             result = solve_newton_raphson(model, target,
-                                          model.random_joints(rng))
+                                          start=model.random_joints(rng))
             assert result.final_fitness < 1e-6
 
     def test_unreachable_target_reports_failure(self, model, rng):
         sphere = model.workspace
         target = np.array([0.0, 0.0, sphere.h + sphere.r + 2.0])
-        result = solve_newton_raphson(model, target, model.random_joints(rng))
+        result = solve_newton_raphson(model, target,
+                                      start=model.random_joints(rng))
         assert not result.converged
         # Best possible fitness is the gap to the workspace surface.
         assert result.final_fitness >= 2.0 - 1e-6
@@ -109,14 +110,15 @@ class TestNewtonRaphson:
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
         seed = q_star + 0.02
-        one = solve_newton_raphson(model, target, seed,
-                                   budget=Budget(max_iterations=1))
+        one = solve_newton_raphson(model, target,
+                                   budget=Budget(max_iterations=1), start=seed)
         assert one.final_fitness <= fitness(model, seed, target)
 
     def test_trace_is_monotone_and_nonempty(self, model, rng):
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
-        result = solve_newton_raphson(model, target, model.random_joints(rng))
+        result = solve_newton_raphson(model, target,
+                                      start=model.random_joints(rng))
         fits = result.trace.fitness_values()
         assert len(fits) >= 1
         assert all(a >= b for a, b in zip(fits, fits[1:]))
@@ -125,14 +127,16 @@ class TestNewtonRaphson:
         # All-zero joints leave the arm stretched along z: a singular
         # Jacobian for radial targets. Damping must keep the step finite.
         target = np.array([0.5, 0.5, 1.5])
-        result = solve_newton_raphson(model, target, np.zeros(7),
-                                      NewtonConfig(damping=0.05))
+        result = solve_newton_raphson(model, target,
+                                      NewtonConfig(damping=0.05),
+                                      start=np.zeros(7))
         assert np.all(np.isfinite(result.joints))
 
     def test_joints_come_back_wrapped(self, model, rng):
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
-        result = solve_newton_raphson(model, target, rng.uniform(-3, 3, 7))
+        result = solve_newton_raphson(model, target,
+                                      start=rng.uniform(-3, 3, 7))
         assert np.all(result.joints > -math.pi)
         assert np.all(result.joints <= math.pi)
 
@@ -166,7 +170,7 @@ class TestNelderMeadSolver:
     def test_seed_at_solution_converges_immediately(self, model, rng):
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
-        result = solve_nelder_mead(model, target, q_star)
+        result = solve_nelder_mead(model, target, start=q_star)
         assert result.converged
         assert result.iterations_used == 0
         assert result.final_fitness == 0.0
@@ -174,14 +178,14 @@ class TestNelderMeadSolver:
     def test_round_trip_target(self, model, rng):
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
-        result = solve_nelder_mead(model, target, model.random_joints(rng),
-                                   rng=rng)
+        result = solve_nelder_mead(model, target, rng=rng,
+                                   start=model.random_joints(rng))
         assert result.final_fitness < 1e-3
 
     def test_trace_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_nelder_mead(model, target, model.random_joints(rng),
-                                   rng=rng)
+        result = solve_nelder_mead(model, target, rng=rng,
+                                   start=model.random_joints(rng))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
