@@ -191,25 +191,18 @@ def read_report_csv(path):
         header = next(reader)
         if header != REPORT_COLUMNS:
             raise ValueError(f"unexpected report columns in {path}")
-        out = []
-        for row in reader:
-            vals = dict(zip(header, row))
-            out.append(AlgorithmReport(
-                algorithm=vals["algorithm"],
-                iteration_count=float(vals["iteration_count"]),
-                best_fitness=float(vals["best_fitness"]),
-                worst_fitness=float(vals["worst_fitness"]),
-                best_time_s=float(vals["best_time_s"]),
-                worst_time_s=float(vals["worst_time_s"]),
-                average_fitness_mm=float(vals["average_fitness_mm"]),
-                average_fitness_weighted=(
-                    None if vals["average_fitness_weighted"] == ""
-                    else float(vals["average_fitness_weighted"])),
-                sd=float(vals["sd"]),
-                average_time_s=float(vals["average_time_s"]),
-                success_rate=float(vals["success_rate"]),
-            ))
-        return out
+        return [AlgorithmReport(**{c: _report_cell(c, v)
+                                   for c, v in zip(REPORT_COLUMNS, row)})
+                for row in reader]
+
+
+def _report_cell(column, text):
+    """One report.csv cell as its AlgorithmReport field (see as_row)."""
+    if column == "algorithm":
+        return text
+    if column == "average_fitness_weighted" and text == "":
+        return None
+    return float(text)
 
 
 def export_report(out_dir, reports, traces, runs, metadata):

@@ -1,7 +1,7 @@
 """YAML config loading for the robot geometry and benchmark specs."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -84,23 +84,16 @@ class BenchmarkSpec:
 
 
 def load_benchmark_spec(path):
+    """Benchmark spec file -> BenchmarkSpec. The keys are BenchmarkSpec's
+    field names, except that `tree` sets tree_path; an absent key keeps
+    the field's default."""
     data = _load_yaml(path)
-    known = {"n_targets", "success_threshold", "master_seed", "algorithms",
-             "repeats_per_target", "configs", "budgets", "sampler", "tree"}
-    unknown = set(data) - known
+    keys = {f.name: f.name for f in fields(BenchmarkSpec)}
+    keys["tree"] = keys.pop("tree_path")
+    unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     try:
-        return BenchmarkSpec(
-            n_targets=data.get("n_targets", 100),
-            success_threshold=data.get("success_threshold", 1.0),
-            master_seed=data.get("master_seed", 0),
-            algorithms=data.get("algorithms", [s.value for s in SolverId]),
-            repeats_per_target=data.get("repeats_per_target", 1),
-            configs=data.get("configs", {}),
-            budgets=data.get("budgets", {}),
-            sampler=data.get("sampler", "ball"),
-            tree_path=data.get("tree"),
-        )
+        return BenchmarkSpec(**{keys[k]: v for k, v in data.items()})
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -169,6 +169,8 @@ def fit_polynomial(train: Dataset, degree=8) -> PolynomialModel:
     """Least-squares fit of every joint on the total-degree `degree`
     monomials of the position and a constant; degree 1 is linear
     regression."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
     feats = polynomial_features(train.positions, degree)
     if len(train) < feats.shape[1] + 1:
         raise ValueError(f"a degree-{degree} fit needs at least "

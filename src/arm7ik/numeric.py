@@ -8,11 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SolverId, default_budget, population_best, run_steps
-# perfbench/tracer.py wraps the kinematics functions under the names this
-# module binds, so every one of them stays imported here.
+# perfbench/tracer.py wraps end_effector_position, fitness, joint_frames
+# and position_jacobian under this module's names, so all four stay
+# imported here; of them only Nelder-Mead's fitness is called.
 from .kinematics import (KinematicModel, end_effector_position, fitness,
                          joint_frames, point_and_jacobian, position_jacobian,
-                         wrap_angle)
+                         tool_point, wrap_angle)
 
 DIVERGENCE_GUARD = 5   # consecutive fitness increases before aborting
 STALL_STEP_NORM = 1e-8  # joint-space step below which Newton has stalled
@@ -106,30 +107,49 @@ def solve_newton_raphson(model: KinematicModel, target, config=None,
     drawn from `rng`) until the tolerance or the budget is hit. Divergence
     (five consecutive fitness increases) is reported as a non-converged
     result."""
-    config = config or NewtonConfig()
     if start is None:
         start = model.random_joints(rng or np.random.default_rng(0))
-    target = np.asarray(target, dtype=float)
-    return run_steps(_newton_steps(model, target, start, config),
+    return run_steps(newton_steps(model, target, start,
+                                  config or NewtonConfig()),
                      budget or default_budget(SolverId.NR), wrap_angle)
 
 
-def _newton_steps(model, target, start, config):
-    q = np.asarray(start, dtype=float).copy()
-    best_q = q.copy()
-    best_f = fitness(model, q, target)
+def newton_steps(model, target, start, config, joints=7):
+    """run_steps generator of Newton-Raphson on the leading `joints`
+    joints of `start`, the pseudo-inverse update of Buss (2004). The
+    joints from `joints` on stay at `start` bit for bit, and enter only
+    through their Horner tail tool_point(model, start, joints). The
+    moving joints, the error and the step are plain floats: an undamped
+    3x3 Jacobian takes the closed form pseudo_inverse_step3, and any
+    other Jacobian, or one near rank 1, goes through pseudo_inverse.
+    Stops after DIVERGENCE_GUARD consecutive fitness increases, at a
+    non-finite fitness, or once a step is shorter than STALL_STEP_NORM."""
+    q = np.array(start, dtype=float)
+    t = np.asarray(target, dtype=float).tolist()
+    tail = tool_point(model, q, joints)
+    p, jac = point_and_jacobian(model, q, joints, tail)
+    best_q = q
+    best_f = math.dist(p, t)
     yield best_q, best_f, best_f
 
+    head = q[:joints].tolist()
+    damping = config.damping
+    scale = config.step_scale
     prev_f = best_f
     rises = 0
     while True:
-        p, jac = point_and_jacobian(model, q)
-        step = config.step_scale * (pseudo_inverse(jac, config.damping)
-                                    @ (p - target))
-        q = q - step
-        f = fitness(model, q, target)
+        e = (p[0] - t[0], p[1] - t[1], p[2] - t[2])
+        step = None
+        if joints == 3 and not damping:
+            step = pseudo_inverse_step3(jac, e)
+        if step is None:
+            step = [a * e[0] + b * e[1] + c * e[2]
+                    for a, b, c in pseudo_inverse(jac, damping).tolist()]
+        head = [h - scale * s for h, s in zip(head, step)]
+        p, jac = point_and_jacobian(model, head, joints, tail)
+        f = math.dist(p, t)
         if f < best_f:
-            best_f, best_q = f, q.copy()
+            best_f, best_q = f, np.concatenate((head, q[joints:]))
         rises = rises + 1 if f > prev_f else 0
         prev_f = f
         yield best_q, best_f, f

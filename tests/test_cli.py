@@ -199,6 +199,16 @@ class TestMlPipeline:
             assert code == EXIT_OK
             assert out_file.exists()
 
+    def test_poly_degree_zero_is_a_config_error(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        run_cli(capsys, "dataset", "--count", "200", "--out", str(data))
+        code, _, err = run_cli(capsys, "train", "--model", "poly",
+                               "--data", str(data),
+                               "--out", str(tmp_path / "poly.json"),
+                               "--degree", "0")
+        assert code == EXIT_CONFIG
+        assert "degree must be >= 1" in err
+
     def test_missing_dataset_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "train", "--model", "linear",
                              "--data", str(tmp_path / "absent.csv"),

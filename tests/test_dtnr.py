@@ -51,17 +51,20 @@ class TestDtnrSolver:
         assert hits >= 45
 
     def test_full_refinement_matches_tree_seeded_newton(self, trained, rng):
+        # dtnr on all seven joints runs nr's own loop from the tree seed;
+        # the damped case takes the pseudo-inverse's other branch.
         model, _, tree = trained
         from arm7ik import sample_workspace
-        for _ in range(10):
-            target = sample_workspace(model.workspace, rng)
-            full = solve_dtnr(tree, model, target,
-                              DtnrConfig(refine_joint_count=7))
-            plain = solve_newton_raphson(model, target, NewtonConfig(),
-                                         Budget(max_iterations=15),
-                                         start=tree.predict(target))
-            assert np.allclose(full.joints, plain.joints, atol=1e-10)
-            assert full.converged == plain.converged
+        for newton in (NewtonConfig(), NewtonConfig(damping=0.05)):
+            for _ in range(10):
+                target = sample_workspace(model.workspace, rng)
+                full = solve_dtnr(tree, model, target,
+                                  DtnrConfig(refine_joint_count=7,
+                                             newton=newton))
+                plain = solve_newton_raphson(model, target, newton,
+                                             Budget(max_iterations=15),
+                                             start=tree.predict(target))
+                assert full.same_outcome(plain)
 
     def test_deterministic(self, trained, rng):
         model, _, tree = trained

@@ -179,6 +179,12 @@ class TestPolynomialModel:
         with pytest.raises(ValueError):
             fit_polynomial(ds, degree=8)
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_rejected(self, rng, degree):
+        ds = synthetic_dataset(rng, n=50, f=lambda p: p @ np.ones((3, 7)))
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            fit_polynomial(ds, degree=degree)
+
 
 def assert_matches_reference(ds, **kwargs):
     """fit_tree's node tables equal the per-node reference CART's, bit for

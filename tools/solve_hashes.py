@@ -42,9 +42,17 @@ only when dtnr is listed. Each solver keeps its per-target seeds, so its
 line is the one a full run prints:
 
     PYTHONPATH=src python tools/solve_hashes.py --algos sa,ccd
+
+`--dump PATH` also writes one JSON line per solve (algorithm, master
+seed, target index, final fitness, iterations, converged flag and
+joints), so a change that moves a solver by a few ulps can be compared
+target by target:
+
+    PYTHONPATH=src python tools/solve_hashes.py --algos nr --dump new.jsonl
 """
 import argparse
 import hashlib
+import json
 
 import numpy as np
 
@@ -59,25 +67,39 @@ ALGOS = STANDALONE + ["dtnr"]
 
 
 class Fingerprint:
-    """Hash and summary of one solver's results."""
+    """Hash and summary of one solver's results, in target order; with
+    `dump`, an open text file, each result also goes there as a JSON
+    line."""
 
-    def __init__(self):
+    def __init__(self, algo, seed, dump=None):
+        self.algo = algo
+        self.seed = seed
+        self.dump = dump
         self.digest = hashlib.sha256()
         self.fitness = []
         self.iterations = []
 
     def fold(self, result):
-        self.digest.update(np.asarray(result.joints, dtype=float).tobytes())
+        joints = np.asarray(result.joints, dtype=float)
+        self.digest.update(joints.tobytes())
         self.digest.update(repr((
             float(result.final_fitness), result.iterations_used,
             bool(result.converged),
             [(it, float(f)) for it, f, _ in result.trace.samples])).encode())
+        if self.dump is not None:
+            self.dump.write(json.dumps({
+                "algorithm": self.algo, "seed": self.seed,
+                "target": len(self.fitness),
+                "final_fitness": float(result.final_fitness),
+                "iterations": result.iterations_used,
+                "converged": bool(result.converged),
+                "joints": joints.tolist()}) + "\n")
         self.fitness.append(float(result.final_fitness))
         self.iterations.append(result.iterations_used)
 
-    def line(self, name):
+    def line(self):
         fit = np.array(self.fitness)
-        return (f"{name} {self.digest.hexdigest()} "
+        return (f"{self.algo} {self.digest.hexdigest()} "
                 f"success={int(np.sum(fit < 1.0))}/{fit.size} "
                 f"mean_iterations={np.mean(self.iterations):.2f} "
                 f"median_fitness_mm={np.median(fit):.3g}")
@@ -112,7 +134,8 @@ def kernel_line(convention, n_poses=200):
     return f"kernel[{convention}] {digest.hexdigest()}"
 
 
-def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS):
+def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
+         dump=None):
     for convention in ("standard", "modified"):
         print(kernel_line(convention), flush=True)
     arm = KinematicModel()
@@ -123,21 +146,23 @@ def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS):
     for algo_idx, algo in enumerate(STANDALONE):
         if algo not in algos:
             continue
-        fp = Fingerprint()
+        fp = Fingerprint(algo, seed, dump)
         for t_idx, target in enumerate(targets):
             rng = np.random.default_rng(
                 np.random.SeedSequence((algo_idx, t_idx)))
             fp.fold(run_solver(algo, arm, target, rng,
                                budget=default_budget(algo)))
-        print(fp.line(algo), flush=True)
+        print(fp.line(), flush=True)
         total.update(fp.digest.digest())
     if "dtnr" in algos:
-        total.update(dtnr_lines(arm, targets, dataset_rows).digest())
+        total.update(dtnr_lines(arm, targets, dataset_rows,
+                                Fingerprint("dtnr", seed, dump)).digest())
     print("all", total.hexdigest())
 
 
-def dtnr_lines(arm, targets, dataset_rows):
-    """Print both tree lines and dtnr's line; returns dtnr's digest."""
+def dtnr_lines(arm, targets, dataset_rows, fp):
+    """Print both tree lines and dtnr's line, folding dtnr's results into
+    `fp`; returns its digest."""
     ds = generate_dataset(arm, dataset_rows, 0.1, np.random.default_rng(42),
                           seed=42)
     train, _ = split_dataset(ds, 0.25, np.random.default_rng(1))
@@ -146,10 +171,9 @@ def dtnr_lines(arm, targets, dataset_rows):
     ik_train, _ = split_dataset(generate_dataset(arm, 25_000, seed=42), 0.25,
                                 seed=0)
     print(tree_line("learned_ik", fit_tree(ik_train)), flush=True)
-    fp = Fingerprint()
     for target in targets:
         fp.fold(solve_dtnr(tree, arm, target))
-    print(fp.line("dtnr"))
+    print(fp.line())
     return fp.digest
 
 
@@ -163,9 +187,15 @@ if __name__ == "__main__":
     parser.add_argument("--algos", default=",".join(ALGOS),
                         help="comma-separated solvers to hash (default: "
                              "all ten)")
+    parser.add_argument("--dump", metavar="PATH",
+                        help="also write one JSON line per solve to PATH")
     args = parser.parse_args()
     algos = args.algos.split(",")
     unknown = sorted(set(algos) - set(ALGOS))
     if unknown:
         parser.error(f"unknown solvers: {unknown}; choose from {ALGOS}")
-    main(args.n_targets, args.dataset_rows, args.seed, algos)
+    if args.dump is None:
+        main(args.n_targets, args.dataset_rows, args.seed, algos)
+    else:
+        with open(args.dump, "w") as dump:
+            main(args.n_targets, args.dataset_rows, args.seed, algos, dump)
