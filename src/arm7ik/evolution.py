@@ -129,8 +129,7 @@ def de_trials(rng, pop, config: DeConfig, model: KinematicModel):
                + rng.normal(0.0, config.mutation_probability, (n, 7)))
     cross = rng.random((n, 7)) < config.crossover_rate
     cross[np.arange(n), rng.integers(0, 7, n)] = True
-    return np.clip(wrap_angle(np.where(cross, mutants, pop)),
-                   model.lower, model.upper)
+    return model.clip_to_limits(np.where(cross, mutants, pop))
 
 
 def _de_steps(model, target, config, rng):

@@ -175,10 +175,15 @@ def joint_frames(model: KinematicModel, q):
 # tool tip to the base; the frame pass applies it to the frame, from the
 # base to the tip, and reads each joint's axis off the frame's z axis after
 # its tilt. One pose runs in Python floats. A batch of n poses runs Horner's
-# rule on (n,) complex arrays, where each rotation is a product with
-# e^(i phi); numpy's complex product rounds differently from the float
-# products, so a batch row and the same pose alone can differ in the last
-# bit.
+# rule in place on one (n, 3) float buffer through two complex views, x + iy
+# on columns 0-1 and y + iz on columns 1-2, so each rotation is a product
+# with e^(i phi) and a joint is three numpy calls: x + iy times the turn,
+# z + d, and y + iz times the scalar e^(i tilt). numpy's complex product
+# rounds differently from the float products, so a batch row and the same
+# pose alone can differ in the last bit. Two things would change how a
+# batch rounds: swapped operands (the state comes first) and an in-place
+# product over a single row, which rounds like the float products; so a
+# batch of one pose runs with a second, zero row.
 
 def _horner(model, turns, first=0, joint=6, point=(0.0, 0.0, 0.0),
             partials=None):
@@ -312,27 +317,31 @@ def end_effector_position(model: KinematicModel, q):
     return np.array(tool_point(model, q))
 
 
-def _batch_points(model, qs):
-    """Tool points of an (n, 7) array as (n,) x, y and z arrays. cos and
-    sin are written into one complex array: at n = 20 that is faster than
-    np.exp(1j * qs)."""
-    th = np.asarray(qs, dtype=float).T
-    turns = np.empty(th.shape, dtype=complex)
-    turns.real = np.cos(th)
-    turns.imag = np.sin(th)
-    x = y = z = 0.0
-    for turn, (c, s, d) in zip(turns[::-1], model._links[::-1]):
-        xy = (x + 1j * y) * turn
-        yz = (xy.imag + 1j * (z + d)) * complex(c, s)
-        x, y, z = xy.real, yz.real, yz.imag
-    return x, y, z
-
-
 def batch_end_effector_positions(model: KinematicModel, qs):
-    """Tool points of an (n, 7) array of joint vectors, shape (n, 3): one
-    Horner pass over (n,) component arrays. The hot path of the
-    population solvers and the dataset generator."""
-    return np.stack(_batch_points(model, qs), axis=1)
+    """Tool points of an (n, 7) array of joint vectors as a new (n, 3)
+    array: Horner's rule in place on one point buffer (see the kernel
+    comment above _horner), with cos and sin written into one (7, n, 2)
+    array viewed as complex. The hot path of the population solvers and
+    the dataset generator. ValueError unless qs is (n, 7)."""
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != 7:
+        raise ValueError(
+            f"joint vectors must be an (n, 7) array, got shape {qs.shape}")
+    n = len(qs)
+    rows = max(n, 2)  # one row would round like the float products
+    trig = np.zeros((7, rows, 2))
+    np.cos(qs.T, out=trig[:, :n, 0])
+    np.sin(qs.T, out=trig[:, :n, 1])
+    p = np.zeros((rows, 3))
+    xy = p[:, :2].view(complex)[:, 0]
+    yz = p[:, 1:].view(complex)[:, 0]
+    z = p[:, 2]
+    for turn, (c, s, d) in zip(trig.view(complex)[::-1, :, 0],
+                               model._links[::-1]):
+        xy *= turn
+        z += d
+        yz *= complex(c, s)
+    return p[:n]
 
 
 def fitness(model: KinematicModel, q, target):
@@ -343,10 +352,17 @@ def fitness(model: KinematicModel, q, target):
 
 
 def batch_fitness(model: KinematicModel, qs, target):
-    """Distances to one target for many joint vectors at once."""
-    x, y, z = _batch_points(model, qs)
-    tx, ty, tz = np.asarray(target, dtype=float).tolist()
-    return np.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2)
+    """Distances to one target for many joint vectors at once, shape (n,).
+    ValueError unless qs is (n, 7) and target is (3,)."""
+    target = np.asarray(target, dtype=float)
+    if target.shape != (3,):
+        raise ValueError(f"target must have shape (3,), got {target.shape}")
+    p = batch_end_effector_positions(model, qs)
+    p -= target
+    p *= p
+    dist = p[:, 0] + p[:, 1]
+    dist += p[:, 2]
+    return np.sqrt(dist, out=dist)
 
 
 def position_jacobian(model: KinematicModel, q):

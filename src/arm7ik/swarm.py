@@ -90,7 +90,7 @@ def _pso_steps(model, target, config, rng):
         v = pso_velocity_update(v, x, pbest, gbest, config.inertia,
                                 config.cognitive, config.social, r1, r2)
         v = np.clip(v, -v_max, v_max)
-        x = np.clip(wrap_angle(x + v), model.lower, model.upper)
+        x = model.clip_to_limits(x + v)
         values = batch_fitness(model, x, target)
         improved = values < pbest_values
         pbest[improved] = x[improved]
@@ -138,7 +138,7 @@ def _qpso_steps(model, target, config, max_iter, rng):
         u = rng.random((n, 7))
         sign = np.where(rng.random((n, 7)) < 0.5, 1.0, -1.0)
         x = p + sign * beta * np.abs(mbest - x) * np.log(1.0 / u)
-        x = np.clip(wrap_angle(x), model.lower, model.upper)
+        x = model.clip_to_limits(x)
         values = batch_fitness(model, x, target)
         improved = values < pbest_values
         pbest[improved] = x[improved]
@@ -189,8 +189,7 @@ def _afsa_steps(model, target, config, rng):
         if dist < 1e-12:
             return x.copy()
         step = min(dist, config.visual_range * rng.random())
-        return np.clip(wrap_angle(x + diff / dist * step),
-                       model.lower, model.upper)
+        return model.clip_to_limits(x + diff / dist * step)
 
     while True:
         for i in range(n):
@@ -223,16 +222,16 @@ def _afsa_steps(model, target, config, rng):
             if not moved:
                 # Prey: bounded random steps, keep the first improvement.
                 for _ in range(config.max_attempt_size):
-                    cand = np.clip(wrap_angle(x + afsa_prey_step(
-                        rng, config.visual_range)), model.lower, model.upper)
+                    cand = model.clip_to_limits(
+                        x + afsa_prey_step(rng, config.visual_range))
                     f_cand = fitness(model, cand, target)
                     if f_cand < f:
                         x, f, moved = cand, f_cand, True
                         break
                 if not moved and rng.random() > config.exploration_q:
                     # Rare exploratory random walk, accepted regardless.
-                    x = np.clip(wrap_angle(x + afsa_prey_step(
-                        rng, config.visual_range)), model.lower, model.upper)
+                    x = model.clip_to_limits(
+                        x + afsa_prey_step(rng, config.visual_range))
                     f = fitness(model, x, target)
 
             fish[i], values[i] = x, f

@@ -3,9 +3,10 @@
 The kinematics oracles are deliberately written from primitive operations
 (elementary rotation/translation matrices, explicit loops) rather than
 reusing the library's own composition code. The single-pose kernel in
-complex numbers, the reference tree fit and the solver loops are the
-straightforward versions of code the library runs in a faster form;
-tests require the two to agree bit for bit.
+complex numbers, the batch kernel on complex arrays, the reference tree
+fit and the solver loops are the straightforward versions of code the
+library runs in a faster form; tests require the two to agree bit for
+bit.
 """
 import cmath
 import math
@@ -156,6 +157,31 @@ def reference_fitness(model, q, target):
     x, y, z = reference_partials(model, q)[0]
     tx, ty, tz = np.asarray(target, dtype=float).tolist()
     return math.hypot(x - tx, y - ty, z - tz)
+
+
+# The batch kernel as plain complex-array expressions: each joint builds
+# x + iy and y + iz afresh from real arrays, the turn a row of one complex
+# array of cos + i sin. The library runs the same products in place on
+# views of one point buffer; tests require the two to agree bit for bit.
+
+def reference_batch_points(model, qs):
+    """Tool points of an (n, 7) array as (n,) x, y and z arrays."""
+    th = np.asarray(qs, dtype=float).T
+    turns = np.empty(th.shape, dtype=complex)
+    turns.real = np.cos(th)
+    turns.imag = np.sin(th)
+    x = y = z = 0.0
+    for turn, (c, s, d) in zip(turns[::-1], model._links[::-1]):
+        xy = (x + 1j * y) * turn
+        yz = (xy.imag + 1j * (z + d)) * complex(c, s)
+        x, y, z = xy.real, yz.real, yz.imag
+    return x, y, z
+
+
+def reference_batch_fitness(model, qs, target):
+    x, y, z = reference_batch_points(model, qs)
+    tx, ty, tz = np.asarray(target, dtype=float).tolist()
+    return np.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2)
 
 
 def _reference_best_split(x, y, y_sq, min_leaf):

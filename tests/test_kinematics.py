@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arm7ik import (DhRow, KinematicModel, WorkspaceSphere,
                     batch_end_effector_positions, batch_fitness, dh_transform,
@@ -268,6 +268,76 @@ class TestAgainstComplexReference:
             tail = tool_point(model, q, joints)
             got_p, jac = point_and_jacobian(model, q[:joints], joints, tail)
             assert got_p == p and jac == rows, (q, joints)
+
+
+BATCH_LENGTHS = [(1.0, 1.0, 1.0, 1.0), NONUNIT, (1.0, 3.0, 0.5, 0.5)]
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_batch_matches_reference(model, qs, target):
+    """Both batch entry points equal oracles' complex-array kernel as
+    uint64 bit patterns, so even the sign of a zero must agree."""
+    expected = np.stack(oracles.reference_batch_points(model, qs), axis=1)
+    got = batch_end_effector_positions(model, qs)
+    assert got.shape == (len(qs), 3)
+    assert np.array_equal(_bits(got), _bits(expected))
+    assert np.array_equal(
+        _bits(batch_fitness(model, qs, target)),
+        _bits(oracles.reference_batch_fitness(model, qs, target)))
+
+
+class TestBatchKernelAgainstReference:
+    """The batch kernel on one point buffer against the same Horner rule
+    written as complex-array expressions, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.one_of(st.integers(1, 40), st.just(1000)),
+           convention=st.sampled_from(["standard", "modified"]),
+           lengths=st.sampled_from(BATCH_LENGTHS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical(self, n, convention, lengths, seed):
+        model = KinematicModel(lengths=lengths, convention=convention)
+        rng = np.random.default_rng(seed)
+        qs = rng.uniform(-2 * math.pi, 2 * math.pi, size=(n, 7))
+        _assert_batch_matches_reference(model, qs, rng.uniform(-3, 3, 3))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("convention", ["standard", "modified"])
+    @pytest.mark.parametrize("lengths", BATCH_LENGTHS)
+    def test_one_and_two_rows(self, n, convention, lengths):
+        """n = 1 is where numpy's in-place products round like the float
+        products; each random pose and each pose made of SPECIAL_ANGLES
+        runs as its own batch of one or two rows."""
+        model = KinematicModel(lengths=lengths, convention=convention)
+        rng = np.random.default_rng(n)
+        poses = np.array(_kernel_poses(seed=30 + n, count=300))
+        for start in range(0, len(poses) - n + 1, n):
+            _assert_batch_matches_reference(model, poses[start:start + n],
+                                            rng.uniform(-3, 3, 3))
+
+
+class TestBatchShapes:
+    @pytest.mark.parametrize("shape", [(5, 6), (5, 8), (7,), (1, 5, 7)])
+    def test_joint_array_must_be_n_by_7(self, model, shape):
+        qs = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"\(n, 7\)"):
+            batch_end_effector_positions(model, qs)
+        with pytest.raises(ValueError, match=r"\(n, 7\)"):
+            batch_fitness(model, qs, np.zeros(3))
+
+    @pytest.mark.parametrize("target", [np.zeros(2), np.zeros(1), 0.0,
+                                        np.zeros((1, 3)), np.zeros(4)])
+    def test_target_must_be_a_point(self, model, target):
+        with pytest.raises(ValueError, match=r"\(3,\)"):
+            batch_fitness(model, np.zeros((4, 7)), target)
+
+    def test_empty_batch(self, model):
+        qs = np.zeros((0, 7))
+        assert batch_end_effector_positions(model, qs).shape == (0, 3)
+        assert batch_fitness(model, qs, np.zeros(3)).shape == (0,)
 
 
 class TestFramePass:

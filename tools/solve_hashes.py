@@ -19,9 +19,12 @@ It first prints a SHA-256 per DH convention over the kernel's outputs on
 200 fixed random poses of the arm with lengths (0.36, 0.42, 0.4, 0.126):
 the tool point in the frame before each joint (`tool_point` at frames
 0-6), the tool point and Jacobian of `point_and_jacobian`, and the rows
-of `batch_end_effector_positions`. Each float is hashed as `==` compares
-it, so -0.0 and 0.0 hash alike. These lines fold into no other hash, so a
-change to the kernel alone shows as a change in these two lines.
+of `batch_end_effector_positions` over all 200 poses in one batch, then
+over the first 20 poses as 20 one-row batches and as 10 two-row batches,
+so a change to the kernel's small-batch path shows too. Each float is
+hashed as `==` compares it, so -0.0 and 0.0 hash alike. These lines fold
+into no other hash, so a change to the kernel alone shows as a change in
+these two lines.
 
 Two checkouts that print the same hashes give bit-identical solves. A
 change that only reorders floating-point sums changes the hashes; the
@@ -131,6 +134,9 @@ def kernel_line(convention, n_poses=200):
         fold(p)
         fold(jac)
     fold(batch_end_effector_positions(arm, qs))
+    for rows in (1, 2):
+        for start in range(0, 20, rows):
+            fold(batch_end_effector_positions(arm, qs[start:start + rows]))
     return f"kernel[{convention}] {digest.hexdigest()}"
 
 
