@@ -8,14 +8,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import BenchmarkSpec
-from .core import ConvergenceTrace, SolverId, average_traces, default_budget
+from .core import ConvergenceTrace, SolverId, average_traces
 from .kinematics import KinematicModel, sample_workspace
-from .registry import make_config, run_solver
+from .registry import make_budget, make_config, run_solver
 
 REPORT_COLUMNS = [
     "algorithm", "iteration_count", "best_fitness", "worst_fitness",
@@ -70,17 +70,6 @@ def generate_target_batch(model: KinematicModel, spec: BenchmarkSpec):
 def batch_hash(targets):
     arr = np.ascontiguousarray(np.asarray(targets, dtype=float))
     return hashlib.sha256(arr.tobytes()).hexdigest()
-
-
-def spec_budget(spec: BenchmarkSpec, solver_id):
-    """The budget of one solver in a campaign: its default budget with the
-    spec's `budgets` entry on top. An unknown key is a ValueError."""
-    name = SolverId(solver_id).value
-    over = spec.budgets.get(name, {})
-    try:
-        return replace(default_budget(name), **over)
-    except TypeError as exc:
-        raise ValueError(f"bad {name} budget {over}: {exc}") from exc
 
 
 def _run_record(algo, target_index, repeat, seed_key, target, result, success):
@@ -140,7 +129,7 @@ def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
     if SolverId.DTNR in algos and tree is None:
         raise ValueError("benchmark includes DTNR but no tree was provided")
     configs = {a: make_config(a, spec.configs.get(a.value)) for a in algos}
-    budgets = {a: spec_budget(spec, a) for a in algos}
+    budgets = {a: make_budget(a, spec.budgets.get(a.value)) for a in algos}
 
     targets = generate_target_batch(model, spec)
     runs = []
@@ -253,7 +242,7 @@ def sweep_parameter(solver_id, parameter, grid, repeats, model,
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     base = dict(spec.configs.get(solver_id.value, {}))
-    budget = spec_budget(spec, solver_id)
+    budget = make_budget(solver_id, spec.budgets.get(solver_id.value))
     targets = generate_target_batch(model, spec)
     best_fitness = []
     best2_times = []

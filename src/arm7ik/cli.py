@@ -16,9 +16,9 @@ import numpy as np
 from . import bench as bench_mod
 from . import ml
 from .config import ConfigError, default_model, load_benchmark_spec, load_robot
-from .core import DEFAULT_ITERATIONS, Budget, SolverId
+from .core import SolverId
 from .kinematics import (end_effector_position, sample_workspace)
-from .registry import make_config, run_solver
+from .registry import make_budget, make_config, run_solver
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -87,10 +87,10 @@ def cmd_solve(args):
             raise ConfigError(f"{args.tree} is not a regression tree model")
     overrides = _parse_overrides(args.opt)
     config = make_config(solver, overrides)
-    max_iterations = args.max_iterations
-    if max_iterations is None:
-        max_iterations = DEFAULT_ITERATIONS[solver]
-    budget = Budget(max_iterations=max_iterations, tolerance=args.tolerance)
+    budget = make_budget(solver, {
+        key: value for key, value in (("max_iterations", args.max_iterations),
+                                      ("tolerance", args.tolerance))
+        if value is not None})
     rng = np.random.default_rng(args.seed)
     result = run_solver(solver, model, target, rng, config, budget, tree=tree)
     out = {
@@ -226,7 +226,7 @@ def build_parser():
     p.add_argument("--opt", action="append",
                    help="config override key=value (repeatable)")
     p.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--trace", help="write the convergence trace CSV here")
 
     p = add("dataset", cmd_dataset, "generate a joints/positions dataset")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -36,10 +37,15 @@ class Budget:
     wall_clock_limit: float | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if (not isinstance(self.max_iterations, numbers.Integral)
+                or self.max_iterations < 1):
+            raise ValueError("max_iterations must be an integer >= 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
+        limit = self.wall_clock_limit
+        if limit is not None and not (math.isfinite(limit) and limit > 0):
+            raise ValueError("wall_clock_limit must be None or finite and "
+                             "positive")
 
 
 # Each solver's iteration cap when no budget is given: Newton steps, simplex

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SolverId, default_budget, run_steps
 # perfbench/tracer.py wraps dh_transform and pseudo_inverse under this
 # module's names, so both stay importable from here; dtnr calls neither.
 from .kinematics import KinematicModel, dh_transform, wrap_angle
@@ -25,16 +24,16 @@ class DtnrConfig:
             raise ValueError("refine_joint_count must be in [1, 7]")
 
 
-def solve_dtnr(tree: RegressionTree, model: KinematicModel, target,
-               config=None, budget=None):
+def dtnr_steps(tree: RegressionTree, model: KinematicModel, target, config):
     """Predict joints with the tree, then run nr's Newton loop on the
     leading refine_joint_count joints. The distal joints stay at the tree
-    seed, bit for bit."""
-    config = config or DtnrConfig()
-    k = config.refine_joint_count
+    seed, bit for bit. The tree's guess is timed as part of the solve."""
+    yield from newton_steps(model, target, tree.predict(target),
+                            config.newton, config.refine_joint_count)
 
-    def steps():  # the tree's guess is timed as part of the solve
-        yield from newton_steps(model, target, tree.predict(target),
-                                config.newton, k)
-    return run_steps(steps(), budget or default_budget(SolverId.DTNR),
-                     lambda q: np.concatenate([wrap_angle(q[:k]), q[k:]]))
+
+def wrap_refined(q, config):
+    """q with the joints dtnr refines wrapped and the rest as the tree
+    predicted them."""
+    k = config.refine_joint_count
+    return np.concatenate([wrap_angle(q[:k]), q[k:]])

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SolverId, default_budget, population_best, run_steps
-from .kinematics import KinematicModel, batch_fitness, wrap_angle
+from .core import population_best
+from .kinematics import KinematicModel, batch_fitness
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,12 @@ def ga_offspring(rng, p1, p2, config: GaConfig, model: KinematicModel):
     return children.reshape(p1.shape)
 
 
-def solve_ga(model: KinematicModel, target, config=None, budget=None,
-             rng=None):
+def ga_steps(model: KinematicModel, target, config, budget, rng):
     """Genetic algorithm with tournament-2 selection, per-gene uniform
     crossover and uniform-resample mutation. Replacement merges parents
     and offspring and keeps the best, so worst old individuals are
     displaced by the best new ones and the best fitness never regresses.
     """
-    config = config or GaConfig()
-    rng = rng or np.random.default_rng(0)
-    target = np.asarray(target, dtype=float)
-    return run_steps(_ga_steps(model, target, config, rng),
-                     budget or default_budget(SolverId.GA), wrap_angle)
-
-
-def _ga_steps(model, target, config, rng):
     n = config.population_size
     pop = rng.uniform(model.lower, model.upper, size=(n, 7))
     values = batch_fitness(model, pop, target)
@@ -98,18 +89,6 @@ def _ga_steps(model, target, config, rng):
         keep = np.argsort(merged_values, kind="stable")[:n]
         pop, values = merged[keep], merged_values[keep]
         yield population_best(pop, values)
-
-
-def solve_de(model: KinematicModel, target, config=None, budget=None,
-             rng=None):
-    """DE/rand/1/bin with a small Gaussian noise term on the mutant
-    vector (sigma = mutation_probability rad per gene) and greedy
-    selection."""
-    config = config or DeConfig()
-    rng = rng or np.random.default_rng(0)
-    target = np.asarray(target, dtype=float)
-    return run_steps(_de_steps(model, target, config, rng),
-                     budget or default_budget(SolverId.DE), wrap_angle)
 
 
 def de_donors(rng, n):
@@ -132,7 +111,10 @@ def de_trials(rng, pop, config: DeConfig, model: KinematicModel):
     return model.clip_to_limits(np.where(cross, mutants, pop))
 
 
-def _de_steps(model, target, config, rng):
+def de_steps(model: KinematicModel, target, config, budget, rng):
+    """DE/rand/1/bin with a small Gaussian noise term on the mutant
+    vector (sigma = mutation_probability rad per gene) and greedy
+    selection."""
     n = config.population_size
     pop = rng.uniform(model.lower, model.upper, size=(n, 7))
     values = batch_fitness(model, pop, target)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SolverId, default_budget, run_steps
 # perfbench/tracer.py wraps fitness and joint_frames under this module's
 # names for it, so both stay imported here, though the solvers below
 # evaluate poses through the Horner partials and the frame pass instead.
@@ -20,11 +19,6 @@ from .kinematics import (BASE_FRAME, KinematicModel, fitness, frame_pass,
 class CcdConfig:
     per_joint_tolerance: float = 1e-12
     loop_guard: int = 30
-    sweep_order: str = "tip_to_base"  # or "base_to_tip"
-
-    def __post_init__(self):
-        if self.sweep_order not in ("tip_to_base", "base_to_tip"):
-            raise ValueError("sweep_order must be tip_to_base or base_to_tip")
 
 
 @dataclass(frozen=True)
@@ -79,31 +73,19 @@ def _normal_part(point, origin, axis):
     return [v[i] - k * axis[i] for i in range(3)]
 
 
-def solve_ccd(model: KinematicModel, target, config=None, budget=None,
-              rng=None, *, start=None):
-    """Cyclic coordinate descent from `start` (by default drawn from
-    `rng`): optimise one joint at a time, cycling through the chain. The
-    recorded trace keeps running minima, so the jittery raw curve comes
-    out clipped."""
-    config = config or CcdConfig()
-    if start is None:
-        start = model.random_joints(rng or np.random.default_rng(0))
-    target = np.asarray(target, dtype=float)
-    return run_steps(_ccd_steps(model, target, start, config),
-                     budget or default_budget(SolverId.CCD), wrap_angle)
-
-
-def _ccd_steps(model, target, start, config):
+def ccd_steps(model: KinematicModel, target, config, budget, rng):
+    """Cyclic coordinate descent from a start drawn from `rng`: each cycle
+    turns one joint at a time by its ccd_joint_update, tip to base. The
+    trace records each cycle's fitness, which jitters, clipped to its
+    running minimum. Ends as non-converged after loop_guard cycles
+    without a new best."""
     # The pose is a list of floats with its turns (see pose_turns) and Horner
     # partials h (see horner_partials). Joint j's update needs the frame
     # after it, which takes the tool point h[j + 1] into the base frame.
-    # Tip to base, every joint's frame comes from one pass up the chain
-    # before the sweep (the joints before the one updated have not moved
-    # yet), and h is refreshed one joint at a time behind the sweep. Base
-    # to tip, every h[j + 1] comes from one Horner pass per cycle (the
-    # joints after the one updated have not moved yet), and the frame
-    # grows one joint at a time ahead of the sweep.
-    q = wrap_angle(np.asarray(start, dtype=float)).tolist()
+    # Every joint's frame comes from one pass up the chain before the sweep
+    # (the joints before the one updated have not moved yet), and h is
+    # refreshed one joint at a time behind the sweep.
+    q = wrap_angle(model.random_joints(rng)).tolist()
     turns = pose_turns(q)
     h = horner_partials(model, turns)
     target = target.tolist()
@@ -113,22 +95,13 @@ def _ccd_steps(model, target, start, config):
     tolerance = config.per_joint_tolerance
     stalled = 0
     while True:
-        if config.sweep_order == "tip_to_base":
-            passes, frame = [], BASE_FRAME
-            for j in range(7):
-                passes.append(frame_pass(model, turns[j:j + 1], j, frame))
-                frame = passes[j][2]
-            for j in range(6, -1, -1):
-                _ccd_move(q, turns, j, passes[j], h[j + 1], target, tolerance)
-                h = horner_partials(model, turns, h, j, j)
-        else:
-            frame = BASE_FRAME
-            for j in range(7):
-                step = frame_pass(model, turns[j:j + 1], j, frame)
-                if _ccd_move(q, turns, j, step, h[j + 1], target, tolerance):
-                    step = frame_pass(model, turns[j:j + 1], j, frame)
-                frame = step[2]
-            h = horner_partials(model, turns)
+        passes, frame = [], BASE_FRAME
+        for j in range(7):
+            passes.append(frame_pass(model, turns[j:j + 1], j, frame))
+            frame = passes[j][2]
+        for j in range(6, -1, -1):
+            _ccd_move(q, turns, j, passes[j], h[j + 1], target, tolerance)
+            h = horner_partials(model, turns, h, j, j)
         f = math.dist(h[0], target)
         if f < best_f - 1e-15:
             best_f, best_q = f, q[:]
@@ -143,14 +116,12 @@ def _ccd_steps(model, target, start, config):
 def _ccd_move(q, turns, joint, step, tail, target, tolerance):
     """Turn one joint of the pose (q, turns) by its ccd_joint_update, from
     `step`, the frame pass over that joint alone, and `tail`, the tool
-    point in the frame after it; returns whether the joint moved."""
+    point in the frame after it."""
     (axis,), (origin,), frame = step
     delta = _ccd_rotation(frame_point(frame, tail), axis, origin, target)
     if abs(delta) > tolerance:
         q[joint] = wrap_float(q[joint] + delta)
         turns[joint] = (math.cos(q[joint]), math.sin(q[joint]))
-        return True
-    return False
 
 
 def temperature_schedule(config: SaConfig):
@@ -178,24 +149,15 @@ def acceptance_probability(delta_e, temperature, literal=False):
         return 1.0
 
 
-def solve_sa(model: KinematicModel, target, config=None, budget=None,
-             rng=None):
+def sa_steps(model: KinematicModel, target, config, budget, rng):
     """Simulated annealing over the seven joint angles.
 
     Per temperature level, joints are swept one at a time with uniform
     proposals whose width shrinks with the temperature; the level ends
-    after max_stay_counter consecutive proposals without a new best.
-    Cooling is geometric. The best configuration ever seen is returned.
+    after max_stay_counter consecutive proposals without a new best, or
+    once the best is under the budget's tolerance. Cooling is geometric.
+    The best configuration ever seen is kept.
     """
-    config = config or SaConfig()
-    budget = budget or default_budget(SolverId.SA)
-    rng = rng or np.random.default_rng(0)
-    target = np.asarray(target, dtype=float)
-    return run_steps(_sa_steps(model, target, config, budget.tolerance, rng),
-                     budget, wrap_angle)
-
-
-def _sa_steps(model, target, config, tolerance, rng):
     # The pose is a list of floats with its turns (see pose_turns) and Horner
     # partials h (see horner_partials). A proposal for joint j re-turns
     # only that joint and re-applies joints j..0 from h[j + 1]; turns and h
@@ -234,6 +196,6 @@ def _sa_steps(model, target, config, tolerance, rng):
                     stay = 0
                 else:
                     stay += 1
-            if best_f < tolerance:
+            if best_f < budget.tolerance:
                 break
         yield best_q, best_f, best_f

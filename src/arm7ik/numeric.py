@@ -7,13 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SolverId, default_budget, population_best, run_steps
+from .core import population_best
 # perfbench/tracer.py wraps end_effector_position, fitness, joint_frames
 # and position_jacobian under this module's names, so all four stay
-# imported here; of them only Nelder-Mead's fitness is called.
+# imported here; of them only nm_steps's fitness is called.
 from .kinematics import (KinematicModel, end_effector_position, fitness,
                          joint_frames, point_and_jacobian, position_jacobian,
-                         tool_point, wrap_angle)
+                         tool_point)
 
 DIVERGENCE_GUARD = 5   # consecutive fitness increases before aborting
 STALL_STEP_NORM = 1e-8  # joint-space step below which Newton has stalled
@@ -101,17 +101,11 @@ def pseudo_inverse_step3(rows, e):
             (ux * hy - uy * hx) / uu]
 
 
-def solve_newton_raphson(model: KinematicModel, target, config=None,
-                         budget=None, rng=None, *, start=None):
-    """Iterate q <- q - step * J+ (p(q) - target) from `start` (by default
-    drawn from `rng`) until the tolerance or the budget is hit. Divergence
-    (five consecutive fitness increases) is reported as a non-converged
-    result."""
-    if start is None:
-        start = model.random_joints(rng or np.random.default_rng(0))
-    return run_steps(newton_steps(model, target, start,
-                                  config or NewtonConfig()),
-                     budget or default_budget(SolverId.NR), wrap_angle)
+def nr_steps(model: KinematicModel, target, config, budget, rng):
+    """Newton-Raphson from a start drawn from `rng`: newton_steps on all
+    seven joints. Divergence (five consecutive fitness increases) ends
+    the solve as non-converged."""
+    yield from newton_steps(model, target, model.random_joints(rng), config)
 
 
 def newton_steps(model, target, start, config, joints=7):
@@ -159,49 +153,43 @@ def newton_steps(model, target, start, config, joints=7):
             return  # pinned at a constrained optimum; no progress possible
 
 
-def nelder_mead_minimize(obj, x0, config=None, budget=None,
-                         restart_sampler=None):
-    """Reflect/expand/contract/shrink simplex minimisation of an
-    arbitrary objective over R^n. Returns (best_x, best_value, iterations).
-
-    A degenerate simplex triggers a restart from restart_sampler() when
-    one is supplied (otherwise the search just stops); restarts count
-    against the budget.
-    """
-    result = run_steps(
-        _nelder_mead_steps(obj, x0, config or NelderMeadConfig(),
-                           restart_sampler),
-        budget or default_budget(SolverId.NM), lambda x: x)
-    return result.joints, result.final_fitness, result.iterations_used
-
-
-def _nelder_mead_steps(obj, x0, config, restart_sampler):
-    x0 = np.asarray(x0, dtype=float)
-    dims = x0.size
+def nm_steps(model: KinematicModel, target, config, budget, rng):
+    """Downhill simplex (reflect, expand, contract, shrink) over the seven
+    joint angles from a start drawn from `rng`, minimising the distance
+    to the target. A collapsed simplex restarts around a point drawn from
+    `rng`; restarts count against the budget, and the best point of the
+    simplices before a restart is kept until a later one beats it."""
+    def obj(q):  # looks fitness up per call, so a wrapper put on it sees nm
+        return fitness(model, q, target)
 
     def build_simplex(center):
         pts = [np.asarray(center, dtype=float).copy()]
-        for j in range(dims):
+        for j in range(7):
             v = pts[0].copy()
             v[j] += config.initial_simplex_scale
             pts.append(v)
         return np.array(pts)
 
-    simplex = build_simplex(x0)
+    def step():  # the simplex's best, unless the one kept is better
+        current = population_best(simplex, values)
+        return kept if kept[1] < current[1] else current
+
+    kept = (None, math.inf, math.inf)  # the best before the last restart
+    simplex = build_simplex(model.random_joints(rng))
     values = np.array([obj(v) for v in simplex])
-    yield population_best(simplex, values)
+    best = step()
+    yield best
 
     while True:
         order = np.argsort(values)
         simplex, values = simplex[order], values[order]
 
-        # Restart on simplex collapse.
-        if np.ptp(simplex, axis=0).max() < 1e-15:
-            if restart_sampler is None:
-                return
-            simplex = build_simplex(restart_sampler())
+        if np.ptp(simplex, axis=0).max() < 1e-15:  # collapsed: restart
+            kept = best
+            simplex = build_simplex(model.random_joints(rng))
             values = np.array([obj(v) for v in simplex])
-            yield population_best(simplex, values)
+            best = step()
+            yield best
             continue
 
         centroid = simplex[:-1].mean(axis=0)
@@ -227,21 +215,5 @@ def _nelder_mead_steps(obj, x0, config, restart_sampler):
                 for k in range(1, len(simplex)):
                     simplex[k] = best_x + config.shrink * (simplex[k] - best_x)
                     values[k] = obj(simplex[k])
-        yield population_best(simplex, values)
-
-
-def solve_nelder_mead(model: KinematicModel, target, config=None,
-                      budget=None, rng=None, *, start=None):
-    """Downhill simplex over the seven joint angles from `start` (by
-    default drawn from `rng`), minimising the Euclidean distance to the
-    target position. A collapsed simplex restarts from a point drawn from
-    `rng`."""
-    config = config or NelderMeadConfig()
-    rng = rng or np.random.default_rng(0)
-    if start is None:
-        start = model.random_joints(rng)
-    target = np.asarray(target, dtype=float)
-    return run_steps(
-        _nelder_mead_steps(lambda q: fitness(model, q, target), start, config,
-                           lambda: model.random_joints(rng)),
-        budget or default_budget(SolverId.NM), wrap_angle)
+        best = step()
+        yield best

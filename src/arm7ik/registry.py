@@ -1,35 +1,35 @@
-"""Uniform dispatch table over the ten solvers: config classes and a
-common call signature for the benchmark and CLI."""
+"""The one solve entry over the ten solvers: a table of config classes and
+step generators, the config and budget builders, and run_solver."""
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 
-from .core import SolverId
-from .dtnr import DtnrConfig, solve_dtnr
-from .evolution import DeConfig, GaConfig, solve_de, solve_ga
-from .heuristics import CcdConfig, SaConfig, solve_ccd, solve_sa
-from .numeric import (NelderMeadConfig, NewtonConfig, solve_nelder_mead,
-                      solve_newton_raphson)
-from .swarm import (AfsaConfig, PsoConfig, QpsoConfig, solve_afsa, solve_pso,
-                    solve_qpso)
+from .core import SolverId, default_budget, run_steps
+from .dtnr import DtnrConfig, dtnr_steps, wrap_refined
+from .evolution import DeConfig, GaConfig, de_steps, ga_steps
+from .heuristics import CcdConfig, SaConfig, ccd_steps, sa_steps
+from .kinematics import wrap_angle
+from .numeric import NelderMeadConfig, NewtonConfig, nm_steps, nr_steps
+from .swarm import (AfsaConfig, PsoConfig, QpsoConfig, afsa_steps, pso_steps,
+                    qpso_steps)
 
-# Solver id -> (config class, solve function). Every solve function but
-# dtnr's is called as solve(model, target, config, budget, rng) and draws
-# its own start from rng; dtnr's as solve(tree, model, target, config,
-# budget).
+# Solver id -> (config class, step generator). Every generator but dtnr's
+# is called as steps(model, target, config, budget, rng) and draws its own
+# start from rng; dtnr's as steps(tree, model, target, config).
 SOLVERS = {
-    SolverId.DTNR: (DtnrConfig, solve_dtnr),
-    SolverId.NR: (NewtonConfig, solve_newton_raphson),
-    SolverId.NM: (NelderMeadConfig, solve_nelder_mead),
-    SolverId.SA: (SaConfig, solve_sa),
-    SolverId.PSO: (PsoConfig, solve_pso),
-    SolverId.QPSO: (QpsoConfig, solve_qpso),
-    SolverId.CCD: (CcdConfig, solve_ccd),
-    SolverId.AFSA: (AfsaConfig, solve_afsa),
-    SolverId.GA: (GaConfig, solve_ga),
-    SolverId.DE: (DeConfig, solve_de),
+    SolverId.DTNR: (DtnrConfig, dtnr_steps),
+    SolverId.NR: (NewtonConfig, nr_steps),
+    SolverId.NM: (NelderMeadConfig, nm_steps),
+    SolverId.SA: (SaConfig, sa_steps),
+    SolverId.PSO: (PsoConfig, pso_steps),
+    SolverId.QPSO: (QpsoConfig, qpso_steps),
+    SolverId.CCD: (CcdConfig, ccd_steps),
+    SolverId.AFSA: (AfsaConfig, afsa_steps),
+    SolverId.GA: (GaConfig, ga_steps),
+    SolverId.DE: (DeConfig, de_steps),
 }
 
 
@@ -48,19 +48,39 @@ def make_config(solver_id, overrides=None):
     return config_cls(**overrides)
 
 
+def make_budget(solver_id, overrides=None):
+    """The solver's default budget with keyword overrides on top. An
+    unknown key is a ValueError."""
+    solver_id = SolverId(solver_id)
+    overrides = dict(overrides or {})
+    try:
+        return dataclasses.replace(default_budget(solver_id), **overrides)
+    except TypeError as exc:
+        raise ValueError(
+            f"bad {solver_id.value} budget {overrides}: {exc}") from exc
+
+
 def run_solver(solver_id, model, target, rng, config=None, budget=None,
                tree=None):
-    """One solve with a uniform signature: every solver but dtnr draws its
-    start point from `rng`; dtnr requires a trained tree. The target must
-    be three finite numbers."""
+    """One solve. The target must be three finite numbers; a missing
+    config or budget is the solver's default. Every solver but dtnr draws
+    its start from `rng` and comes back with all joints wrapped; dtnr
+    starts from the trained `tree`'s guess and wraps only the joints it
+    refines."""
     solver_id = SolverId(solver_id)
     target = np.asarray(target, dtype=float)
     if target.shape != (3,) or not np.all(np.isfinite(target)):
         raise ValueError(
             f"target must be three finite numbers, got {target.tolist()}")
-    solve = SOLVERS[solver_id][1]
+    config_cls, make_steps = SOLVERS[solver_id]
+    config = config or config_cls()
+    budget = budget or default_budget(solver_id)
     if solver_id is SolverId.DTNR:
         if tree is None:
             raise ValueError("DTNR requires a trained regression tree")
-        return solve(tree, model, target, config, budget)
-    return solve(model, target, config, budget, rng)
+        steps = make_steps(tree, model, target, config)
+        finish = partial(wrap_refined, config=config)
+    else:
+        steps = make_steps(model, target, config, budget, rng)
+        finish = wrap_angle
+    return run_steps(steps, budget, finish)

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SolverId, default_budget, run_steps
-from .kinematics import KinematicModel, batch_fitness, fitness, wrap_angle
+from .kinematics import KinematicModel, batch_fitness, fitness
 
 
 @dataclass(frozen=True)
@@ -60,18 +59,9 @@ def pso_velocity_update(v, x, pbest, gbest, w, c1, c2, r1, r2):
     return w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
 
 
-def solve_pso(model: KinematicModel, target, config=None, budget=None,
-              rng=None):
+def pso_steps(model: KinematicModel, target, config, budget, rng):
     """Canonical gbest PSO with per-dimension random coefficients;
     positions are wrapped back into the joint limits every step."""
-    config = config or PsoConfig()
-    rng = rng or np.random.default_rng(0)
-    target = np.asarray(target, dtype=float)
-    return run_steps(_pso_steps(model, target, config, rng),
-                     budget or default_budget(SolverId.PSO), wrap_angle)
-
-
-def _pso_steps(model, target, config, rng):
     n = config.num_particles
     span = model.upper - model.lower
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
@@ -107,20 +97,10 @@ def qpso_attractor(pbest, gbest, rng):
     return phi * pbest + (1.0 - phi) * gbest
 
 
-def solve_qpso(model: KinematicModel, target, config=None, budget=None,
-               rng=None):
+def qpso_steps(model: KinematicModel, target, config, budget, rng):
     """Quantum-behaved PSO: no velocity state; each particle is resampled
     around an attractor with spread beta*|mbest - x|*ln(1/u), beta
     annealed linearly from beta_start to beta_end."""
-    config = config or QpsoConfig()
-    budget = budget or default_budget(SolverId.QPSO)
-    rng = rng or np.random.default_rng(0)
-    target = np.asarray(target, dtype=float)
-    return run_steps(_qpso_steps(model, target, config, budget.max_iterations,
-                                 rng), budget, wrap_angle)
-
-
-def _qpso_steps(model, target, config, max_iter, rng):
     n = config.num_particles
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
     values = batch_fitness(model, x, target)
@@ -130,6 +110,7 @@ def _qpso_steps(model, target, config, max_iter, rng):
     gbest, gbest_value = x[g].copy(), float(values[g])
     yield gbest, gbest_value, gbest_value
 
+    max_iter = budget.max_iterations
     for it in range(max_iter):
         frac = it / max(1, max_iter - 1)
         beta = config.beta_start + frac * (config.beta_end - config.beta_start)
@@ -159,8 +140,7 @@ def afsa_prey_step(rng, visual_range):
     return direction / norm * visual_range * rng.random() ** 3
 
 
-def solve_afsa(model: KinematicModel, target, config=None, budget=None,
-               rng=None):
+def afsa_steps(model: KinematicModel, target, config, budget, rng):
     """Artificial fish swarm with prey, swarm and follow behaviours.
 
     With the tuned population of 1, swarming and following have no
@@ -168,14 +148,6 @@ def solve_afsa(model: KinematicModel, target, config=None, budget=None,
     random-step hill climbing with an occasional exploratory move gated
     by exploration_q.
     """
-    config = config or AfsaConfig()
-    rng = rng or np.random.default_rng(0)
-    target = np.asarray(target, dtype=float)
-    return run_steps(_afsa_steps(model, target, config, rng),
-                     budget or default_budget(SolverId.AFSA), wrap_angle)
-
-
-def _afsa_steps(model, target, config, rng):
     n = config.population_size
     fish = rng.uniform(model.lower, model.upper, size=(n, 7))
     values = batch_fitness(model, fish, target)

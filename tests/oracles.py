@@ -263,18 +263,18 @@ def reference_tree(positions, joints, max_depth=84, min_leaf=1):
 
 
 def reference_ccd_steps(model, target, start, config):
-    """cyclic coordinate descent as a step generator (see core.run_steps),
-    with a full frame pass and Horner tail per joint update (through
-    joint_axes) and a full fitness per cycle, on numpy joint vectors."""
+    """cyclic coordinate descent, tip to base, as a step generator (see
+    core.run_steps), with a full frame pass and Horner tail per joint
+    update (through joint_axes) and a full fitness per cycle, on numpy
+    joint vectors."""
     q = wrap_angle(np.asarray(start, dtype=float))
     best_q = q.copy()
     best_f = fitness(model, q, target)
     yield best_q, best_f, best_f
 
-    order = range(6, -1, -1) if config.sweep_order == "tip_to_base" else range(7)
     stalled = 0
     while True:
-        for j in order:
+        for j in range(6, -1, -1):
             delta = _reference_ccd_update(model, q, j, target)
             if abs(delta) > config.per_joint_tolerance:
                 q[j] = wrap_angle(q[j] + delta)

@@ -28,7 +28,7 @@ from arm7ik import (Budget, KinematicModel, SolverId,
                     batch_end_effector_positions, default_budget,
                     end_effector_position, finite_difference_jacobian,
                     forward_kinematics, position_jacobian,
-                    sample_workspace_batch, solve_dtnr)
+                    sample_workspace_batch)
 from arm7ik.bench import export_report, run_benchmark
 from arm7ik.config import BenchmarkSpec
 from arm7ik.heuristics import acceptance_probability
@@ -71,8 +71,7 @@ def ik_results(arm, fk_targets):
         for t_idx, target in enumerate(fk_targets):
             rng = np.random.default_rng(
                 np.random.SeedSequence((algo_idx, t_idx)))
-            results.append(run_solver(algo, arm, target, rng,
-                                      budget=default_budget(algo)))
+            results.append(run_solver(algo, arm, target, rng))
         out[algo] = results
     return out
 
@@ -94,7 +93,8 @@ def desk(arm):
 
 @pytest.fixture(scope="module")
 def dtnr_results(arm, fk_targets, desk):
-    return [solve_dtnr(desk["tree"], arm, t) for t in fk_targets]
+    return [run_solver("dtnr", arm, t, None, tree=desk["tree"])
+            for t in fk_targets]
 
 
 def test_criterion_1_fk_and_jacobian(arm):
@@ -207,8 +207,8 @@ def test_criterion_5_property_suites(arm, ik_results, dtnr_results, desk):
         b = run_solver(algo, arm, target, np.random.default_rng(13),
                        budget=small)
         assert a.same_outcome(b), algo
-    a = solve_dtnr(desk["tree"], arm, target)
-    b = solve_dtnr(desk["tree"], arm, target)
+    a = run_solver("dtnr", arm, target, None, tree=desk["tree"])
+    b = run_solver("dtnr", arm, target, None, tree=desk["tree"])
     assert a.same_outcome(b)
     _report(5, "monotone traces (10 solvers), ball-uniform radial CDF at "
                "1e6 samples, Metropolis 0.5 frequency, bit-identical "
@@ -290,7 +290,7 @@ def test_criterion_7_degenerate_contracts(arm):
                             np.random.default_rng(21), budget=budget)
         assert not result.converged, algo
         assert np.all(np.isfinite(result.joints)), algo
-    result = solve_dtnr(tiny_tree, arm, unreachable)
+    result = run_solver("dtnr", arm, unreachable, None, tree=tiny_tree)
     assert not result.converged
 
     # Population-1 fish swarm runs to completion on a reachable target.

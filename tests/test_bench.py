@@ -6,12 +6,13 @@ import pytest
 
 import arm7ik.bench
 from arm7ik import (BenchmarkSpec, Budget, KinematicModel, SolverId,
-                    make_config, default_budget)
+                    default_budget, make_budget, make_config)
 from arm7ik.bench import (REPORT_COLUMNS, SweepResult, aggregate_records,
                           batch_hash, export_report, generate_target_batch,
                           load_runs_jsonl, read_report_csv, reaggregate_runs,
                           run_benchmark, sweep_parameter, write_report_csv)
-from arm7ik.core import DEFAULT_ITERATIONS
+from arm7ik.core import DEFAULT_ITERATIONS, run_steps
+from arm7ik.kinematics import wrap_angle
 from arm7ik.ml import fit_tree, generate_dataset
 from arm7ik.registry import SOLVERS, run_solver
 
@@ -45,16 +46,30 @@ class TestRegistry:
     @pytest.mark.parametrize("solver_id", [s.value for s in SolverId
                                            if s is not SolverId.DTNR])
     def test_run_solver_is_a_direct_call(self, model, solver_id):
-        # The start point, if the solver takes one, is its first draw from
-        # rng, so a direct call with the same rng solves the same way.
-        config_cls, solve = SOLVERS[SolverId(solver_id)]
+        # run_solver adds only its defaults and the wrap to a solve: the
+        # table's step generator, driven by run_steps with the same rng,
+        # solves the same way.
+        config_cls, steps = SOLVERS[SolverId(solver_id)]
         target = np.array([0.5, 0.5, 1.0])
         budget = Budget(max_iterations=8)
-        direct = solve(model, target, config_cls(), budget,
-                       np.random.default_rng(11))
+        direct = run_steps(steps(model, target, config_cls(), budget,
+                                 np.random.default_rng(11)),
+                           budget, wrap_angle)
         table = run_solver(solver_id, model, target,
                            np.random.default_rng(11), budget=budget)
         assert direct.same_outcome(table)
+
+    @pytest.mark.parametrize("solver_id", [s.value for s in SolverId])
+    def test_defaults_are_make_config_and_make_budget(self, model, small_tree,
+                                                      solver_id):
+        target = np.array([0.5, 0.5, 1.0])
+        implicit = run_solver(solver_id, model, target,
+                              np.random.default_rng(11), tree=small_tree)
+        explicit = run_solver(solver_id, model, target,
+                              np.random.default_rng(11),
+                              make_config(solver_id), make_budget(solver_id),
+                              tree=small_tree)
+        assert implicit.same_outcome(explicit)
 
     def test_make_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -74,6 +89,13 @@ class TestRegistry:
         for sid in SolverId:
             assert default_budget(sid).max_iterations == \
                 DEFAULT_ITERATIONS[sid]
+
+    def test_make_budget_applies_overrides_to_the_default(self):
+        budget = make_budget("ccd", {"tolerance": 1e-6})
+        assert budget == Budget(max_iterations=default_budget("ccd")
+                                .max_iterations, tolerance=1e-6)
+        with pytest.raises(ValueError):
+            make_budget("ccd", {"max_cycles": 5})
 
     def test_iteration_caps_are_not_config_keys(self):
         for sid, key in (("pso", "max_iterations"), ("ga", "generations"),
@@ -108,6 +130,14 @@ class TestBudget:
                             np.random.default_rng(0), budget=budget,
                             tree=small_tree)
         assert result.iterations_used <= 1
+
+    @pytest.mark.parametrize("over", [
+        {"tolerance": float("nan")}, {"tolerance": float("inf")},
+        {"wall_clock_limit": -1.0}, {"wall_clock_limit": float("nan")},
+        {"max_iterations": float("inf")}])
+    def test_bad_stop_conditions_in_spec_budgets_rejected(self, model, over):
+        with pytest.raises(ValueError):
+            run_benchmark(model, tiny_spec(budgets={"ccd": over}))
 
 
 class TestTargetBatch:

@@ -117,6 +117,14 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert "max_iterations" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "0"])
+    def test_bad_tolerance_is_a_config_error(self, capsys, tolerance):
+        code, _, err = run_cli(capsys, "solve", "--algo", "nr",
+                               "--target", "0.5,0.5,1.5",
+                               f"--tolerance={tolerance}")
+        assert code == EXIT_CONFIG
+        assert "tolerance" in err
+
     def test_non_finite_target_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--algo", "nr",
                                "--target", "nan,0,1")
@@ -136,6 +144,7 @@ class TestSolve:
         ("qpso", "num_particles=1"),
         ("afsa", "population_size=0"),
         ("sa", "max_stay_counter=0"),
+        ("ccd", "sweep_order=base_to_tip"),
     ])
     def test_removed_or_out_of_range_option_is_a_config_error(
             self, capsys, algo, opt):

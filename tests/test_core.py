@@ -26,6 +26,15 @@ class TestBudget:
             Budget(max_iterations=0)
         with pytest.raises(ValueError):
             Budget(tolerance=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Budget(tolerance=bad)
+        for bad in (math.inf, math.nan, 2.5):
+            with pytest.raises(ValueError):
+                Budget(max_iterations=bad)
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Budget(wall_clock_limit=bad)
 
 
 class TestSolverId:

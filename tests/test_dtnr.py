@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arm7ik import (Budget, DtnrConfig, NewtonConfig, default_budget,
-                    solve_dtnr, solve_newton_raphson)
+                    run_solver)
 from arm7ik.ml import fit_tree, generate_dataset
 
 
@@ -35,7 +35,7 @@ class TestDtnrSolver:
         for _ in range(20):
             from arm7ik import sample_workspace
             target = sample_workspace(model.workspace, rng)
-            result = solve_dtnr(tree, model, target)
+            result = run_solver("dtnr", model, target, None, tree=tree)
             seed = tree.predict(target)
             assert np.array_equal(result.joints[3:], seed[3:])
 
@@ -45,12 +45,13 @@ class TestDtnrSolver:
         model, ds, tree = trained
         hits = 0
         for target in ds.positions[:50]:
-            result = solve_dtnr(tree, model, target)
+            result = run_solver("dtnr", model, target, None, tree=tree)
             if result.final_fitness < 1e-6:
                 hits += 1
         assert hits >= 45
 
-    def test_full_refinement_matches_tree_seeded_newton(self, trained, rng):
+    def test_full_refinement_matches_tree_seeded_newton(self, trained, rng,
+                                                        start_at):
         # dtnr on all seven joints runs nr's own loop from the tree seed;
         # the damped case takes the pseudo-inverse's other branch.
         model, _, tree = trained
@@ -58,27 +59,27 @@ class TestDtnrSolver:
         for newton in (NewtonConfig(), NewtonConfig(damping=0.05)):
             for _ in range(10):
                 target = sample_workspace(model.workspace, rng)
-                full = solve_dtnr(tree, model, target,
+                full = run_solver("dtnr", model, target, None,
                                   DtnrConfig(refine_joint_count=7,
-                                             newton=newton))
-                plain = solve_newton_raphson(model, target, newton,
-                                             Budget(max_iterations=15),
-                                             start=tree.predict(target))
+                                             newton=newton), tree=tree)
+                plain = run_solver("nr", model, target,
+                                   start_at(tree.predict(target)), newton,
+                                   Budget(max_iterations=15))
                 assert full.same_outcome(plain)
 
     def test_deterministic(self, trained, rng):
         model, _, tree = trained
         from arm7ik import sample_workspace
         target = sample_workspace(model.workspace, rng)
-        a = solve_dtnr(tree, model, target)
-        b = solve_dtnr(tree, model, target)
+        a = run_solver("dtnr", model, target, None, tree=tree)
+        b = run_solver("dtnr", model, target, None, tree=tree)
         assert a.same_outcome(b)
 
     def test_trace_is_monotone_and_starts_with_the_seed(self, trained, rng):
         model, _, tree = trained
         from arm7ik import sample_workspace
         target = sample_workspace(model.workspace, rng)
-        result = solve_dtnr(tree, model, target)
+        result = run_solver("dtnr", model, target, None, tree=tree)
         fits = result.trace.fitness_values()
         assert result.trace.samples[0][0] == 0
         assert all(a >= b for a, b in zip(fits, fits[1:]))
@@ -87,6 +88,6 @@ class TestDtnrSolver:
         model, _, tree = trained
         sphere = model.workspace
         target = np.array([0.0, 0.0, sphere.h + sphere.r + 1.0])
-        result = solve_dtnr(tree, model, target)
+        result = run_solver("dtnr", model, target, None, tree=tree)
         assert not result.converged
         assert result.final_fitness >= 1.0 - 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arm7ik import (Budget, DeConfig, GaConfig, KinematicModel,
-                    end_effector_position, ga_offspring, solve_de, solve_ga)
+                    end_effector_position, ga_offspring, run_solver)
 from arm7ik.evolution import de_donors, de_trials, tournament_winners
 
 
@@ -99,32 +99,32 @@ class TestGaSolver:
     def test_round_trip_target(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_ga(model, target, rng=np.random.default_rng(1))
+        result = run_solver("ga", model, target, np.random.default_rng(1))
         assert result.final_fitness < 1.0
 
     def test_best_fitness_never_regresses(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_ga(model, target, budget=Budget(max_iterations=40),
-                          rng=np.random.default_rng(2))
+        result = run_solver("ga", model, target, np.random.default_rng(2),
+                            budget=Budget(max_iterations=40))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_ga(model, target, budget=Budget(max_iterations=20),
-                     rng=np.random.default_rng(3))
-        b = solve_ga(model, target, budget=Budget(max_iterations=20),
-                     rng=np.random.default_rng(3))
+        a = run_solver("ga", model, target, np.random.default_rng(3),
+                       budget=Budget(max_iterations=20))
+        b = run_solver("ga", model, target, np.random.default_rng(3),
+                       budget=Budget(max_iterations=20))
         assert a.same_outcome(b)
 
     def test_result_within_joint_limits(self, rng):
         from arm7ik import KinematicModel
         model = KinematicModel(joint_limits=[(-1.5, 1.5)] * 7)
         target = end_effector_position(model, np.full(7, 0.4))
-        result = solve_ga(model, target, budget=Budget(max_iterations=15),
-                          rng=np.random.default_rng(4))
+        result = run_solver("ga", model, target, np.random.default_rng(4),
+                            budget=Budget(max_iterations=15))
         assert np.all(result.joints >= model.lower - 1e-12)
         assert np.all(result.joints <= model.upper + 1e-12)
 
@@ -139,7 +139,7 @@ class TestDeSolver:
     def test_round_trip_target(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_de(model, target, rng=np.random.default_rng(1))
+        result = run_solver("de", model, target, np.random.default_rng(1))
         assert result.final_fitness < 1.0
 
     def test_zero_weight_zero_noise_cannot_improve(self, model, rng):
@@ -150,33 +150,33 @@ class TestDeSolver:
                                        rng.uniform(-math.pi, math.pi, 7))
         config = DeConfig(differential_weight=0.0, mutation_probability=0.0,
                           crossover_rate=1.0)
-        result = solve_de(model, target, config, Budget(max_iterations=25),
-                          rng=np.random.default_rng(2))
+        result = run_solver("de", model, target, np.random.default_rng(2),
+                            config, Budget(max_iterations=25))
         fits = result.trace.fitness_values()
         assert all(f == fits[0] for f in fits)
 
     def test_best_fitness_never_regresses(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_de(model, target, budget=Budget(max_iterations=40),
-                          rng=np.random.default_rng(3))
+        result = run_solver("de", model, target, np.random.default_rng(3),
+                            budget=Budget(max_iterations=40))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_de(model, target, budget=Budget(max_iterations=20),
-                     rng=np.random.default_rng(5))
-        b = solve_de(model, target, budget=Budget(max_iterations=20),
-                     rng=np.random.default_rng(5))
+        a = run_solver("de", model, target, np.random.default_rng(5),
+                       budget=Budget(max_iterations=20))
+        b = run_solver("de", model, target, np.random.default_rng(5),
+                       budget=Budget(max_iterations=20))
         assert a.same_outcome(b)
 
     def test_result_within_joint_limits(self):
         model = KinematicModel(joint_limits=[(-0.5, 1.0)] * 7)
         target = end_effector_position(model, np.full(7, 0.4))
-        result = solve_de(model, target, budget=Budget(max_iterations=15),
-                          rng=np.random.default_rng(4))
+        result = run_solver("de", model, target, np.random.default_rng(4),
+                            budget=Budget(max_iterations=15))
         assert np.all(result.joints >= model.lower)
         assert np.all(result.joints <= model.upper)
 
@@ -190,14 +190,14 @@ class TestDeSolver:
     def test_tiny_population_rejected(self, model, rng):
         target = np.array([0.5, 0.5, 1.0])
         with pytest.raises(ValueError):
-            solve_de(model, target, DeConfig(population_size=3),
-                     rng=np.random.default_rng(6))
+            run_solver("de", model, target, np.random.default_rng(6),
+                       DeConfig(population_size=3))
 
     def test_budget_caps_generations(self, model, rng):
         sphere = model.workspace
         target = np.array([0.0, 0.0, sphere.h + sphere.r + 1.0])
-        result = solve_de(model, target, budget=Budget(max_iterations=7),
-                          rng=np.random.default_rng(7))
+        result = run_solver("de", model, target, np.random.default_rng(7),
+                            budget=Budget(max_iterations=7))
         assert result.iterations_used <= 7
 
 

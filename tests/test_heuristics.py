@@ -5,8 +5,8 @@ import pytest
 
 from arm7ik import (Budget, CcdConfig, KinematicModel, SaConfig,
                     acceptance_probability, ccd_joint_update,
-                    end_effector_position, solve_ccd,
-                    solve_sa, temperature_schedule, wrap_angle)
+                    end_effector_position, make_config, run_solver,
+                    temperature_schedule, wrap_angle)
 from arm7ik.core import run_steps
 import oracles
 
@@ -30,10 +30,11 @@ def _targets(arm, rng, count):
 
 
 class TestCcd:
-    def test_target_at_end_effector_needs_no_cycles(self, model, rng):
+    def test_target_at_end_effector_needs_no_cycles(self, model, rng,
+                                                   start_at):
         q = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q)
-        result = solve_ccd(model, target, start=q)
+        result = run_solver("ccd", model, target, start_at(q))
         assert result.converged
         assert result.iterations_used == 0
 
@@ -65,30 +66,24 @@ class TestCcd:
     def test_trace_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_ccd(model, target, start=model.random_joints(rng))
+        result = run_solver("ccd", model, target, rng)
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
-    def test_loop_guard_stops_oscillation(self, model):
+    def test_loop_guard_stops_oscillation(self, model, start_at):
         # A straight-up target from the stretched pose makes every joint
         # update degenerate; the run must terminate well under the cap.
         target = np.array([0.0, 0.0, 4.5])
-        result = solve_ccd(model, target, CcdConfig(loop_guard=10),
-                           Budget(max_iterations=300), start=np.zeros(7))
+        result = run_solver("ccd", model, target, start_at(np.zeros(7)),
+                            CcdConfig(loop_guard=10),
+                            Budget(max_iterations=300))
         assert not result.converged
         assert result.iterations_used < 300
 
-    def test_base_to_tip_order_also_works(self, model, rng):
-        target = end_effector_position(model,
-                                       rng.uniform(-math.pi, math.pi, 7))
-        result = solve_ccd(model, target,
-                           CcdConfig(sweep_order="base_to_tip"),
-                           start=model.random_joints(rng))
-        assert np.all(np.isfinite(result.joints))
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CcdConfig(sweep_order="middle_out")
+        # ccd sweeps tip to base only; the sweep order is not a key.
+        with pytest.raises(ValueError, match="sweep_order"):
+            make_config("ccd", {"sweep_order": "base_to_tip"})
 
 
 class TestSaSchedule:
@@ -139,29 +134,29 @@ class TestSaSolver:
     def test_round_trip_target(self, model, rng):
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
-        result = solve_sa(model, target, rng=np.random.default_rng(4))
+        result = run_solver("sa", model, target, np.random.default_rng(4))
         assert result.final_fitness < 1.0
 
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_sa(model, target, rng=np.random.default_rng(5))
-        b = solve_sa(model, target, rng=np.random.default_rng(5))
+        a = run_solver("sa", model, target, np.random.default_rng(5))
+        b = run_solver("sa", model, target, np.random.default_rng(5))
         assert a.same_outcome(b)
 
     def test_budget_caps_temperature_levels(self, model, rng):
         sphere = model.workspace
         target = np.array([0.0, 0.0, sphere.h + sphere.r + 1.0])
-        result = solve_sa(model, target, budget=Budget(max_iterations=5),
-                          rng=np.random.default_rng(6))
+        result = run_solver("sa", model, target, np.random.default_rng(6),
+                            budget=Budget(max_iterations=5))
         assert result.iterations_used <= 5
         assert not result.converged
 
     def test_trace_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_sa(model, target, rng=np.random.default_rng(7),
-                          budget=Budget(max_iterations=40))
+        result = run_solver("sa", model, target, np.random.default_rng(7),
+                            budget=Budget(max_iterations=40))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
@@ -172,16 +167,16 @@ class TestAgainstReference:
     tests/oracles.py, which evaluate every move with a full FK."""
 
     @pytest.mark.parametrize("arm_name", sorted(ARMS))
-    @pytest.mark.parametrize("sweep_order", ["tip_to_base", "base_to_tip"])
-    def test_ccd_matches_reference(self, arm_name, sweep_order):
+    def test_ccd_matches_reference(self, arm_name, start_at):
         arm = ARMS[arm_name]
-        config = CcdConfig(sweep_order=sweep_order)
+        config = CcdConfig()
         budget = Budget(max_iterations=300)
         rng = np.random.default_rng(17)
         for target in _targets(arm, rng, 5):
             for _ in range(2):
                 start = arm.random_joints(rng)
-                got = solve_ccd(arm, target, config, budget, start=start)
+                got = run_solver("ccd", arm, target, start_at(start), config,
+                                 budget)
                 want = run_steps(oracles.reference_ccd_steps(
                     arm, target, start, config), budget, wrap_angle)
                 assert got.same_outcome(want)
@@ -194,8 +189,8 @@ class TestAgainstReference:
         budget = Budget(max_iterations=25)
         rng = np.random.default_rng(23)
         for i, target in enumerate(_targets(arm, rng, 3)):
-            got = solve_sa(arm, target, config, budget,
-                           np.random.default_rng((i, 1)))
+            got = run_solver("sa", arm, target, np.random.default_rng((i, 1)),
+                             config, budget)
             want = run_steps(oracles.reference_sa_steps(
                 arm, target, config, budget.tolerance,
                 np.random.default_rng((i, 1))), budget, wrap_angle)

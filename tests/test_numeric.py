@@ -5,10 +5,17 @@ import pytest
 
 from arm7ik import (Budget, KinematicModel, NelderMeadConfig, NewtonConfig,
                     batch_end_effector_positions, end_effector_position,
-                    fitness, nelder_mead_minimize, point_and_jacobian,
-                    pseudo_inverse, solve_nelder_mead, solve_newton_raphson,
-                    tool_point)
-from arm7ik.numeric import pseudo_inverse_step3
+                    fitness, make_budget, point_and_jacobian, pseudo_inverse,
+                    run_solver, tool_point, wrap_angle)
+from arm7ik.core import run_steps
+from arm7ik.numeric import newton_steps, pseudo_inverse_step3
+
+
+def newton_from(model, target, start, config=NewtonConfig(),
+                budget=make_budget("nr")):
+    """An nr solve from a given start."""
+    return run_steps(newton_steps(model, target, start, config), budget,
+                     wrap_angle)
 
 
 class TestPseudoInverse:
@@ -80,7 +87,7 @@ class TestNewtonRaphson:
             q_star = rng.uniform(-math.pi, math.pi, size=7)
             target = end_effector_position(model, q_star)
             seed = q_star + rng.normal(0.0, 0.05, size=7)
-            result = solve_newton_raphson(model, target, start=seed)
+            result = newton_from(model, target, seed)
             assert result.converged
             assert result.final_fitness < 1e-6
             assert result.iterations_used <= 30
@@ -91,15 +98,13 @@ class TestNewtonRaphson:
         targets = batch_end_effector_positions(
             model, rng.uniform(model.lower, model.upper, size=(20, 7)))
         for target in targets:
-            result = solve_newton_raphson(model, target,
-                                          start=model.random_joints(rng))
+            result = run_solver("nr", model, target, rng)
             assert result.final_fitness < 1e-6
 
     def test_unreachable_target_reports_failure(self, model, rng):
         sphere = model.workspace
         target = np.array([0.0, 0.0, sphere.h + sphere.r + 2.0])
-        result = solve_newton_raphson(model, target,
-                                      start=model.random_joints(rng))
+        result = run_solver("nr", model, target, rng)
         assert not result.converged
         # Best possible fitness is the gap to the workspace surface.
         assert result.final_fitness >= 2.0 - 1e-6
@@ -110,15 +115,14 @@ class TestNewtonRaphson:
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
         seed = q_star + 0.02
-        one = solve_newton_raphson(model, target,
-                                   budget=Budget(max_iterations=1), start=seed)
+        one = newton_from(model, target, seed,
+                          budget=Budget(max_iterations=1))
         assert one.final_fitness <= fitness(model, seed, target)
 
     def test_trace_is_monotone_and_nonempty(self, model, rng):
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
-        result = solve_newton_raphson(model, target,
-                                      start=model.random_joints(rng))
+        result = run_solver("nr", model, target, rng)
         fits = result.trace.fitness_values()
         assert len(fits) >= 1
         assert all(a >= b for a, b in zip(fits, fits[1:]))
@@ -127,50 +131,24 @@ class TestNewtonRaphson:
         # All-zero joints leave the arm stretched along z: a singular
         # Jacobian for radial targets. Damping must keep the step finite.
         target = np.array([0.5, 0.5, 1.5])
-        result = solve_newton_raphson(model, target,
-                                      NewtonConfig(damping=0.05),
-                                      start=np.zeros(7))
+        result = newton_from(model, target, np.zeros(7),
+                             NewtonConfig(damping=0.05))
         assert np.all(np.isfinite(result.joints))
 
     def test_joints_come_back_wrapped(self, model, rng):
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
-        result = solve_newton_raphson(model, target,
-                                      start=rng.uniform(-3, 3, 7))
+        result = newton_from(model, target, rng.uniform(-3, 3, 7))
         assert np.all(result.joints > -math.pi)
         assert np.all(result.joints <= math.pi)
 
 
-class TestNelderMeadCore:
-    def test_two_dimensional_quadratic(self):
-        # Sphere function restricted to two coordinates; the analytic
-        # minimiser is the centre itself.
-        center = np.array([0.7, -0.4])
-
-        def obj(x):
-            return float(np.sum((x - center) ** 2))
-
-        budget = Budget(max_iterations=500, tolerance=1e-17)
-        x, value, _ = nelder_mead_minimize(obj, np.zeros(2),
-                                           NelderMeadConfig(),
-                                           budget)
-        assert np.abs(x - center).max() < 1e-8
-        assert value < 1e-16
-
-    def test_stops_without_restart_sampler_on_collapse(self):
-        x, value, it = nelder_mead_minimize(
-            lambda x: 0.0, np.zeros(3),
-            NelderMeadConfig(),
-            Budget(max_iterations=50, tolerance=1e-30))
-        assert it <= 50
-        assert value == 0.0
-
-
 class TestNelderMeadSolver:
-    def test_seed_at_solution_converges_immediately(self, model, rng):
+    def test_seed_at_solution_converges_immediately(self, model, rng,
+                                                   start_at):
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
-        result = solve_nelder_mead(model, target, start=q_star)
+        result = run_solver("nm", model, target, start_at(q_star))
         assert result.converged
         assert result.iterations_used == 0
         assert result.final_fitness == 0.0
@@ -178,14 +156,26 @@ class TestNelderMeadSolver:
     def test_round_trip_target(self, model, rng):
         q_star = rng.uniform(-math.pi, math.pi, size=7)
         target = end_effector_position(model, q_star)
-        result = solve_nelder_mead(model, target, rng=rng,
-                                   start=model.random_joints(rng))
+        result = run_solver("nm", model, target, rng)
         assert result.final_fitness < 1e-3
 
     def test_trace_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_nelder_mead(model, target, rng=rng,
-                                   start=model.random_joints(rng))
+        result = run_solver("nm", model, target, rng)
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
+
+    def test_keeps_its_best_across_restarts(self, model, rng):
+        # Out of reach, the simplex collapses onto a local minimum and
+        # restarts; a restart that finds nothing better must not cost the
+        # result the point it had.
+        for i in range(40):
+            direction = rng.normal(size=3)
+            target = (np.array([0.0, 0.0, 1.0])
+                      + 5.0 * direction / np.linalg.norm(direction))
+            result = run_solver("nm", model, target, np.random.default_rng(i))
+            assert result.final_fitness == result.trace.best
+            assert fitness(model, result.joints, target) == pytest.approx(
+                result.final_fitness, abs=1e-12)
+

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arm7ik import (AfsaConfig, Budget, PsoConfig, QpsoConfig,
-                    end_effector_position, solve_afsa, solve_pso, solve_qpso)
+                    end_effector_position, run_solver)
 from arm7ik.swarm import afsa_prey_step, pso_velocity_update, qpso_attractor
 
 
@@ -36,24 +36,24 @@ class TestPsoSolver:
     def test_round_trip_target(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_pso(model, target, rng=np.random.default_rng(1))
+        result = run_solver("pso", model, target, np.random.default_rng(1))
         assert result.final_fitness < 1.0
 
     def test_gbest_curve_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_pso(model, target, budget=Budget(max_iterations=50),
-                           rng=np.random.default_rng(2))
+        result = run_solver("pso", model, target, np.random.default_rng(2),
+                            budget=Budget(max_iterations=50))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_pso(model, target, budget=Budget(max_iterations=30),
-                      rng=np.random.default_rng(3))
-        b = solve_pso(model, target, budget=Budget(max_iterations=30),
-                      rng=np.random.default_rng(3))
+        a = run_solver("pso", model, target, np.random.default_rng(3),
+                       budget=Budget(max_iterations=30))
+        b = run_solver("pso", model, target, np.random.default_rng(3),
+                       budget=Budget(max_iterations=30))
         assert a.same_outcome(b)
 
     def test_config_validation(self):
@@ -84,31 +84,31 @@ class TestQpso:
     def test_round_trip_target(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_qpso(model, target, rng=np.random.default_rng(4))
+        result = run_solver("qpso", model, target, np.random.default_rng(4))
         assert result.final_fitness < 1.0
 
     def test_gbest_curve_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_qpso(model, target, budget=Budget(max_iterations=50),
-                            rng=np.random.default_rng(5))
+        result = run_solver("qpso", model, target, np.random.default_rng(5),
+                            budget=Budget(max_iterations=50))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_qpso(model, target, budget=Budget(max_iterations=30),
-                       rng=np.random.default_rng(6))
-        b = solve_qpso(model, target, budget=Budget(max_iterations=30),
-                       rng=np.random.default_rng(6))
+        a = run_solver("qpso", model, target, np.random.default_rng(6),
+                       budget=Budget(max_iterations=30))
+        b = run_solver("qpso", model, target, np.random.default_rng(6),
+                       budget=Budget(max_iterations=30))
         assert a.same_outcome(b)
 
     def test_single_particle_rejected(self, model):
         with pytest.raises(ValueError):
-            solve_qpso(model, np.array([0.5, 0.5, 1.0]),
-                       QpsoConfig(num_particles=1),
-                       rng=np.random.default_rng(7))
+            run_solver("qpso", model, np.array([0.5, 0.5, 1.0]),
+                       np.random.default_rng(7),
+                       QpsoConfig(num_particles=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -128,36 +128,35 @@ class TestAfsa:
     def test_population_one_completes(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_afsa(model, target, AfsaConfig(population_size=1),
-                            budget=Budget(max_iterations=60),
-                            rng=np.random.default_rng(1))
+        result = run_solver("afsa", model, target, np.random.default_rng(1),
+                            AfsaConfig(population_size=1),
+                            Budget(max_iterations=60))
         assert np.all(np.isfinite(result.joints))
         assert result.iterations_used <= 60
 
     def test_population_three_exercises_social_moves(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_afsa(model, target,
+        result = run_solver("afsa", model, target, np.random.default_rng(2),
                             AfsaConfig(population_size=3),
-                            budget=Budget(max_iterations=40),
-                            rng=np.random.default_rng(2))
+                            Budget(max_iterations=40))
         assert np.all(np.isfinite(result.joints))
 
     def test_best_curve_is_monotone(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        result = solve_afsa(model, target, budget=Budget(max_iterations=60),
-                            rng=np.random.default_rng(3))
+        result = run_solver("afsa", model, target, np.random.default_rng(3),
+                            budget=Budget(max_iterations=60))
         fits = result.trace.fitness_values()
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
-        a = solve_afsa(model, target, budget=Budget(max_iterations=40),
-                       rng=np.random.default_rng(4))
-        b = solve_afsa(model, target, budget=Budget(max_iterations=40),
-                       rng=np.random.default_rng(4))
+        a = run_solver("afsa", model, target, np.random.default_rng(4),
+                       budget=Budget(max_iterations=40))
+        b = run_solver("afsa", model, target, np.random.default_rng(4),
+                       budget=Budget(max_iterations=40))
         assert a.same_outcome(b)
 
     def test_config_validation(self):

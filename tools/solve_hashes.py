@@ -60,8 +60,7 @@ import json
 import numpy as np
 
 from arm7ik import (KinematicModel, batch_end_effector_positions,
-                    default_budget, point_and_jacobian, run_solver,
-                    solve_dtnr, tool_point)
+                    point_and_jacobian, run_solver, tool_point)
 from arm7ik.ml import fit_tree, generate_dataset, split_dataset
 
 # The acceptance suite's solver order, which its per-run seeds depend on.
@@ -156,8 +155,7 @@ def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
         for t_idx, target in enumerate(targets):
             rng = np.random.default_rng(
                 np.random.SeedSequence((algo_idx, t_idx)))
-            fp.fold(run_solver(algo, arm, target, rng,
-                               budget=default_budget(algo)))
+            fp.fold(run_solver(algo, arm, target, rng))
         print(fp.line(), flush=True)
         total.update(fp.digest.digest())
     if "dtnr" in algos:
@@ -178,7 +176,7 @@ def dtnr_lines(arm, targets, dataset_rows, fp):
                                 seed=0)
     print(tree_line("learned_ik", fit_tree(ik_train)), flush=True)
     for target in targets:
-        fp.fold(solve_dtnr(tree, arm, target))
+        fp.fold(run_solver("dtnr", arm, target, None, tree=tree))
     print(fp.line())
     return fp.digest
 
