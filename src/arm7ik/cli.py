@@ -26,9 +26,9 @@ EXIT_MISSING_FILE = 4
 
 
 def _model_from_args(args):
-    if getattr(args, "config", None):
+    if args.config:
         return load_robot(args.config)
-    return default_model(), getattr(args, "sampler", "ball") or "ball"
+    return default_model()
 
 
 def _parse_vector(text, n, name):
@@ -55,7 +55,7 @@ def _parse_overrides(pairs):
 
 
 def cmd_fk(args):
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     q = _parse_vector(args.joints, 7, "--joints")
     p = end_effector_position(model, q)
     print(",".join(repr(float(v)) for v in p))
@@ -63,19 +63,17 @@ def cmd_fk(args):
 
 
 def cmd_sample(args):
-    model, sampler = _model_from_args(args)
-    if args.sampler:
-        sampler = args.sampler
+    model = _model_from_args(args)
     rng = np.random.default_rng(args.seed)
     sphere = model.workspace
     for _ in range(args.count):
-        p = sample_workspace(sphere, rng, sampler)
+        p = sample_workspace(sphere, rng, args.sampler)
         print(",".join(repr(float(v)) for v in p))
     return EXIT_OK
 
 
 def cmd_solve(args):
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     solver = SolverId(args.algo)
     target = _parse_vector(args.target, 3, "--target")
     tree = None
@@ -108,7 +106,7 @@ def cmd_solve(args):
 
 
 def cmd_dataset(args):
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     rng = np.random.default_rng(args.seed)
     ds = ml.generate_dataset(model, args.count, args.noise, rng,
                              seed=args.seed)
@@ -128,7 +126,7 @@ def cmd_train(args):
         fitted = ml.fit_polynomial(
             train, 1 if args.model == "linear" else args.degree)
     ml.save_model(fitted, args.out)
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     metrics = ml.evaluate(fitted, test, model)
     print(json.dumps({
         "model": args.model, "rows_train": len(train), "rows_test": len(test),
@@ -142,7 +140,7 @@ def cmd_train(args):
 def cmd_evaluate(args):
     fitted = ml.load_model(args.model_file)
     ds = ml.Dataset.load_csv(args.data)
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     metrics = ml.evaluate(fitted, ds, model)
     print(json.dumps({
         "r_squared": metrics.r_squared,
@@ -153,7 +151,7 @@ def cmd_evaluate(args):
 
 
 def cmd_sweep(args):
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     spec = load_benchmark_spec(args.spec)
     tree = ml.load_model(args.tree) if args.tree else None
     grid = [json.loads(v) for v in args.grid.split(",")]
@@ -172,7 +170,7 @@ def cmd_sweep(args):
 
 
 def cmd_bench(args):
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     spec = load_benchmark_spec(args.spec)
     tree = None
     tree_path = args.tree or spec.tree_path
@@ -215,7 +213,7 @@ def build_parser():
 
     p = add("sample", cmd_sample, "sample reachable workspace targets")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--sampler", choices=["ball", "paper"],
+    p.add_argument("--sampler", choices=["ball", "paper"], default="ball",
                    help="radial law: ball-uniform or the literal sqrt rule")
 
     p = add("solve", cmd_solve, "run one solver against one target")

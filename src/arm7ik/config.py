@@ -25,25 +25,24 @@ def _load_yaml(path):
 
 
 def load_robot(path):
-    """Robot geometry file -> (KinematicModel, sampler law).
+    """Robot geometry file -> KinematicModel.
 
     Keys: lengths (four mm values d1, d3, d5, d7), optional joint_limits
-    (seven [lo, hi] radian pairs), convention (standard | modified),
-    sampler (ball | paper).
+    (seven [lo, hi] radian pairs) and convention (standard | modified).
+    Any other key is a ConfigError.
     """
     data = _load_yaml(path)
+    unknown = set(data) - {"lengths", "joint_limits", "convention"}
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(map(str, unknown))}")
     try:
-        model = KinematicModel(
+        return KinematicModel(
             lengths=data["lengths"],
             joint_limits=data.get("joint_limits"),
             convention=data.get("convention", "standard"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    sampler = data.get("sampler", "ball")
-    if sampler not in ("ball", "paper"):
-        raise ConfigError(f"{path}: sampler must be 'ball' or 'paper'")
-    return model, sampler
 
 
 def default_model():

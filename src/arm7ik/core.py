@@ -32,7 +32,7 @@ class Budget:
     ``tolerance`` is the solver's own stop criterion in mm; the benchmark
     success threshold (1 mm) is a separate, looser knob.
     """
-    max_iterations: int = 1000
+    max_iterations: int
     tolerance: float = 1e-9
     wall_clock_limit: float | None = None
 
@@ -48,42 +48,13 @@ class Budget:
                              "positive")
 
 
-# Each solver's iteration cap when no budget is given: Newton steps, simplex
-# moves, CCD cycles, temperature levels or generations.
-DEFAULT_ITERATIONS = {
-    SolverId.DTNR: 15,
-    SolverId.NR: 30,
-    SolverId.NM: 799,
-    SolverId.SA: 400,
-    SolverId.PSO: 200,
-    SolverId.QPSO: 302,
-    SolverId.CCD: 300,
-    SolverId.AFSA: 200,
-    SolverId.GA: 100,
-    SolverId.DE: 100,
-}
-
-
-def default_budget(solver_id):
-    return Budget(max_iterations=DEFAULT_ITERATIONS[SolverId(solver_id)])
-
-
 class ConvergenceTrace:
-    """Running-minimum fitness history: (iteration, best_so_far, elapsed)."""
+    """Best-fitness history: (iteration, best_so_far, elapsed)."""
 
     def __init__(self):
         self.samples: list[tuple[int, float, float]] = []
 
-    def record(self, iteration: int, candidate_fitness: float, elapsed: float):
-        """Append one sample, clipping to the running minimum."""
-        if self.samples:
-            last_it, last_best, _ = self.samples[-1]
-            if iteration <= last_it:
-                raise ValueError(
-                    f"iteration {iteration} not after last recorded {last_it}")
-            best = min(candidate_fitness, last_best)
-        else:
-            best = candidate_fitness
+    def record(self, iteration: int, best: float, elapsed: float):
         self.samples.append((iteration, best, elapsed))
 
     @property
@@ -147,28 +118,27 @@ class SolveResult:
 
 
 def population_best(points, values):
-    """The fittest of a population as a step: (point, fitness, fitness)."""
+    """The fittest of a population as a step: (point, fitness)."""
     i = int(np.argmin(values))
-    f = float(values[i])
-    return points[i], f, f
+    return points[i], float(values[i])
 
 
 def run_steps(steps, budget: Budget, finish) -> SolveResult:
     """Drive a solver's step generator under `budget`.
 
-    `steps` yields (best_joints, best_fitness, recorded_fitness) for its
-    start point and then once per iteration, and returns to stop early.
-    The trace logs each recorded_fitness. The solve stops once best_fitness
-    is under the tolerance, at the iteration cap, or past the wall-clock
+    `steps` yields (best_joints, best_fitness) for its start point and
+    then once per iteration, and returns to stop early; best_fitness never
+    rises. The trace logs each best_fitness. The solve stops once it is
+    under the tolerance, at the iteration cap, or past the wall-clock
     limit (checked from iteration 1 on). The result holds the last yield,
     its joints passed through `finish`; a generator must not change an
     array it has yielded.
     """
     start = time.perf_counter()
     trace = ConvergenceTrace()
-    for it, (joints, best, recorded) in enumerate(steps):
+    for it, (joints, best) in enumerate(steps):
         elapsed = time.perf_counter() - start
-        trace.record(it, recorded, elapsed)
+        trace.record(it, best, elapsed)
         if best < budget.tolerance or it >= budget.max_iterations:
             break
         if it and budget.wall_clock_limit and elapsed > budget.wall_clock_limit:

@@ -20,6 +20,13 @@ class CcdConfig:
     per_joint_tolerance: float = 1e-12
     loop_guard: int = 30
 
+    def __post_init__(self):
+        if not (math.isfinite(self.per_joint_tolerance)
+                and self.per_joint_tolerance >= 0):
+            raise ValueError("per_joint_tolerance must be finite and >= 0")
+        if not self.loop_guard >= 1:
+            raise ValueError("loop_guard must be >= 1")
+
 
 @dataclass(frozen=True)
 class SaConfig:
@@ -75,10 +82,9 @@ def _normal_part(point, origin, axis):
 
 def ccd_steps(model: KinematicModel, target, config, budget, rng):
     """Cyclic coordinate descent from a start drawn from `rng`: each cycle
-    turns one joint at a time by its ccd_joint_update, tip to base. The
-    trace records each cycle's fitness, which jitters, clipped to its
-    running minimum. Ends as non-converged after loop_guard cycles
-    without a new best."""
+    turns one joint at a time by its ccd_joint_update, tip to base. A
+    cycle's fitness jitters; the best pose so far is the one yielded. Ends
+    as non-converged after loop_guard cycles without a new best."""
     # The pose is a list of floats with its turns (see pose_turns) and Horner
     # partials h (see horner_partials). Joint j's update needs the frame
     # after it, which takes the tool point h[j + 1] into the base frame.
@@ -90,7 +96,7 @@ def ccd_steps(model: KinematicModel, target, config, budget, rng):
     h = horner_partials(model, turns)
     target = target.tolist()
     best_q, best_f = q[:], math.dist(h[0], target)
-    yield best_q, best_f, best_f
+    yield best_q, best_f
 
     tolerance = config.per_joint_tolerance
     stalled = 0
@@ -108,7 +114,7 @@ def ccd_steps(model: KinematicModel, target, config, budget, rng):
             stalled = 0
         else:
             stalled += 1
-        yield best_q, best_f, f
+        yield best_q, best_f
         if stalled >= config.loop_guard:
             return  # oscillating cycle; bail out as non-converged
 
@@ -170,7 +176,7 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
     target = target.tolist()
     e_now = math.dist(h[0], target)
     best_q, best_f = q[:], e_now
-    yield best_q, best_f, best_f
+    yield best_q, best_f
 
     for temperature in temperature_schedule(config):
         # Width cools slower than the temperature so a greedy refinement
@@ -198,4 +204,4 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
                     stay += 1
             if best_f < budget.tolerance:
                 break
-        yield best_q, best_f, best_f
+        yield best_q, best_f

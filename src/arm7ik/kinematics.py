@@ -83,7 +83,6 @@ class KinematicModel:
             raise ValueError("every joint limit interval must be nonempty")
         if np.any(limits < -TWO_PI) or np.any(limits > TWO_PI):
             raise ValueError("joint limits must lie within [-2*pi, 2*pi]")
-        self.joint_limits = limits
         self.lower = limits[:, 0].copy()
         self.upper = limits[:, 1].copy()
 
@@ -94,10 +93,6 @@ class KinematicModel:
             alphas = [0.0] + alphas[:-1]
         self._links = tuple((math.cos(a), math.sin(a), r.d)
                             for a, r in zip(alphas, self.rows))
-
-    @property
-    def d1(self):
-        return self.lengths[0]
 
     @property
     def workspace(self) -> WorkspaceSphere:

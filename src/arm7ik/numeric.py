@@ -40,10 +40,13 @@ class NelderMeadConfig:
     initial_simplex_scale: float = 0.35
 
     def __post_init__(self):
-        if self.reflection <= 0 or self.expansion <= 1:
+        if not (self.reflection > 0 and self.expansion > 1):
             raise ValueError("need reflection > 0 and expansion > 1")
         if not (0 < self.contraction < 1 and 0 < self.shrink < 1):
             raise ValueError("contraction and shrink must be in (0, 1)")
+        if not (math.isfinite(self.initial_simplex_scale)
+                and self.initial_simplex_scale > 0):
+            raise ValueError("initial_simplex_scale must be finite and > 0")
 
 
 def pseudo_inverse(jac, damping=0.0):
@@ -124,7 +127,7 @@ def newton_steps(model, target, start, config, joints=7):
     p, jac = point_and_jacobian(model, q, joints, tail)
     best_q = q
     best_f = math.dist(p, t)
-    yield best_q, best_f, best_f
+    yield best_q, best_f
 
     head = q[:joints].tolist()
     damping = config.damping
@@ -146,7 +149,7 @@ def newton_steps(model, target, start, config, joints=7):
             best_f, best_q = f, np.concatenate((head, q[joints:]))
         rises = rises + 1 if f > prev_f else 0
         prev_f = f
-        yield best_q, best_f, f
+        yield best_q, best_f
         if rises >= DIVERGENCE_GUARD or not math.isfinite(f):
             return
         if math.hypot(*step) < STALL_STEP_NORM:
@@ -174,7 +177,7 @@ def nm_steps(model: KinematicModel, target, config, budget, rng):
         current = population_best(simplex, values)
         return kept if kept[1] < current[1] else current
 
-    kept = (None, math.inf, math.inf)  # the best before the last restart
+    kept = (None, math.inf)  # the best before the last restart
     simplex = build_simplex(model.random_joints(rng))
     values = np.array([obj(v) for v in simplex])
     best = step()

@@ -1,13 +1,16 @@
-"""The one solve entry over the ten solvers: a table of config classes and
-step generators, the config and budget builders, and run_solver."""
+"""The one solve entry over the ten solvers: a table of config classes,
+step generators and iteration caps, the config and budget builders, and
+run_solver."""
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from functools import partial
 
 import numpy as np
 
-from .core import SolverId, default_budget, run_steps
+from .core import Budget, SolverId, run_steps
 from .dtnr import DtnrConfig, dtnr_steps, wrap_refined
 from .evolution import DeConfig, GaConfig, de_steps, ga_steps
 from .heuristics import CcdConfig, SaConfig, ccd_steps, sa_steps
@@ -16,25 +19,29 @@ from .numeric import NelderMeadConfig, NewtonConfig, nm_steps, nr_steps
 from .swarm import (AfsaConfig, PsoConfig, QpsoConfig, afsa_steps, pso_steps,
                     qpso_steps)
 
-# Solver id -> (config class, step generator). Every generator but dtnr's
-# is called as steps(model, target, config, budget, rng) and draws its own
-# start from rng; dtnr's as steps(tree, model, target, config).
+# Solver id -> (config class, step generator, iteration cap). Every
+# generator but dtnr's is called as steps(model, target, config, budget,
+# rng) and draws its own start from rng; dtnr's as steps(tree, model,
+# target, config). The cap, the default budget's max_iterations, counts
+# Newton steps, simplex moves, temperature levels, CCD cycles or
+# generations.
 SOLVERS = {
-    SolverId.DTNR: (DtnrConfig, dtnr_steps),
-    SolverId.NR: (NewtonConfig, nr_steps),
-    SolverId.NM: (NelderMeadConfig, nm_steps),
-    SolverId.SA: (SaConfig, sa_steps),
-    SolverId.PSO: (PsoConfig, pso_steps),
-    SolverId.QPSO: (QpsoConfig, qpso_steps),
-    SolverId.CCD: (CcdConfig, ccd_steps),
-    SolverId.AFSA: (AfsaConfig, afsa_steps),
-    SolverId.GA: (GaConfig, ga_steps),
-    SolverId.DE: (DeConfig, de_steps),
+    SolverId.DTNR: (DtnrConfig, dtnr_steps, 15),
+    SolverId.NR: (NewtonConfig, nr_steps, 30),
+    SolverId.NM: (NelderMeadConfig, nm_steps, 799),
+    SolverId.SA: (SaConfig, sa_steps, 400),
+    SolverId.PSO: (PsoConfig, pso_steps, 200),
+    SolverId.QPSO: (QpsoConfig, qpso_steps, 302),
+    SolverId.CCD: (CcdConfig, ccd_steps, 300),
+    SolverId.AFSA: (AfsaConfig, afsa_steps, 200),
+    SolverId.GA: (GaConfig, ga_steps, 100),
+    SolverId.DE: (DeConfig, de_steps, 100),
 }
 
 
 def make_config(solver_id, overrides=None):
-    """Build the solver's config dataclass, applying keyword overrides."""
+    """Build the solver's config dataclass, applying keyword overrides. An
+    unknown key or a non-finite number is a ValueError."""
     solver_id = SolverId(solver_id)
     config_cls = SOLVERS[solver_id][0]
     overrides = dict(overrides or {})
@@ -45,6 +52,13 @@ def make_config(solver_id, overrides=None):
     if unknown:
         raise ValueError(
             f"unknown {solver_id.value} config keys: {sorted(unknown)}")
+    non_finite = [key for key, value in overrides.items()
+                  if isinstance(value, numbers.Real)
+                  and not math.isfinite(value)]
+    if non_finite:
+        raise ValueError(
+            f"{solver_id.value} config keys {sorted(non_finite)} must be "
+            "finite numbers")
     return config_cls(**overrides)
 
 
@@ -52,9 +66,9 @@ def make_budget(solver_id, overrides=None):
     """The solver's default budget with keyword overrides on top. An
     unknown key is a ValueError."""
     solver_id = SolverId(solver_id)
-    overrides = dict(overrides or {})
     try:
-        return dataclasses.replace(default_budget(solver_id), **overrides)
+        return Budget(**{"max_iterations": SOLVERS[solver_id][2],
+                         **(overrides or {})})
     except TypeError as exc:
         raise ValueError(
             f"bad {solver_id.value} budget {overrides}: {exc}") from exc
@@ -72,9 +86,9 @@ def run_solver(solver_id, model, target, rng, config=None, budget=None,
     if target.shape != (3,) or not np.all(np.isfinite(target)):
         raise ValueError(
             f"target must be three finite numbers, got {target.tolist()}")
-    config_cls, make_steps = SOLVERS[solver_id]
+    config_cls, make_steps, _ = SOLVERS[solver_id]
     config = config or config_cls()
-    budget = budget or default_budget(solver_id)
+    budget = budget or make_budget(solver_id)
     if solver_id is SolverId.DTNR:
         if tree is None:
             raise ValueError("DTNR requires a trained regression tree")

@@ -71,7 +71,7 @@ def pso_steps(model: KinematicModel, target, config, budget, rng):
     pbest_values = values.copy()
     g = int(np.argmin(values))
     gbest, gbest_value = x[g].copy(), float(values[g])
-    yield gbest, gbest_value, gbest_value
+    yield gbest, gbest_value
 
     v_max = 0.5 * span
     while True:
@@ -88,7 +88,7 @@ def pso_steps(model: KinematicModel, target, config, budget, rng):
         g = int(np.argmin(pbest_values))
         if pbest_values[g] < gbest_value:
             gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
-        yield gbest, gbest_value, gbest_value
+        yield gbest, gbest_value
 
 
 def qpso_attractor(pbest, gbest, rng):
@@ -108,7 +108,7 @@ def qpso_steps(model: KinematicModel, target, config, budget, rng):
     pbest_values = values.copy()
     g = int(np.argmin(values))
     gbest, gbest_value = x[g].copy(), float(values[g])
-    yield gbest, gbest_value, gbest_value
+    yield gbest, gbest_value
 
     max_iter = budget.max_iterations
     for it in range(max_iter):
@@ -127,7 +127,7 @@ def qpso_steps(model: KinematicModel, target, config, budget, rng):
         g = int(np.argmin(pbest_values))
         if pbest_values[g] < gbest_value:
             gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
-        yield gbest, gbest_value, gbest_value
+        yield gbest, gbest_value
 
 
 def afsa_prey_step(rng, visual_range):
@@ -153,7 +153,7 @@ def afsa_steps(model: KinematicModel, target, config, budget, rng):
     values = batch_fitness(model, fish, target)
     g = int(np.argmin(values))
     best_q, best_f = fish[g].copy(), float(values[g])
-    yield best_q, best_f, best_f
+    yield best_q, best_f
 
     def move_toward(x, goal):
         diff = goal - x
@@ -209,4 +209,4 @@ def afsa_steps(model: KinematicModel, target, config, budget, rng):
             fish[i], values[i] = x, f
             if f < best_f:
                 best_q, best_f = x.copy(), float(f)
-        yield best_q, best_f, best_f
+        yield best_q, best_f

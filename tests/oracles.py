@@ -270,7 +270,7 @@ def reference_ccd_steps(model, target, start, config):
     q = wrap_angle(np.asarray(start, dtype=float))
     best_q = q.copy()
     best_f = fitness(model, q, target)
-    yield best_q, best_f, best_f
+    yield best_q, best_f
 
     stalled = 0
     while True:
@@ -284,7 +284,7 @@ def reference_ccd_steps(model, target, start, config):
             stalled = 0
         else:
             stalled += 1
-        yield best_q, best_f, f
+        yield best_q, best_f
         if stalled >= config.loop_guard:
             return
 
@@ -317,7 +317,7 @@ def reference_sa_steps(model, target, config, tolerance, rng):
     q = model.random_joints(rng)
     e_now = fitness(model, q, target)
     best_q, best_f = q.copy(), e_now
-    yield best_q, best_f, best_f
+    yield best_q, best_f
 
     for temperature in temperature_schedule(config):
         scale = config.neighborhood_scale * (
@@ -339,4 +339,4 @@ def reference_sa_steps(model, target, config, tolerance, rng):
                     stay += 1
             if best_f < tolerance:
                 break
-        yield best_q, best_f, best_f
+        yield best_q, best_f

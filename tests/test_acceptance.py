@@ -25,10 +25,9 @@ import numpy as np
 import pytest
 
 from arm7ik import (Budget, KinematicModel, SolverId,
-                    batch_end_effector_positions, default_budget,
-                    end_effector_position, finite_difference_jacobian,
-                    forward_kinematics, position_jacobian,
-                    sample_workspace_batch)
+                    batch_end_effector_positions, end_effector_position,
+                    finite_difference_jacobian, forward_kinematics,
+                    make_budget, position_jacobian, sample_workspace_batch)
 from arm7ik.bench import export_report, run_benchmark
 from arm7ik.config import BenchmarkSpec
 from arm7ik.heuristics import acceptance_probability
@@ -284,7 +283,7 @@ def test_criterion_7_degenerate_contracts(arm):
     caps = {"nm": 150, "sa": 60}
     for algo in STANDALONE:
         budget = Budget(max_iterations=caps.get(algo,
-                                                min(60, default_budget(
+                                                min(60, make_budget(
                                                     algo).max_iterations)))
         result = run_solver(algo, arm, unreachable,
                             np.random.default_rng(21), budget=budget)

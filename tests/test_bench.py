@@ -3,15 +3,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arm7ik.bench
 from arm7ik import (BenchmarkSpec, Budget, KinematicModel, SolverId,
-                    default_budget, make_budget, make_config)
+                    end_effector_position, make_budget, make_config)
 from arm7ik.bench import (REPORT_COLUMNS, SweepResult, aggregate_records,
                           batch_hash, export_report, generate_target_batch,
                           load_runs_jsonl, read_report_csv, reaggregate_runs,
                           run_benchmark, sweep_parameter, write_report_csv)
-from arm7ik.core import DEFAULT_ITERATIONS, run_steps
+from arm7ik.core import run_steps
 from arm7ik.kinematics import wrap_angle
 from arm7ik.ml import fit_tree, generate_dataset
 from arm7ik.registry import SOLVERS, run_solver
@@ -49,7 +50,7 @@ class TestRegistry:
         # run_solver adds only its defaults and the wrap to a solve: the
         # table's step generator, driven by run_steps with the same rng,
         # solves the same way.
-        config_cls, steps = SOLVERS[SolverId(solver_id)]
+        config_cls, steps, _ = SOLVERS[SolverId(solver_id)]
         target = np.array([0.5, 0.5, 1.0])
         budget = Budget(max_iterations=8)
         direct = run_steps(steps(model, target, config_cls(), budget,
@@ -75,6 +76,14 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_config("ga", {"popsize": 10})
 
+    @pytest.mark.parametrize("solver_id, overrides", [
+        ("pso", {"inertia": float("nan")}), ("sa", {"t_max": float("inf")}),
+        ("dtnr", {"newton": {"damping": float("nan")}})])
+    def test_make_config_rejects_non_finite_numbers(self, solver_id,
+                                                    overrides):
+        with pytest.raises(ValueError, match="finite"):
+            make_config(solver_id, overrides)
+
     def test_make_config_applies_overrides(self):
         config = make_config("pso", {"num_particles": 5})
         assert config.num_particles == 5
@@ -86,14 +95,15 @@ class TestRegistry:
             make_config("dtnr", {"newton": {"max_iterations": 9}})
 
     def test_default_budgets_track_entries(self):
-        for sid in SolverId:
-            assert default_budget(sid).max_iterations == \
-                DEFAULT_ITERATIONS[sid]
+        caps = {"dtnr": 15, "nr": 30, "nm": 799, "sa": 400, "pso": 200,
+                "qpso": 302, "ccd": 300, "afsa": 200, "ga": 100, "de": 100}
+        assert {sid.value: make_budget(sid).max_iterations
+                for sid in SolverId} == caps
+        assert make_budget("nr") == Budget(max_iterations=30)
 
     def test_make_budget_applies_overrides_to_the_default(self):
         budget = make_budget("ccd", {"tolerance": 1e-6})
-        assert budget == Budget(max_iterations=default_budget("ccd")
-                                .max_iterations, tolerance=1e-6)
+        assert budget == Budget(max_iterations=300, tolerance=1e-6)
         with pytest.raises(ValueError):
             make_budget("ccd", {"max_cycles": 5})
 
@@ -118,6 +128,28 @@ class TestRegistry:
 def small_tree():
     return fit_tree(generate_dataset(KinematicModel(), 500,
                                      rng=np.random.default_rng(3)))
+
+
+class TestStepContract:
+    @pytest.mark.parametrize("solver_id", [s.value for s in SolverId])
+    @settings(max_examples=12, deadline=None)
+    @given(q=st.lists(st.floats(-np.pi, np.pi), min_size=7, max_size=7),
+           seed=st.integers(0, 2**32 - 1), cap=st.integers(1, 12))
+    def test_trace_is_the_steps_bests(self, small_tree, solver_id, q, seed,
+                                      cap):
+        # The trace holds one sample per step, each step's best fitness,
+        # so it never rises and ends on the result.
+        arm = KinematicModel()
+        result = run_solver(solver_id, arm, end_effector_position(arm, q),
+                            np.random.default_rng(seed),
+                            budget=Budget(max_iterations=cap),
+                            tree=small_tree)
+        samples = [s[:2] for s in result.trace.samples]
+        assert [it for it, _ in samples] == list(range(len(samples)))
+        fits = [f for _, f in samples]
+        assert all(a >= b for a, b in zip(fits, fits[1:]))
+        assert samples[-1] == (result.iterations_used, result.final_fitness)
+        assert result.trace.best == result.final_fitness
 
 
 class TestBudget:

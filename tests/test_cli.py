@@ -145,6 +145,13 @@ class TestSolve:
         ("afsa", "population_size=0"),
         ("sa", "max_stay_counter=0"),
         ("ccd", "sweep_order=base_to_tip"),
+        ("ccd", "per_joint_tolerance=NaN"),
+        ("ccd", "per_joint_tolerance=-1"),
+        ("ccd", "loop_guard=-1"),
+        ("nm", "initial_simplex_scale=0"),
+        ("nm", "initial_simplex_scale=Infinity"),
+        ("nm", "reflection=NaN"),
+        ("pso", "inertia=NaN"),
     ])
     def test_removed_or_out_of_range_option_is_a_config_error(
             self, capsys, algo, opt):

@@ -9,15 +9,14 @@ from arm7ik.core import SolverId
 
 
 class TestRobotConfig:
-    def test_loads_geometry_and_sampler(self, tmp_path):
+    def test_loads_geometry(self, tmp_path):
         path = tmp_path / "robot.yaml"
         path.write_text(
             "lengths: [0.36, 0.42, 0.4, 0.126]\n"
-            "convention: standard\n"
-            "sampler: paper\n")
-        model, sampler = load_robot(path)
+            "convention: modified\n")
+        model = load_robot(path)
         assert model.lengths == (0.36, 0.42, 0.4, 0.126)
-        assert sampler == "paper"
+        assert model.convention == "modified"
         assert model.workspace.h == pytest.approx(0.36)
 
     def test_joint_limits_round_trip(self, tmp_path):
@@ -26,7 +25,7 @@ class TestRobotConfig:
             "lengths: [1, 1, 1, 1]\n"
             "joint_limits: [[-1, 1], [-1, 1], [-1, 1], [-1, 1],"
             " [-1, 1], [-1, 1], [-1, 1]]\n")
-        model, _ = load_robot(path)
+        model = load_robot(path)
         assert model.upper.tolist() == [1.0] * 7
 
     def test_missing_lengths_rejected(self, tmp_path):
@@ -36,9 +35,18 @@ class TestRobotConfig:
             load_robot(path)
 
     def test_bad_sampler_rejected(self, tmp_path):
+        # The sampler law belongs to the benchmark spec and to `sample
+        # --sampler`; in a robot file any sampler is an unknown key.
         path = tmp_path / "robot.yaml"
-        path.write_text("lengths: [1, 1, 1, 1]\nsampler: cube\n")
-        with pytest.raises(ConfigError):
+        for law in ("paper", "ball", "cube"):
+            path.write_text(f"lengths: [1, 1, 1, 1]\nsampler: {law}\n")
+            with pytest.raises(ConfigError, match="sampler"):
+                load_robot(path)
+
+    def test_unknown_keys_rejected(self, tmp_path):
+        path = tmp_path / "robot.yaml"
+        path.write_text("lengths: [1, 1, 1, 1]\nconvnetion: modified\n")
+        with pytest.raises(ConfigError, match="convnetion"):
             load_robot(path)
 
     def test_non_mapping_rejected(self, tmp_path):

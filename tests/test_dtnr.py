@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arm7ik import (Budget, DtnrConfig, NewtonConfig, default_budget,
+from arm7ik import (Budget, DtnrConfig, NewtonConfig, make_budget,
                     run_solver)
 from arm7ik.ml import fit_tree, generate_dataset
 
@@ -26,7 +26,7 @@ class TestDtnrConfig:
         config = DtnrConfig()
         assert config.refine_joint_count == 3
         assert config.newton == NewtonConfig()
-        assert default_budget("dtnr").max_iterations == 15
+        assert make_budget("dtnr").max_iterations == 15
 
 
 class TestDtnrSolver:

@@ -84,6 +84,13 @@ class TestCcd:
         # ccd sweeps tip to base only; the sweep order is not a key.
         with pytest.raises(ValueError, match="sweep_order"):
             make_config("ccd", {"sweep_order": "base_to_tip"})
+        for bad in (-1e-12, math.inf, math.nan):
+            with pytest.raises(ValueError, match="per_joint_tolerance"):
+                CcdConfig(per_joint_tolerance=bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="loop_guard"):
+                CcdConfig(loop_guard=bad)
+        CcdConfig(per_joint_tolerance=0.0, loop_guard=1)
 
 
 class TestSaSchedule:

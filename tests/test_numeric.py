@@ -79,6 +79,13 @@ class TestConfigs:
             NelderMeadConfig(expansion=0.5)
         with pytest.raises(ValueError):
             NelderMeadConfig(contraction=1.5)
+        # Checked directly, not only through make_config: NaN fails every
+        # bound.
+        for bad in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="initial_simplex_scale"):
+                NelderMeadConfig(initial_simplex_scale=bad)
+        with pytest.raises(ValueError):
+            NelderMeadConfig(reflection=math.nan)
 
 
 class TestNewtonRaphson:
