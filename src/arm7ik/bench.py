@@ -1,14 +1,14 @@
-"""Benchmark harness: shared target batches, per-algorithm statistics in
-the ten-row performance-table format, hyperparameter sweeps, and
+"""Benchmark harness: shared target batches, the one campaign loop,
+per-algorithm statistics in the ten-row performance-table format folded
+from the runs, hyperparameter sweeps as one campaign per grid value, and
 machine-readable report files."""
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -16,12 +16,6 @@ from .config import BenchmarkSpec
 from .core import ConvergenceTrace, SolverId, average_traces
 from .kinematics import KinematicModel, sample_workspace
 from .registry import make_budget, make_config, run_solver
-
-REPORT_COLUMNS = [
-    "algorithm", "iteration_count", "best_fitness", "worst_fitness",
-    "best_time_s", "worst_time_s", "average_fitness_mm",
-    "average_fitness_weighted", "sd", "average_time_s", "success_rate",
-]
 
 
 @dataclass
@@ -43,6 +37,9 @@ class AlgorithmReport:
         def fmt(v):
             return "" if v is None else repr(v) if isinstance(v, float) else str(v)
         return [fmt(getattr(self, c)) for c in REPORT_COLUMNS]
+
+
+REPORT_COLUMNS = [f.name for f in fields(AlgorithmReport)]
 
 
 @dataclass
@@ -85,13 +82,12 @@ def _run_record(algo, target_index, repeat, seed_key, target, result, success):
         "elapsed_s": result.elapsed,
         "converged": result.converged,
         "success": success,
-        "trace": [[s[0], s[1], s[2]] for s in result.trace.samples],
+        "trace": [list(s) for s in result.trace.samples],
     }
 
 
 def aggregate_records(algo_value, records):
-    """Fold raw per-run records into one report row. Used both by the
-    live benchmark and by re-aggregation from a persisted runs log."""
+    """Fold one algorithm's raw run records into its report row."""
     fitnesses = np.array([r["final_fitness"] for r in records])
     times = np.array([r["elapsed_s"] for r in records])
     iters = np.array([r["iterations_used"] for r in records])
@@ -118,12 +114,14 @@ def aggregate_records(algo_value, records):
 
 
 def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
-    """Run every listed algorithm over the shared target batch.
+    """Run every listed algorithm over the shared target batch: the one
+    loop that solves for a campaign or a sweep.
 
-    Returns (reports, averaged_traces, runs, metadata). Averaged traces
-    cover successful runs only; timing columns are machine-dependent.
-    DTNR refuses to start without a trained tree, and every algorithm's
-    config and budget is built before the first solve.
+    Returns (reports, averaged_traces, runs, metadata). The reports are
+    folded from the runs, as `arm7ik report` folds them from runs.jsonl.
+    Averaged traces cover successful runs only; timing columns are
+    machine-dependent. DTNR refuses to start without a trained tree, and
+    every algorithm's config and budget is built before the first solve.
     """
     algos = [SolverId(a) for a in spec.algorithms]
     if SolverId.DTNR in algos and tree is None:
@@ -133,11 +131,8 @@ def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
 
     targets = generate_target_batch(model, spec)
     runs = []
-    reports = []
     traces = {}
-
     for algo_idx, algo in enumerate(algos):
-        records = []
         succ_traces = []
         for t_idx in range(spec.n_targets):
             for rep in range(spec.repeats_per_target):
@@ -146,12 +141,10 @@ def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
                 result = run_solver(algo, model, targets[t_idx], rng,
                                     configs[algo], budgets[algo], tree=tree)
                 success = result.final_fitness < spec.success_threshold
-                records.append(_run_record(algo, t_idx, rep, seed_key,
-                                           targets[t_idx], result, success))
+                runs.append(_run_record(algo, t_idx, rep, seed_key,
+                                        targets[t_idx], result, success))
                 if success:
                     succ_traces.append(result.trace)
-        runs.extend(records)
-        reports.append(aggregate_records(algo.value, records))
         traces[algo.value] = (average_traces(succ_traces)
                               if succ_traces else ConvergenceTrace())
 
@@ -163,7 +156,7 @@ def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
         "sampler": spec.sampler,
         "target_batch_sha256": batch_hash(targets),
     }
-    return reports, traces, runs, metadata
+    return reaggregate_runs(runs), traces, runs, metadata
 
 
 def write_report_csv(path, reports):
@@ -174,29 +167,9 @@ def write_report_csv(path, reports):
             writer.writerow(r.as_row())
 
 
-def read_report_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != REPORT_COLUMNS:
-            raise ValueError(f"unexpected report columns in {path}")
-        return [AlgorithmReport(**{c: _report_cell(c, v)
-                                   for c, v in zip(REPORT_COLUMNS, row)})
-                for row in reader]
-
-
-def _report_cell(column, text):
-    """One report.csv cell as its AlgorithmReport field (see as_row)."""
-    if column == "algorithm":
-        return text
-    if column == "average_fitness_weighted" and text == "":
-        return None
-    return float(text)
-
-
 def export_report(out_dir, reports, traces, runs, metadata):
-    """Write report.csv, runs.jsonl, per-algorithm trace CSVs and
-    plot-data CSVs (iteration and elapsed time against log fitness)."""
+    """Write report.csv, runs.jsonl, metadata.json and one averaged
+    convergence-trace CSV per algorithm under traces/."""
     os.makedirs(out_dir, exist_ok=True)
     write_report_csv(os.path.join(out_dir, "report.csv"), reports)
     with open(os.path.join(out_dir, "runs.jsonl"), "w") as fh:
@@ -205,27 +178,24 @@ def export_report(out_dir, reports, traces, runs, metadata):
     with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
         json.dump(metadata, fh, indent=2)
     trace_dir = os.path.join(out_dir, "traces")
-    plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(trace_dir, exist_ok=True)
-    os.makedirs(plot_dir, exist_ok=True)
     for algo, trace in traces.items():
         trace.write_csv(os.path.join(trace_dir, f"{algo}.csv"))
-        with open(os.path.join(plot_dir, f"{algo}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "elapsed_s", "fitness_mm",
-                             "log10_fitness"])
-            for it, f, e in trace.samples:
-                log_f = math.log10(f) if f > 0 else ""
-                writer.writerow([it, e, f, log_f])
+
+
+def _group(runs, key):
+    """Run records grouped by one field, in first-seen order."""
+    groups = {}
+    for rec in runs:
+        groups.setdefault(rec[key], []).append(rec)
+    return groups
 
 
 def reaggregate_runs(runs):
-    """Rebuild report rows from raw run records, grouped by algorithm in
+    """Rebuild report rows from raw run records, one per algorithm in
     first-seen order."""
-    by_algo = {}
-    for rec in runs:
-        by_algo.setdefault(rec["algorithm"], []).append(rec)
-    return [aggregate_records(a, recs) for a, recs in by_algo.items()]
+    return [aggregate_records(a, recs)
+            for a, recs in _group(runs, "algorithm").items()]
 
 
 def load_runs_jsonl(path):
@@ -235,38 +205,26 @@ def load_runs_jsonl(path):
 
 def sweep_parameter(solver_id, parameter, grid, repeats, model,
                     spec: BenchmarkSpec, tree=None):
-    """Grid sweep of one config field: per value, `repeats` runs over the
-    spec's mini-batch under the spec's budget; records the best mean
-    fitness of the repeats and the mean of the two best repeat times."""
-    solver_id = SolverId(solver_id)
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    base = dict(spec.configs.get(solver_id.value, {}))
-    budget = make_budget(solver_id, spec.budgets.get(solver_id.value))
-    targets = generate_target_batch(model, spec)
+    """Grid sweep of one config field: per value, one campaign of that
+    solver alone with `repeats` runs per target, on the spec's batch,
+    seeds and budget. Records the best over the repeats of the mean
+    fitness across targets, and the mean of the two best repeat times
+    (each the summed solve time of one repeat)."""
+    solver = SolverId(solver_id).value
+    base = spec.configs.get(solver, {})
     best_fitness = []
     best2_times = []
-    for v_idx, value in enumerate(grid):
-        overrides = dict(base)
-        overrides[parameter] = value
-        config = make_config(solver_id, overrides)  # raises on unknown name
-        rep_fitness = []
-        rep_times = []
-        for rep in range(repeats):
-            total_time = 0.0
-            fits = []
-            for t_idx, target in enumerate(targets):
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    (spec.master_seed, v_idx, rep, t_idx)))
-                res = run_solver(solver_id, model, target, rng, config,
-                                 budget, tree=tree)
-                total_time += res.elapsed
-                fits.append(res.final_fitness)
-            rep_fitness.append(float(np.mean(fits)))
-            rep_times.append(total_time)
-        best_fitness.append(min(rep_fitness))
-        top2 = sorted(rep_times)[:2]
-        best2_times.append(float(np.mean(top2)))
-    return SweepResult(solver=solver_id.value, parameter=parameter,
-                       grid=list(grid), best_fitness=best_fitness,
-                       best2_time_mean=best2_times)
+    for value in grid:
+        campaign = replace(spec, algorithms=[solver],
+                           repeats_per_target=repeats,
+                           configs={solver: {**base, parameter: value}})
+        _, _, runs, _ = run_benchmark(model, campaign, tree=tree)
+        by_repeat = _group(runs, "repeat").values()
+        best_fitness.append(min(
+            float(np.mean([r["final_fitness"] for r in recs]))
+            for recs in by_repeat))
+        times = sorted(sum(r["elapsed_s"] for r in recs)
+                       for recs in by_repeat)
+        best2_times.append(float(np.mean(times[:2])))
+    return SweepResult(solver=solver, parameter=parameter, grid=list(grid),
+                       best_fitness=best_fitness, best2_time_mean=best2_times)

@@ -8,6 +8,7 @@ named config files.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -29,6 +30,19 @@ def _model_from_args(args):
     if args.config:
         return load_robot(args.config)
     return default_model()
+
+
+def _tree_from_args(args, spec=None):
+    """The regression tree named by --tree, else by the spec's `tree:`, or
+    None if neither names one. A model file that is not a tree is a
+    ConfigError."""
+    path = args.tree or (spec.tree_path if spec else None)
+    if not path:
+        return None
+    tree = ml.load_model(path)
+    if not isinstance(tree, ml.RegressionTree):
+        raise ConfigError(f"{path} is not a regression tree model")
+    return tree
 
 
 def _parse_vector(text, n, name):
@@ -76,13 +90,9 @@ def cmd_solve(args):
     model = _model_from_args(args)
     solver = SolverId(args.algo)
     target = _parse_vector(args.target, 3, "--target")
-    tree = None
-    if solver is SolverId.DTNR:
-        if not args.tree:
-            raise ConfigError("dtnr requires --tree <model-file>")
-        tree = ml.load_model(args.tree)
-        if not isinstance(tree, ml.RegressionTree):
-            raise ConfigError(f"{args.tree} is not a regression tree model")
+    tree = _tree_from_args(args)
+    if solver is SolverId.DTNR and tree is None:
+        raise ConfigError("dtnr requires --tree <model-file>")
     overrides = _parse_overrides(args.opt)
     config = make_config(solver, overrides)
     budget = make_budget(solver, {
@@ -153,15 +163,14 @@ def cmd_evaluate(args):
 def cmd_sweep(args):
     model = _model_from_args(args)
     spec = load_benchmark_spec(args.spec)
-    tree = ml.load_model(args.tree) if args.tree else None
     grid = [json.loads(v) for v in args.grid.split(",")]
     result = bench_mod.sweep_parameter(args.algo, args.param, grid,
-                                       args.repeats, model, spec, tree=tree)
+                                       args.repeats, model, spec,
+                                       tree=_tree_from_args(args, spec))
     rows = list(zip(result.grid, result.best_fitness, result.best2_time_mean))
     if args.out:
-        import csv as _csv
         with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow([args.param, "best_fitness_mm", "best2_time_mean_s"])
             writer.writerows(rows)
     for value, fit, t in rows:
@@ -172,12 +181,8 @@ def cmd_sweep(args):
 def cmd_bench(args):
     model = _model_from_args(args)
     spec = load_benchmark_spec(args.spec)
-    tree = None
-    tree_path = args.tree or spec.tree_path
-    if tree_path:
-        tree = ml.load_model(tree_path)
     reports, traces, runs, metadata = bench_mod.run_benchmark(
-        model, spec, tree=tree)
+        model, spec, tree=_tree_from_args(args, spec))
     bench_mod.export_report(args.out, reports, traces, runs, metadata)
     for r in reports:
         print(f"{r.algorithm}\tSR={r.success_rate:.1f}%\t"

@@ -1,6 +1,9 @@
 """YAML config loading for the robot geometry and benchmark specs."""
 from __future__ import annotations
 
+import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -65,21 +68,35 @@ class BenchmarkSpec:
     tree_path: str | None = None
 
     def __post_init__(self):
-        if self.n_targets < 1:
-            raise ConfigError("n_targets must be >= 1")
-        if self.success_threshold <= 0:
-            raise ConfigError("success_threshold must be positive")
-        if self.repeats_per_target < 1:
-            raise ConfigError("repeats_per_target must be >= 1")
+        for name, least in (("n_targets", 1), ("repeats_per_target", 1),
+                            ("master_seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}")
+        threshold = self.success_threshold
+        if not (isinstance(threshold, numbers.Real)
+                and math.isfinite(threshold) and threshold > 0):
+            raise ConfigError("success_threshold must be finite and positive")
         self.algorithms = [SolverId(a) for a in self.algorithms]
-        for section, table in (("configs", self.configs),
-                               ("budgets", self.budgets)):
-            if not isinstance(table, dict):
+        repeated = {a.value for a in self.algorithms
+                    if self.algorithms.count(a) > 1}
+        if repeated:
+            raise ConfigError(f"algorithms listed twice: {sorted(repeated)}")
+        for section in ("configs", "budgets"):
+            table = getattr(self, section)
+            if not isinstance(table, Mapping):
                 raise ConfigError(f"{section} must map solver ids to settings")
             unknown = set(table) - {s.value for s in SolverId}
             if unknown:
                 raise ConfigError(
                     f"{section}: unknown solver ids {sorted(map(str, unknown))}")
+            bad = [k for k, v in table.items()
+                   if v is not None and not isinstance(v, Mapping)]
+            if bad:
+                raise ConfigError(
+                    f"{section}: entries {sorted(bad)} must be mappings")
+            # An empty entry (`ga:` in YAML) means no overrides.
+            setattr(self, section, {k: dict(v or {}) for k, v in table.items()})
 
 
 def load_benchmark_spec(path):
@@ -91,7 +108,7 @@ def load_benchmark_spec(path):
     keys["tree"] = keys.pop("tree_path")
     unknown = set(data) - set(keys)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown keys {sorted(map(str, unknown))}")
     try:
         return BenchmarkSpec(**{keys[k]: v for k, v in data.items()})
     except ValueError as exc:

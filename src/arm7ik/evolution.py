@@ -33,9 +33,9 @@ class DeConfig:
     def __post_init__(self):
         if self.population_size < 4:
             raise ValueError("DE needs population_size >= 4")
-        if self.mutation_probability < 0:
+        if not self.mutation_probability >= 0:
             raise ValueError("mutation_probability must be >= 0")
-        if self.differential_weight < 0:
+        if not self.differential_weight >= 0:
             raise ValueError("differential_weight must be >= 0")
         if not 0 <= self.crossover_rate <= 1:
             raise ValueError("crossover_rate must lie in [0, 1]")

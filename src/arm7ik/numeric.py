@@ -25,7 +25,7 @@ class NewtonConfig:
     step_scale: float = 1.0
 
     def __post_init__(self):
-        if self.damping < 0:
+        if not self.damping >= 0:
             raise ValueError("damping must be nonnegative")
         if not 0 < self.step_scale <= 1:
             raise ValueError("step_scale must be in (0, 1]")

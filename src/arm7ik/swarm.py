@@ -20,7 +20,7 @@ class PsoConfig:
         if self.num_particles < 1:
             raise ValueError("need at least one particle")
         for c in (self.inertia, self.cognitive, self.social):
-            if c < 0:
+            if not c >= 0:
                 raise ValueError("w, c1 and c2 must be nonnegative")
 
 
@@ -33,7 +33,7 @@ class QpsoConfig:
     def __post_init__(self):
         if self.num_particles < 2:
             raise ValueError("QPSO needs num_particles >= 2")
-        if self.beta_start <= 0 or self.beta_end <= 0:
+        if not (self.beta_start > 0 and self.beta_end > 0):
             raise ValueError("beta must stay positive over the schedule")
 
 
@@ -50,7 +50,7 @@ class AfsaConfig:
             raise ValueError("population_size must be >= 1")
         if not 0 < self.exploration_q < 1:
             raise ValueError("exploration_q must lie in (0, 1)")
-        if self.visual_range <= 0:
+        if not self.visual_range > 0:
             raise ValueError("visual_range must be positive")
 
 

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from arm7ik import KinematicModel
 from arm7ik.cli import EXIT_CONFIG, EXIT_MISSING_FILE, EXIT_OK, build_parser, main
+from arm7ik.ml import fit_polynomial, fit_tree, generate_dataset, save_model
 import oracles
 
 
@@ -313,6 +315,42 @@ class TestBenchAndReport:
         assert "gaa" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, key", [
+        ("algorithms: [ga]\nconfigs:\n  ga: [1, 2]\n", "configs"),
+        ("algorithms: [ga]\nbudgets:\n  ga: [1, 2]\n", "budgets"),
+        ("algorithms: [ga]\n1: 2\nturbo: true\n", "turbo"),
+        ("algorithms: [ga]\nsuccess_threshold: .nan\n", "success_threshold"),
+        ("algorithms: [ga]\nsuccess_threshold: .inf\n", "success_threshold"),
+        ("algorithms: [ga]\nn_targets: 2.5\n", "n_targets"),
+        ("algorithms: [ga]\nrepeats_per_target: 1.5\n", "repeats_per_target"),
+        ("algorithms: [ga]\nmaster_seed: 1.5\n", "master_seed"),
+        ("algorithms: [nr, ga, nr]\n", "nr"),
+    ], ids=["config-entry", "budget-entry", "mixed-type-keys", "nan-threshold",
+            "inf-threshold", "float-n-targets", "float-repeats", "float-seed",
+            "repeated-algorithm"])
+    def test_malformed_spec_is_a_config_error(self, capsys, tmp_path, text,
+                                              key):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text(text)
+        code, _, err = run_cli(capsys, "bench", "--spec", str(spec),
+                               "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert key in err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_config_entry_means_no_overrides(self, capsys, tmp_path):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text("n_targets: 1\nalgorithms: [ga]\nconfigs:\n  ga:\n"
+                        "budgets:\n  ga:\n")
+        code, _, _ = run_cli(capsys, "bench", "--spec", str(spec),
+                             "--out", str(tmp_path / "o"))
+        assert code == EXIT_OK
+        code, out, _ = run_cli(capsys, "sweep", "--algo", "ga",
+                               "--param", "population_size", "--grid", "5",
+                               "--repeats", "1", "--spec", str(spec))
+        assert code == EXIT_OK
+        assert len(out.strip().splitlines()) == 1
+
     def test_sweep_command(self, capsys, tmp_path):
         spec = tmp_path / "bench.yaml"
         spec.write_text("n_targets: 1\nalgorithms: [ga]\n")
@@ -328,3 +366,64 @@ class TestBenchAndReport:
         assert rows[0] == ["population_size", "best_fitness_mm",
                            "best2_time_mean_s"]
         assert len(rows) == 3
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """A small trained tree and a linear model, saved as model files."""
+    out = tmp_path_factory.mktemp("models")
+    data = generate_dataset(KinematicModel(), 300,
+                            rng=np.random.default_rng(4))
+    save_model(fit_tree(data), out / "tree.json")
+    save_model(fit_polynomial(data, 1), out / "lin.json")
+    return out
+
+
+class TestTreeFiles:
+    """solve, bench and sweep load the tree one way: --tree, else the
+    spec's `tree:`; a model file that is not a tree is exit 3."""
+
+    DTNR_SPEC = "n_targets: 1\nalgorithms: [dtnr]\n"
+    SWEEP = ("sweep", "--algo", "dtnr", "--param", "refine_joint_count",
+             "--grid", "3,7", "--repeats", "1")
+
+    def test_sweep_honours_the_spec_tree(self, capsys, tmp_path, model_files):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text(f"{self.DTNR_SPEC}tree: {model_files / 'tree.json'}\n")
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--spec", str(spec))
+        assert code == EXIT_OK
+        assert len(out.strip().splitlines()) == 2
+
+    def test_bench_honours_the_spec_tree(self, capsys, tmp_path, model_files):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text(f"{self.DTNR_SPEC}tree: {model_files / 'tree.json'}\n")
+        code, out, _ = run_cli(capsys, "bench", "--spec", str(spec),
+                               "--out", str(tmp_path / "o"))
+        assert code == EXIT_OK
+        assert out.startswith("dtnr")
+
+    @pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+    def test_tree_flag_naming_a_linear_model_is_a_config_error(
+            self, capsys, tmp_path, model_files, command):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text(self.DTNR_SPEC)
+        args = {"solve": ("solve", "--algo", "dtnr", "--target", "0.4,0.3,1.2"),
+                "bench": ("bench", "--spec", str(spec),
+                          "--out", str(tmp_path / "o")),
+                "sweep": (*self.SWEEP, "--spec", str(spec))}[command]
+        code, _, err = run_cli(capsys, *args,
+                               "--tree", str(model_files / "lin.json"))
+        assert code == EXIT_CONFIG
+        assert "not a regression tree" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_spec_tree_naming_a_linear_model_is_a_config_error(
+            self, capsys, tmp_path, model_files, command):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text(f"{self.DTNR_SPEC}tree: {model_files / 'lin.json'}\n")
+        args = {"bench": ("bench", "--out", str(tmp_path / "o")),
+                "sweep": self.SWEEP}[command]
+        code, _, err = run_cli(capsys, *args, "--spec", str(spec))
+        assert code == EXIT_CONFIG
+        assert "not a regression tree" in err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -77,6 +78,26 @@ class TestBenchmarkSpec:
         with pytest.raises(ValueError):
             BenchmarkSpec(algorithms=["warp"])
 
+    @pytest.mark.parametrize("fields", [
+        {"configs": {"ga": [1, 2]}}, {"budgets": {"nr": 3}},
+        {"success_threshold": math.nan}, {"success_threshold": math.inf},
+        {"success_threshold": "1"}, {"n_targets": 2.5},
+        {"repeats_per_target": 1.5}, {"repeats_per_target": 0},
+        {"master_seed": -1}, {"master_seed": 0.5},
+        {"algorithms": ["nr", "nr"]}])
+    def test_malformed_fields_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            BenchmarkSpec(**fields)
+        # dataclasses.replace, as a sweep builds its campaigns, goes
+        # through the same checks.
+        with pytest.raises(ConfigError):
+            replace(BenchmarkSpec(), **fields)
+
+    def test_empty_entry_means_no_overrides(self):
+        spec = BenchmarkSpec(configs={"ga": None}, budgets={"ga": None})
+        assert spec.configs == {"ga": {}}
+        assert spec.budgets == {"ga": {}}
+
     def test_loads_yaml(self, tmp_path):
         path = tmp_path / "bench.yaml"
         path.write_text(
@@ -94,4 +115,7 @@ class TestBenchmarkSpec:
         path = tmp_path / "bench.yaml"
         path.write_text("n_targets: 5\nturbo: true\n")
         with pytest.raises(ConfigError):
+            load_benchmark_spec(path)
+        path.write_text("n_targets: 5\n1: 2\nturbo: true\n")
+        with pytest.raises(ConfigError, match="turbo"):
             load_benchmark_spec(path)
