@@ -209,22 +209,23 @@ def sweep_parameter(solver_id, parameter, grid, repeats, model,
     solver alone with `repeats` runs per target, on the spec's batch,
     seeds and budget. Records the best over the repeats of the mean
     fitness across targets, and the mean of the two best repeat times
-    (each the summed solve time of one repeat)."""
+    (each the summed solve time of one repeat). Every grid value's config
+    and the grid's order are checked before the first solve."""
     solver = SolverId(solver_id).value
     base = spec.configs.get(solver, {})
-    best_fitness = []
-    best2_times = []
-    for value in grid:
-        campaign = replace(spec, algorithms=[solver],
-                           repeats_per_target=repeats,
-                           configs={solver: {**base, parameter: value}})
+    campaigns = [replace(spec, algorithms=[solver], repeats_per_target=repeats,
+                         configs={solver: {**base, parameter: value}})
+                 for value in grid]
+    for campaign in campaigns:
+        make_config(solver, campaign.configs[solver])
+    result = SweepResult(solver, parameter, list(grid), [], [])
+    for campaign in campaigns:
         _, _, runs, _ = run_benchmark(model, campaign, tree=tree)
         by_repeat = _group(runs, "repeat").values()
-        best_fitness.append(min(
+        result.best_fitness.append(min(
             float(np.mean([r["final_fitness"] for r in recs]))
             for recs in by_repeat))
         times = sorted(sum(r["elapsed_s"] for r in recs)
                        for recs in by_repeat)
-        best2_times.append(float(np.mean(times[:2])))
-    return SweepResult(solver=solver, parameter=parameter, grid=list(grid),
-                       best_fitness=best_fitness, best2_time_mean=best2_times)
+        result.best2_time_mean.append(float(np.mean(times[:2])))
+    return result

@@ -1,14 +1,12 @@
 """YAML config loading for the robot geometry and benchmark specs."""
 from __future__ import annotations
 
-import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import yaml
 
-from .core import SolverId
+from .core import SolverId, check_settings, setting
 from .kinematics import KinematicModel
 
 
@@ -57,26 +55,18 @@ def default_model():
 class BenchmarkSpec:
     """One benchmark campaign: a shared target batch applied to every
     listed algorithm."""
-    n_targets: int = 100
-    success_threshold: float = 1.0
-    master_seed: int = 0
+    n_targets: int = setting(100, 1)
+    success_threshold: float = setting(1.0, 0, above=True)
+    master_seed: int = setting(0, 0)
     algorithms: list = field(default_factory=lambda: list(SolverId))
-    repeats_per_target: int = 1
+    repeats_per_target: int = setting(1, 1)
     configs: dict = field(default_factory=dict)   # solver -> override dict
     budgets: dict = field(default_factory=dict)   # solver -> budget dict
     sampler: str = "ball"
     tree_path: str | None = None
 
     def __post_init__(self):
-        for name, least in (("n_targets", 1), ("repeats_per_target", 1),
-                            ("master_seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}")
-        threshold = self.success_threshold
-        if not (isinstance(threshold, numbers.Real)
-                and math.isfinite(threshold) and threshold > 0):
-            raise ConfigError("success_threshold must be finite and positive")
+        check_settings(self, ConfigError)
         self.algorithms = [SolverId(a) for a in self.algorithms]
         repeated = {a.value for a in self.algorithms
                     if self.algorithms.count(a) > 1}

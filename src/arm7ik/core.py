@@ -1,5 +1,5 @@
-"""Shared solver contract: budgets, convergence traces, results and the
-one loop that drives every solver."""
+"""Shared solver contract: the settings check, budgets, convergence
+traces, results and the one loop that drives every solver."""
 from __future__ import annotations
 
 import csv
@@ -7,7 +7,7 @@ import enum
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,48 @@ class SolverId(str, enum.Enum):
     DE = "de"
 
 
+def setting(default=MISSING, low=None, high=None, *, above=False,
+            below=False):
+    """A settings dataclass field: its default and the bounds that
+    check_settings holds it to, low <= value <= high. `above` and `below`
+    make the low and high bound strict; a bound left None is open."""
+    return field(default=default,
+                 metadata={"bounds": (low, high, above, below)})
+
+
+# Annotation, as written (the modules postpone annotations) -> the type a
+# field's value must have, and how an error names it.
+_KINDS = {"bool": (bool, "true or false"),
+          "int": (numbers.Integral, "an integer"),
+          "float": (numbers.Real, "a finite number"),
+          "float | None": (numbers.Real, "a finite number")}
+
+
+def check_settings(obj, error=ValueError):
+    """Raise `error` naming the first field of the dataclass `obj` whose
+    value does not fit its annotation: a bool field holds a bool, an int
+    field an integer, a float field a finite real number, and only a bool
+    field a bool; a float | None field may also hold None. The value must
+    also lie inside the bounds setting() declared. Fields of any other
+    type are left alone. Used as __post_init__."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type not in _KINDS or value is None and f.type == "float | None":
+            continue
+        base, kind = _KINDS[f.type]
+        if (not isinstance(value, base)
+                or isinstance(value, bool) is not (base is bool)
+                or base is numbers.Real and not math.isfinite(value)):
+            raise error(f"{f.name} must be {kind}, got {value!r}")
+        low, high, above, below = f.metadata.get("bounds", (None,) * 4)
+        if low is not None and not (value > low if above else value >= low):
+            raise error(f"{f.name} must be {'>' if above else '>='} {low}, "
+                        f"got {value!r}")
+        if high is not None and not (value < high if below else value <= high):
+            raise error(f"{f.name} must be {'<' if below else '<='} {high}, "
+                        f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class Budget:
     """Stop conditions common to all solvers.
@@ -32,20 +74,11 @@ class Budget:
     ``tolerance`` is the solver's own stop criterion in mm; the benchmark
     success threshold (1 mm) is a separate, looser knob.
     """
-    max_iterations: int
-    tolerance: float = 1e-9
-    wall_clock_limit: float | None = None
+    max_iterations: int = setting(low=1)
+    tolerance: float = setting(1e-9, 0, above=True)
+    wall_clock_limit: float | None = setting(None, 0, above=True)
 
-    def __post_init__(self):
-        if (not isinstance(self.max_iterations, numbers.Integral)
-                or self.max_iterations < 1):
-            raise ValueError("max_iterations must be an integer >= 1")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be finite and positive")
-        limit = self.wall_clock_limit
-        if limit is not None and not (math.isfinite(limit) and limit > 0):
-            raise ValueError("wall_clock_limit must be None or finite and "
-                             "positive")
+    __post_init__ = check_settings
 
 
 class ConvergenceTrace:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_settings, setting
 # perfbench/tracer.py wraps dh_transform and pseudo_inverse under this
 # module's names, so both stay importable from here; dtnr calls neither.
 from .kinematics import KinematicModel, dh_transform, wrap_angle
@@ -16,12 +17,10 @@ from .numeric import NewtonConfig, newton_steps, pseudo_inverse
 
 @dataclass(frozen=True)
 class DtnrConfig:
-    refine_joint_count: int = 3
+    refine_joint_count: int = setting(3, 1, 7)
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
-    def __post_init__(self):
-        if not 1 <= self.refine_joint_count <= 7:
-            raise ValueError("refine_joint_count must be in [1, 7]")
+    __post_init__ = check_settings
 
 
 def dtnr_steps(tree: RegressionTree, model: KinematicModel, target, config):

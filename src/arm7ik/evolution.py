@@ -5,40 +5,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import population_best
+from .core import check_settings, population_best, setting
 from .kinematics import KinematicModel, batch_fitness
 
 
 @dataclass(frozen=True)
 class GaConfig:
-    population_size: int = 30
-    mutation_probability: float = 0.01
-    crossover_probability: float = 0.9
+    population_size: int = setting(30, 2)
+    mutation_probability: float = setting(0.01, 0, 1)
+    crossover_probability: float = setting(0.9, 0, 1)
 
-    def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        for p in (self.mutation_probability, self.crossover_probability):
-            if not 0 <= p <= 1:
-                raise ValueError("probabilities must lie in [0, 1]")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class DeConfig:
-    population_size: int = 20
-    mutation_probability: float = 0.001  # doubles as the noise sigma (rad)
-    differential_weight: float = 0.8
-    crossover_rate: float = 0.9
+    population_size: int = setting(20, 4)
+    mutation_probability: float = setting(0.001, 0)  # noise sigma (rad)
+    differential_weight: float = setting(0.8, 0)
+    crossover_rate: float = setting(0.9, 0, 1)
 
-    def __post_init__(self):
-        if self.population_size < 4:
-            raise ValueError("DE needs population_size >= 4")
-        if not self.mutation_probability >= 0:
-            raise ValueError("mutation_probability must be >= 0")
-        if not self.differential_weight >= 0:
-            raise ValueError("differential_weight must be >= 0")
-        if not 0 <= self.crossover_rate <= 1:
-            raise ValueError("crossover_rate must lie in [0, 1]")
+    __post_init__ = check_settings
 
 
 def tournament_winners(rng, values, shape):

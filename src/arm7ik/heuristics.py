@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_settings, setting
 # perfbench/tracer.py wraps fitness and joint_frames under this module's
 # names for it, so both stay imported here, though the solvers below
 # evaluate poses through the Horner partials and the frame pass instead.
@@ -17,34 +18,26 @@ from .kinematics import (BASE_FRAME, KinematicModel, fitness, frame_pass,
 
 @dataclass(frozen=True)
 class CcdConfig:
-    per_joint_tolerance: float = 1e-12
-    loop_guard: int = 30
+    per_joint_tolerance: float = setting(1e-12, 0)
+    loop_guard: int = setting(30, 1)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.per_joint_tolerance)
-                and self.per_joint_tolerance >= 0):
-            raise ValueError("per_joint_tolerance must be finite and >= 0")
-        if not self.loop_guard >= 1:
-            raise ValueError("loop_guard must be >= 1")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class SaConfig:
-    t_max: float = 100.0
-    t_min: float = 1e-50
-    cooling_rate: float = 0.7
-    max_stay_counter: int = 20
-    neighborhood_scale: float = 0.5
-    step_decay: float = 0.2  # proposal width ~ (T / t_max) ** step_decay
-    paper_literal_acceptance: bool = False
+    t_max: float = setting(100.0, 0, above=True)
+    t_min: float = setting(1e-50, 0, above=True)
+    cooling_rate: float = setting(0.7, 0, 1, above=True, below=True)
+    max_stay_counter: int = setting(20, 1)
+    neighborhood_scale: float = setting(0.5, 0, above=True)
+    step_decay: float = setting(0.2, 0)  # width ~ (T / t_max) ** step_decay
+    paper_literal_acceptance: bool = setting(False)
 
     def __post_init__(self):
-        if not self.t_max > self.t_min > 0:
-            raise ValueError("need t_max > t_min > 0")
-        if not 0 < self.cooling_rate < 1:
-            raise ValueError("cooling_rate must be in (0, 1)")
-        if self.max_stay_counter < 1:
-            raise ValueError("max_stay_counter must be >= 1")
+        check_settings(self)
+        if not self.t_max > self.t_min:
+            raise ValueError("t_max must be > t_min")
 
 
 def ccd_joint_update(model: KinematicModel, q, joint, target):

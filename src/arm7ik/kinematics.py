@@ -61,8 +61,8 @@ class KinematicModel:
     def __init__(self, lengths=(1.0, 1.0, 1.0, 1.0), joint_limits=None,
                  convention="standard"):
         lengths = tuple(float(v) for v in lengths)
-        if len(lengths) != 4 or any(v <= 0 for v in lengths):
-            raise ValueError("need four positive link lengths (d1, d3, d5, d7)")
+        if len(lengths) != 4 or not all(0 < v < math.inf for v in lengths):
+            raise ValueError("need four finite lengths > 0 (d1, d3, d5, d7)")
         if convention not in ("standard", "modified"):
             raise ValueError(f"unknown DH convention: {convention!r}")
         self.lengths = lengths
@@ -79,10 +79,11 @@ class KinematicModel:
         limits = np.asarray(joint_limits, dtype=float)
         if limits.shape != (7, 2):
             raise ValueError("joint_limits must be 7 (lo, hi) pairs")
-        if np.any(limits[:, 0] >= limits[:, 1]):
-            raise ValueError("every joint limit interval must be nonempty")
-        if np.any(limits < -TWO_PI) or np.any(limits > TWO_PI):
+        # Written so that a NaN limit fails both tests.
+        if not np.all((limits >= -TWO_PI) & (limits <= TWO_PI)):
             raise ValueError("joint limits must lie within [-2*pi, 2*pi]")
+        if not np.all(limits[:, 0] < limits[:, 1]):
+            raise ValueError("every joint limit interval must be nonempty")
         self.lower = limits[:, 0].copy()
         self.upper = limits[:, 1].copy()
 

@@ -76,8 +76,8 @@ def generate_dataset(model: KinematicModel, count, noise_amplitude=0.1,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if noise_amplitude < 0:
-        raise ValueError("noise_amplitude must be >= 0")
+    if not 0 <= noise_amplitude < math.inf:
+        raise ValueError("noise_amplitude must be finite and >= 0")
     if rng is None:
         rng = np.random.default_rng(seed or 0)
 

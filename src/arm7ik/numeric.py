@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import population_best
+from .core import check_settings, population_best, setting
 # perfbench/tracer.py wraps end_effector_position, fitness, joint_frames
 # and position_jacobian under this module's names, so all four stay
 # imported here; of them only nm_steps's fitness is called.
@@ -21,32 +21,21 @@ STALL_STEP_NORM = 1e-8  # joint-space step below which Newton has stalled
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    damping: float = 0.0
-    step_scale: float = 1.0
+    damping: float = setting(0.0, 0)
+    step_scale: float = setting(1.0, 0, 1, above=True)
 
-    def __post_init__(self):
-        if not self.damping >= 0:
-            raise ValueError("damping must be nonnegative")
-        if not 0 < self.step_scale <= 1:
-            raise ValueError("step_scale must be in (0, 1]")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class NelderMeadConfig:
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-    initial_simplex_scale: float = 0.35
+    reflection: float = setting(1.0, 0, above=True)
+    expansion: float = setting(2.0, 1, above=True)
+    contraction: float = setting(0.5, 0, 1, above=True, below=True)
+    shrink: float = setting(0.5, 0, 1, above=True, below=True)
+    initial_simplex_scale: float = setting(0.35, 0, above=True)
 
-    def __post_init__(self):
-        if not (self.reflection > 0 and self.expansion > 1):
-            raise ValueError("need reflection > 0 and expansion > 1")
-        if not (0 < self.contraction < 1 and 0 < self.shrink < 1):
-            raise ValueError("contraction and shrink must be in (0, 1)")
-        if not (math.isfinite(self.initial_simplex_scale)
-                and self.initial_simplex_scale > 0):
-            raise ValueError("initial_simplex_scale must be finite and > 0")
+    __post_init__ = check_settings
 
 
 def pseudo_inverse(jac, damping=0.0):

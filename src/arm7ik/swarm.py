@@ -6,52 +6,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_settings, setting
 from .kinematics import KinematicModel, batch_fitness, fitness
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    num_particles: int = 20
-    inertia: float = 0.7298
-    cognitive: float = 1.49618
-    social: float = 1.49618
+    num_particles: int = setting(20, 1)
+    inertia: float = setting(0.7298, 0)
+    cognitive: float = setting(1.49618, 0)
+    social: float = setting(1.49618, 0)
 
-    def __post_init__(self):
-        if self.num_particles < 1:
-            raise ValueError("need at least one particle")
-        for c in (self.inertia, self.cognitive, self.social):
-            if not c >= 0:
-                raise ValueError("w, c1 and c2 must be nonnegative")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class QpsoConfig:
-    num_particles: int = 20
-    beta_start: float = 1.0
-    beta_end: float = 0.5
+    num_particles: int = setting(20, 2)
+    beta_start: float = setting(1.0, 0, above=True)
+    beta_end: float = setting(0.5, 0, above=True)
 
-    def __post_init__(self):
-        if self.num_particles < 2:
-            raise ValueError("QPSO needs num_particles >= 2")
-        if not (self.beta_start > 0 and self.beta_end > 0):
-            raise ValueError("beta must stay positive over the schedule")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
 class AfsaConfig:
-    population_size: int = 1
-    exploration_q: float = 0.971
-    max_attempt_size: int = 4
-    visual_range: float = 0.6
-    crowding_factor: float = 0.618
+    population_size: int = setting(1, 1)
+    exploration_q: float = setting(0.971, 0, 1, above=True, below=True)
+    max_attempt_size: int = setting(4, 1)
+    visual_range: float = setting(0.6, 0, above=True)
+    crowding_factor: float = setting(0.618, 0, 1, above=True)
 
-    def __post_init__(self):
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if not 0 < self.exploration_q < 1:
-            raise ValueError("exploration_q must lie in (0, 1)")
-        if not self.visual_range > 0:
-            raise ValueError("visual_range must be positive")
+    __post_init__ = check_settings
 
 
 def pso_velocity_update(v, x, pbest, gbest, w, c1, c2, r1, r2):

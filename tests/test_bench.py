@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +139,33 @@ def test_nan_config_bound_rejected(config_cls, name):
     # Built directly, without make_config's finite check in front.
     with pytest.raises(ValueError):
         config_cls(**{name: float("nan")})
+
+
+# Every int, float and bool field of the solver configs and of Budget.
+SCALAR_SETTINGS = [
+    (cls, f) for cls in [row[0] for row in SOLVERS.values()] + [Budget]
+    for f in dataclasses.fields(cls)
+    if f.type in ("int", "float", "float | None", "bool")]
+SETTING_IDS = [f"{cls.__name__}.{f.name}" for cls, f in SCALAR_SETTINGS]
+
+
+@pytest.mark.parametrize("cls, field", SCALAR_SETTINGS, ids=SETTING_IDS)
+def test_every_setting_declares_its_bounds(cls, field):
+    # A field declared without setting() would skip the bounds check.
+    assert "bounds" in field.metadata
+
+
+@pytest.mark.parametrize("cls, field", SCALAR_SETTINGS, ids=SETTING_IDS)
+def test_every_setting_rejects_values_of_the_wrong_kind(cls, field):
+    required = {"max_iterations": 1} if cls is Budget else {}
+    cls(**required)
+    bad = [math.nan, math.inf, -math.inf, "x"]
+    bad.append(1 if field.type == "bool" else True)
+    if field.type == "int":
+        bad.append(2.5)
+    for value in bad:
+        with pytest.raises(ValueError, match=field.name):
+            cls(**{**required, field.name: value})
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +367,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepResult("ga", "population_size", [30, 10], [0.0, 0.0],
                         [0.0, 0.0])
+
+    @pytest.mark.parametrize("parameter, grid, message", [
+        ("population_size", [40, 10], "increasing"),
+        ("mutation_probability", [0.1, 0.2, 1.5], "mutation_probability")])
+    def test_bad_grid_fails_before_the_first_solve(self, model, monkeypatch,
+                                                   parameter, grid, message):
+        calls = []
+        monkeypatch.setattr(arm7ik.bench, "run_solver",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            sweep_parameter("ga", parameter, grid, 1, model,
+                            tiny_spec(n_targets=1))
+        assert calls == []
 
     def test_single_cell_matches_a_direct_solve(self, model):
         spec = tiny_spec(n_targets=2, algorithms=["ga"])

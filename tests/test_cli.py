@@ -58,6 +58,25 @@ class TestFk:
         expected = oracles.fk_position(np.zeros(7), (0.36, 0.42, 0.4, 0.126))
         assert np.allclose(got, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("robot, command", [
+        ("lengths: [.nan, 1, 1, 1]\n", "fk"),
+        ("lengths: [.inf, 1, 1, 1]\n", "fk"),
+        ("lengths: [1, 1, 1, 1]\njoint_limits: [[.nan, 1]"
+         + ", [-1, 1]" * 6 + "]\n", "solve"),
+        ("lengths: [1, 1, 1, 1]\njoint_limits: [[-1, .nan]"
+         + ", [-1, 1]" * 6 + "]\n", "solve"),
+    ], ids=["nan-length", "inf-length", "nan-lower-limit", "nan-upper-limit"])
+    def test_non_finite_geometry_is_a_config_error(self, capsys, tmp_path,
+                                                   robot, command):
+        path = tmp_path / "robot.yaml"
+        path.write_text(robot)
+        args = {"fk": ("fk", "--joints", "0,0,0,0,0,0,0"),
+                "solve": ("solve", "--algo", "pso",
+                          "--target", "0.5,0.5,1.0")}[command]
+        code, out, _ = run_cli(capsys, *args, "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(capsys, "fk", "--config", "/nope/robot.yaml",
                              "--joints", "0,0,0,0,0,0,0")
@@ -154,6 +173,11 @@ class TestSolve:
         ("nm", "initial_simplex_scale=Infinity"),
         ("nm", "reflection=NaN"),
         ("pso", "inertia=NaN"),
+        ("pso", "num_particles=20.0"),
+        ("qpso", "num_particles=true"),
+        ("nm", 'reflection="x"'),
+        ("afsa", "max_attempt_size=-3"),
+        ("sa", "paper_literal_acceptance=3"),
     ])
     def test_removed_or_out_of_range_option_is_a_config_error(
             self, capsys, algo, opt):
@@ -205,6 +229,16 @@ class TestMlPipeline:
                                "--tree", str(tree))
         assert code == EXIT_OK
         assert json.loads(out)["algorithm"] == "dtnr"
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_a_config_error(self, capsys, tmp_path,
+                                                noise):
+        data = tmp_path / "data.csv"
+        code, _, err = run_cli(capsys, "dataset", "--count", "200",
+                               "--noise", noise, "--out", str(data))
+        assert code == EXIT_CONFIG
+        assert "noise_amplitude" in err
+        assert not data.exists()
 
     def test_linear_and_poly_variants(self, capsys, tmp_path):
         data = tmp_path / "data.csv"
@@ -325,9 +359,12 @@ class TestBenchAndReport:
         ("algorithms: [ga]\nrepeats_per_target: 1.5\n", "repeats_per_target"),
         ("algorithms: [ga]\nmaster_seed: 1.5\n", "master_seed"),
         ("algorithms: [nr, ga, nr]\n", "nr"),
+        # PyYAML reads 1e-3, with no dot, as a string.
+        ("algorithms: [de]\nconfigs:\n  de: {mutation_probability: 1e-3}\n",
+         "mutation_probability"),
     ], ids=["config-entry", "budget-entry", "mixed-type-keys", "nan-threshold",
             "inf-threshold", "float-n-targets", "float-repeats", "float-seed",
-            "repeated-algorithm"])
+            "repeated-algorithm", "string-config-value"])
     def test_malformed_spec_is_a_config_error(self, capsys, tmp_path, text,
                                               key):
         spec = tmp_path / "bench.yaml"

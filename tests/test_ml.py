@@ -73,8 +73,9 @@ class TestGenerateDataset:
     def test_validation(self, model):
         with pytest.raises(ValueError):
             generate_dataset(model, 0)
-        with pytest.raises(ValueError):
-            generate_dataset(model, 10, noise_amplitude=-0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_amplitude"):
+                generate_dataset(model, 10, noise_amplitude=bad)
 
     def test_csv_round_trip_is_exact(self, model, tmp_path):
         ds = generate_dataset(model, 64, rng=np.random.default_rng(6))
