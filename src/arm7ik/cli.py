@@ -91,8 +91,6 @@ def cmd_solve(args):
     solver = SolverId(args.algo)
     target = _parse_vector(args.target, 3, "--target")
     tree = _tree_from_args(args)
-    if solver is SolverId.DTNR and tree is None:
-        raise ConfigError("dtnr requires --tree <model-file>")
     overrides = _parse_overrides(args.opt)
     config = make_config(solver, overrides)
     budget = make_budget(solver, {

@@ -8,8 +8,11 @@ import math
 import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields
+from sys import float_info
 
 import numpy as np
+
+from .kinematics import wrap_angle
 
 
 class SolverId(str, enum.Enum):
@@ -45,10 +48,10 @@ _KINDS = {"bool": (bool, "true or false"),
 def check_settings(obj, error=ValueError):
     """Raise `error` naming the first field of the dataclass `obj` whose
     value does not fit its annotation: a bool field holds a bool, an int
-    field an integer, a float field a finite real number, and only a bool
-    field a bool; a float | None field may also hold None. The value must
-    also lie inside the bounds setting() declared. Fields of any other
-    type are left alone. Used as __post_init__."""
+    field an integer, a float field a finite real number that fits a float,
+    and only a bool field a bool; a float | None field may also hold None.
+    The value must also lie inside the bounds setting() declared. Fields
+    of any other type are left alone. Used as __post_init__."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type not in _KINDS or value is None and f.type == "float | None":
@@ -56,7 +59,7 @@ def check_settings(obj, error=ValueError):
         base, kind = _KINDS[f.type]
         if (not isinstance(value, base)
                 or isinstance(value, bool) is not (base is bool)
-                or base is numbers.Real and not math.isfinite(value)):
+                or base is numbers.Real and not abs(value) <= float_info.max):
             raise error(f"{f.name} must be {kind}, got {value!r}")
         low, high, above, below = f.metadata.get("bounds", (None,) * 4)
         if low is not None and not (value > low if above else value >= low):
@@ -156,7 +159,7 @@ def population_best(points, values):
     return points[i], float(values[i])
 
 
-def run_steps(steps, budget: Budget, finish) -> SolveResult:
+def run_steps(steps, budget: Budget) -> SolveResult:
     """Drive a solver's step generator under `budget`.
 
     `steps` yields (best_joints, best_fitness) for its start point and
@@ -164,8 +167,8 @@ def run_steps(steps, budget: Budget, finish) -> SolveResult:
     rises. The trace logs each best_fitness. The solve stops once it is
     under the tolerance, at the iteration cap, or past the wall-clock
     limit (checked from iteration 1 on). The result holds the last yield,
-    its joints passed through `finish`; a generator must not change an
-    array it has yielded.
+    its joints wrapped (a joint in (-pi, pi] keeps every bit); a generator
+    must not change an array it has yielded.
     """
     start = time.perf_counter()
     trace = ConvergenceTrace()
@@ -177,7 +180,7 @@ def run_steps(steps, budget: Budget, finish) -> SolveResult:
         if it and budget.wall_clock_limit and elapsed > budget.wall_clock_limit:
             break
     return SolveResult(
-        joints=finish(joints),
+        joints=wrap_angle(joints),
         final_fitness=best,
         iterations_used=it,
         elapsed=time.perf_counter() - start,

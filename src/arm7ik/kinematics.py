@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# wrap_angle's operands as 0-d arrays: ufuncs convert a Python float anew.
+_PI_0D, _TWO_PI_0D, _HALF_0D = map(np.array, (math.pi, TWO_PI, 0.5))
 
 # Canonical DH table of the 7R arm: (alpha, a, d-slot index or None).
 # Only rows 1, 3, 5, 7 carry a nonzero link offset (d1, d3, d5, d7).
@@ -21,14 +23,30 @@ _CANONICAL_D_ROWS = (0, 2, 4, 6)  # zero-based rows holding d1, d3, d5, d7
 
 
 def wrap_angle(theta):
-    """Wrap angle(s) into (-pi, pi]."""
-    return -((-np.asarray(theta, dtype=float) + math.pi) % TWO_PI - math.pi)
+    """Wrap angle(s) into (-pi, pi]: the exact remainder of theta modulo
+    TWO_PI in that interval, so -pi wraps to pi and an angle already in it
+    comes back unchanged (-0.0 as 0.0). A new array, or a numpy float."""
+    r = np.fmod(theta, _TWO_PI_0D)  # exact, with the sign of theta
+    if not r.ndim:
+        return np.float64(wrap_float(float(r)))
+    # Turns to take off: -1 for r <= -pi, 1 for r > pi, else 0. r / pi
+    # is -1 or 1 exactly at -pi or pi, and past it an ulp further out.
+    turns = r / _PI_0D
+    np.ceil(turns, turns)
+    turns *= _HALF_0D
+    np.floor(turns, turns)
+    turns *= _TWO_PI_0D
+    # Exact (Sterbenz); into the newer buffer, which keeps peak RSS lower.
+    return np.subtract(r, turns, turns)
 
 
 def wrap_float(theta):
-    """wrap_angle of one Python float, bit-equal to it: float % and
-    np.remainder round the same way."""
-    return -((-theta + math.pi) % TWO_PI - math.pi)
+    """wrap_angle of one Python float, bit-equal to it: math.fmod is as
+    exact as np.fmod, and + 0.0 makes -0.0 0.0 as r - turns does there."""
+    if not -math.pi < theta <= math.pi:
+        r = math.fmod(theta, TWO_PI) if math.isfinite(theta) else math.nan
+        theta = r - TWO_PI * ((r > math.pi) - (r <= -math.pi))  # turns
+    return theta + 0.0
 
 
 @dataclass(frozen=True)

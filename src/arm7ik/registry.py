@@ -4,15 +4,13 @@ run_solver."""
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
 
 import numpy as np
 
 from .core import Budget, SolverId, run_steps
-from .dtnr import DtnrConfig, dtnr_steps, wrap_refined
+from .dtnr import DtnrConfig, dtnr_steps
 from .evolution import DeConfig, GaConfig, de_steps, ga_steps
 from .heuristics import CcdConfig, SaConfig, ccd_steps, sa_steps
-from .kinematics import wrap_angle
 from .numeric import NelderMeadConfig, NewtonConfig, nm_steps, nr_steps
 from .swarm import (AfsaConfig, PsoConfig, QpsoConfig, afsa_steps, pso_steps,
                     qpso_steps)
@@ -42,15 +40,12 @@ def make_config(solver_id, overrides=None):
     unknown key, or a value check_settings rejects, is a ValueError."""
     solver_id = SolverId(solver_id)
     config_cls = SOLVERS[solver_id][0]
-    overrides = dict(overrides or {})
-    if solver_id is SolverId.DTNR and "newton" in overrides:
-        overrides["newton"] = make_config(SolverId.NR, overrides["newton"])
     names = {f.name for f in dataclasses.fields(config_cls)}
-    unknown = set(overrides) - names
+    unknown = set(overrides or {}) - names
     if unknown:
         raise ValueError(
             f"unknown {solver_id.value} config keys: {sorted(unknown)}")
-    return config_cls(**overrides)
+    return config_cls(**(overrides or {}))
 
 
 def make_budget(solver_id, overrides=None):
@@ -69,9 +64,8 @@ def run_solver(solver_id, model, target, rng, config=None, budget=None,
                tree=None):
     """One solve. The target must be three finite numbers; a missing
     config or budget is the solver's default. Every solver but dtnr draws
-    its start from `rng` and comes back with all joints wrapped; dtnr
-    starts from the trained `tree`'s guess and wraps only the joints it
-    refines."""
+    its start from `rng`; dtnr needs the trained `tree` and starts from
+    its guess. Joints come back wrapped (see run_steps)."""
     solver_id = SolverId(solver_id)
     target = np.asarray(target, dtype=float)
     if target.shape != (3,) or not np.all(np.isfinite(target)):
@@ -84,8 +78,6 @@ def run_solver(solver_id, model, target, rng, config=None, budget=None,
         if tree is None:
             raise ValueError("DTNR requires a trained regression tree")
         steps = make_steps(tree, model, target, config)
-        finish = partial(wrap_refined, config=config)
     else:
         steps = make_steps(model, target, config, budget, rng)
-        finish = wrap_angle
-    return run_steps(steps, budget, finish)
+    return run_steps(steps, budget)

@@ -60,8 +60,7 @@ class TestRegistry:
         target = np.array([0.5, 0.5, 1.0])
         budget = Budget(max_iterations=8)
         direct = run_steps(steps(model, target, config_cls(), budget,
-                                 np.random.default_rng(11)),
-                           budget, wrap_angle)
+                                 np.random.default_rng(11)), budget)
         table = run_solver(solver_id, model, target,
                            np.random.default_rng(11), budget=budget)
         assert direct.same_outcome(table)
@@ -84,7 +83,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("solver_id, overrides", [
         ("pso", {"inertia": float("nan")}), ("sa", {"t_max": float("inf")}),
-        ("dtnr", {"newton": {"damping": float("nan")}})])
+        ("dtnr", {"damping": float("nan")})])
     def test_make_config_rejects_non_finite_numbers(self, solver_id,
                                                     overrides):
         with pytest.raises(ValueError, match="finite"):
@@ -94,11 +93,17 @@ class TestRegistry:
         config = make_config("pso", {"num_particles": 5})
         assert config.num_particles == 5
 
-    def test_dtnr_newton_subconfig(self):
-        config = make_config("dtnr", {"newton": {"damping": 0.25}})
-        assert config.newton.damping == 0.25
-        with pytest.raises(ValueError):
-            make_config("dtnr", {"newton": {"max_iterations": 9}})
+    def test_dtnr_takes_newton_settings_flat(self):
+        # dtnr's config is nr's plus refine_joint_count, one level deep.
+        config = make_config("dtnr", {"damping": 0.25, "step_scale": 0.5,
+                                      "refine_joint_count": 4})
+        assert (config.damping, config.step_scale,
+                config.refine_joint_count) == (0.25, 0.5, 4)
+        assert isinstance(config, NewtonConfig)
+        for overrides in ({"newton": {"damping": 0.25}}, {"newton": 5},
+                          {"max_iterations": 9}):
+            with pytest.raises(ValueError, match="unknown dtnr config keys"):
+                make_config("dtnr", overrides)
 
     def test_default_budgets_track_entries(self):
         caps = {"dtnr": 15, "nr": 30, "nm": 799, "sa": 400, "pso": 200,
@@ -194,6 +199,30 @@ class TestStepContract:
         assert all(a >= b for a, b in zip(fits, fits[1:]))
         assert samples[-1] == (result.iterations_used, result.final_fitness)
         assert result.trace.best == result.final_fitness
+
+
+class TestOneFinish:
+    ARMS = {"standard": KinematicModel(),
+            "modified": KinematicModel(convention="modified"),
+            "wide-limits": KinematicModel(
+                joint_limits=[(-2 * np.pi, 2 * np.pi)] * 7)}
+
+    @pytest.mark.parametrize("solver_id", [s.value for s in SolverId])
+    @pytest.mark.parametrize("arm_name", sorted(ARMS))
+    def test_every_solve_comes_back_wrapped(self, small_tree, solver_id,
+                                            arm_name):
+        # run_steps wraps every solver's last joints, and a wrap of
+        # joints already in (-pi, pi] changes none of them.
+        arm = self.ARMS[arm_name]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            target = end_effector_position(arm, arm.random_joints(rng))
+            result = run_solver(solver_id, arm, target, rng,
+                                budget=Budget(max_iterations=20),
+                                tree=small_tree)
+            assert np.array_equal(wrap_angle(result.joints), result.joints)
+            assert np.all((result.joints > -np.pi)
+                          & (result.joints <= np.pi))
 
 
 class TestBudget:

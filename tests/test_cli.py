@@ -186,6 +186,13 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert opt.split("=")[0] in err
 
+    def test_float_too_large_for_a_double_is_a_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--algo", "pso",
+                               "--target", "0.5,0.5,1", "--opt",
+                               "inertia=1" + "0" * 400)
+        assert code == EXIT_CONFIG
+        assert "inertia must be a finite number" in err
+
     def test_dtnr_without_tree_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--algo", "dtnr",
                                "--target", "0.5,0.5,1.0")
@@ -438,6 +445,17 @@ class TestTreeFiles:
                                "--out", str(tmp_path / "o"))
         assert code == EXIT_OK
         assert out.startswith("dtnr")
+
+    def test_dtnr_takes_nr_settings_by_their_own_names(self, capsys,
+                                                       model_files):
+        solve = ("solve", "--algo", "dtnr", "--target", "0.4,0.3,1.2",
+                 "--tree", str(model_files / "tree.json"))
+        code, out, _ = run_cli(capsys, *solve, "--opt", "damping=0.05")
+        assert code == EXIT_OK
+        assert json.loads(out)["algorithm"] == "dtnr"
+        code, _, err = run_cli(capsys, *solve, "--opt", "newton=5")
+        assert code == EXIT_CONFIG
+        assert "newton" in err
 
     @pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
     def test_tree_flag_naming_a_linear_model_is_a_config_error(

@@ -25,19 +25,25 @@ class TestDtnrConfig:
     def test_defaults(self):
         config = DtnrConfig()
         assert config.refine_joint_count == 3
-        assert config.newton == NewtonConfig()
+        assert (config.damping, config.step_scale) == (
+            NewtonConfig().damping, NewtonConfig().step_scale)
         assert make_budget("dtnr").max_iterations == 15
 
 
 class TestDtnrSolver:
     def test_distal_joints_stay_bitwise_at_the_tree_seed(self, trained, rng):
+        # The one finish wraps every joint, and the tree's guess is already
+        # wrapped, so the joints dtnr does not refine keep every bit.
         model, _, tree = trained
-        for _ in range(20):
-            from arm7ik import sample_workspace
-            target = sample_workspace(model.workspace, rng)
-            result = run_solver("dtnr", model, target, None, tree=tree)
-            seed = tree.predict(target)
-            assert np.array_equal(result.joints[3:], seed[3:])
+        from arm7ik import sample_workspace
+        for k in range(1, 8):
+            config = DtnrConfig(refine_joint_count=k)
+            for _ in range(20):
+                target = sample_workspace(model.workspace, rng)
+                result = run_solver("dtnr", model, target, None, config,
+                                    tree=tree)
+                seed = tree.predict(target)
+                assert result.joints[k:].tobytes() == seed[k:].tobytes()
 
     def test_training_row_targets_resolve_immediately(self, trained):
         # The min_leaf=1 tree memorises its rows, so a target that is the
@@ -56,14 +62,15 @@ class TestDtnrSolver:
         # the damped case takes the pseudo-inverse's other branch.
         model, _, tree = trained
         from arm7ik import sample_workspace
-        for newton in (NewtonConfig(), NewtonConfig(damping=0.05)):
+        for damping in (0.0, 0.05):
             for _ in range(10):
                 target = sample_workspace(model.workspace, rng)
                 full = run_solver("dtnr", model, target, None,
                                   DtnrConfig(refine_joint_count=7,
-                                             newton=newton), tree=tree)
+                                             damping=damping), tree=tree)
                 plain = run_solver("nr", model, target,
-                                   start_at(tree.predict(target)), newton,
+                                   start_at(tree.predict(target)),
+                                   NewtonConfig(damping=damping),
                                    Budget(max_iterations=15))
                 assert full.same_outcome(plain)
 

@@ -185,7 +185,7 @@ class TestAgainstReference:
                 got = run_solver("ccd", arm, target, start_at(start), config,
                                  budget)
                 want = run_steps(oracles.reference_ccd_steps(
-                    arm, target, start, config), budget, wrap_angle)
+                    arm, target, start, config), budget)
                 assert got.same_outcome(want)
 
     @pytest.mark.parametrize("arm_name", sorted(ARMS))
@@ -200,5 +200,5 @@ class TestAgainstReference:
                              config, budget)
             want = run_steps(oracles.reference_sa_steps(
                 arm, target, config, budget.tolerance,
-                np.random.default_rng((i, 1))), budget, wrap_angle)
+                np.random.default_rng((i, 1))), budget)
             assert got.same_outcome(want)

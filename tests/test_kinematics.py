@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arm7ik import (DhRow, KinematicModel, WorkspaceSphere,
                     batch_end_effector_positions, batch_fitness, dh_transform,
@@ -34,6 +34,27 @@ class TestWrapAngle:
         w = float(wrap_angle(theta))
         assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-9)
         assert math.isclose(math.cos(w), math.cos(theta), abs_tol=1e-9)
+
+    @given(st.floats(-math.pi, math.pi, exclude_min=True))
+    @example(math.nextafter(-math.pi, 0.0))
+    @example(math.nextafter(math.pi, 0.0))
+    @example(math.pi)
+    @example(-0.0)
+    def test_identity_in_range(self, theta):
+        assert wrap_angle(theta) == theta
+        assert wrap_angle(np.array([theta]))[0] == theta
+
+    @given(st.floats(-1e3, 1e3))
+    @example(math.nextafter(math.pi, 4.0))
+    @example(-math.pi)
+    @example(3 * math.pi)
+    @example(-3 * math.pi)
+    @example(math.nextafter(-math.pi, -4.0))
+    def test_lands_in_range_idempotent_and_bit_equal(self, theta):
+        w = wrap_angle(np.array([theta]))[0]
+        assert -math.pi < w <= math.pi
+        assert wrap_angle(w) == w
+        assert np.float64(wrap_float(theta)).tobytes() == w.tobytes()
 
     def test_float_wrap_is_bit_equal(self, rng):
         values = [math.pi, -math.pi, 0.0, -0.0, 1e6, -1e6, 1e6 + 0.37,

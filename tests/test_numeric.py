@@ -6,7 +6,7 @@ import pytest
 from arm7ik import (Budget, KinematicModel, NelderMeadConfig, NewtonConfig,
                     batch_end_effector_positions, end_effector_position,
                     fitness, make_budget, point_and_jacobian, pseudo_inverse,
-                    run_solver, tool_point, wrap_angle)
+                    run_solver, tool_point)
 from arm7ik.core import run_steps
 from arm7ik.numeric import newton_steps, pseudo_inverse_step3
 
@@ -14,8 +14,7 @@ from arm7ik.numeric import newton_steps, pseudo_inverse_step3
 def newton_from(model, target, start, config=NewtonConfig(),
                 budget=make_budget("nr")):
     """An nr solve from a given start."""
-    return run_steps(newton_steps(model, target, start, config), budget,
-                     wrap_angle)
+    return run_steps(newton_steps(model, target, start, config), budget)
 
 
 class TestPseudoInverse:

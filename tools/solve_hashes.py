@@ -52,6 +52,14 @@ joints), so a change that moves a solver by a few ulps can be compared
 target by target:
 
     PYTHONPATH=src python tools/solve_hashes.py --algos nr --dump new.jsonl
+
+`--compare OLD NEW` reads two such dumps and runs nothing. Per solver it
+prints how many of the solves both dumps hold changed their iteration
+count, converged flag, final fitness and joints, the largest joint change
+(as an angle, in radians) and the largest fitness change (mm), and the
+success count before and after:
+
+    PYTHONPATH=src python tools/solve_hashes.py --compare old.jsonl new.jsonl
 """
 import argparse
 import hashlib
@@ -60,7 +68,7 @@ import json
 import numpy as np
 
 from arm7ik import (KinematicModel, batch_end_effector_positions,
-                    point_and_jacobian, run_solver, tool_point)
+                    point_and_jacobian, run_solver, tool_point, wrap_angle)
 from arm7ik.ml import fit_tree, generate_dataset, split_dataset
 
 # The acceptance suite's solver order, which its per-run seeds depend on.
@@ -181,6 +189,42 @@ def dtnr_lines(arm, targets, dataset_rows, fp):
     return fp.digest
 
 
+def read_dump(path):
+    """The solves of a --dump file, keyed by (algorithm, seed, target)."""
+    with open(path) as fh:
+        rows = [json.loads(line) for line in fh]
+    return {(r["algorithm"], r["seed"], r["target"]): r for r in rows}
+
+
+def compare_lines(old, new):
+    """One line per solver of `old`, over the solves `new` also holds."""
+    lines = []
+    for algo in dict.fromkeys(key[0] for key in old):
+        pairs = [(old[key], new[key]) for key in old
+                 if key[0] == algo and key in new]
+        if not pairs:
+            lines.append(f"{algo} solves=0")
+            continue
+        joints = [np.abs(wrap_angle(np.subtract(b["joints"], a["joints"])))
+                  for a, b in pairs]
+        fits = [abs(b["final_fitness"] - a["final_fitness"]) for a, b in pairs]
+        changed = {field: sum(a[field] != b[field] for a, b in pairs)
+                   for field in ("iterations", "converged", "final_fitness",
+                                 "joints")}
+        success = [sum(r["final_fitness"] < 1.0 for r in side)
+                   for side in zip(*pairs)]
+        lines.append(
+            f"{algo} solves={len(pairs)} "
+            f"iterations_changed={changed['iterations']} "
+            f"converged_changed={changed['converged']} "
+            f"fitness_changed={changed['final_fitness']} "
+            f"joints_changed={changed['joints']} "
+            f"max_joint_change_rad={max(j.max() for j in joints):.2g} "
+            f"max_fitness_change_mm={max(fits):.2g} "
+            f"success={success[0]}->{success[1]}")
+    return lines
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n_targets", nargs="?", type=int, default=100)
@@ -193,7 +237,13 @@ if __name__ == "__main__":
                              "all ten)")
     parser.add_argument("--dump", metavar="PATH",
                         help="also write one JSON line per solve to PATH")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --dump files instead of solving")
     args = parser.parse_args()
+    if args.compare:
+        for line in compare_lines(*map(read_dump, args.compare)):
+            print(line)
+        raise SystemExit(0)
     algos = args.algos.split(",")
     unknown = sorted(set(algos) - set(ALGOS))
     if unknown:
