@@ -9,8 +9,8 @@ import numpy as np
 
 from .core import check_settings, setting
 # perfbench/tracer.py wraps fitness and joint_frames under this module's
-# names for it, so both stay imported here, though the solvers below
-# evaluate poses through the Horner partials and the frame pass instead.
+# names, so both stay imported here only for it: the solvers below
+# evaluate poses through the Horner partials and the frame pass.
 from .kinematics import (BASE_FRAME, KinematicModel, fitness, frame_pass,
                          frame_point, horner_partials, joint_axes,
                          joint_frames, pose_turns, wrap_angle, wrap_float)
@@ -156,14 +156,23 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
     after max_stay_counter consecutive proposals without a new best, or
     once the best is under the budget's tolerance. Cooling is geometric.
     The best configuration ever seen is kept.
+
+    `rng` belongs to the solve: after the start, its uniforms are read
+    ahead in blocks, so its state after the solve is not the one scalar
+    draws would leave.
     """
     # The pose is a list of floats with its turns (see pose_turns) and Horner
     # partials h (see horner_partials). A proposal for joint j re-turns
     # only that joint and re-applies joints j..0 from h[j + 1]; turns and h
-    # keep the proposal only when it is accepted. A uniform draw is taken
-    # as numpy's rng.uniform(low, high) makes it, low + (high - low) *
-    # rng.random(), so the random stream is the one that call would use.
+    # keep the proposal only when it is accepted. A proposal is taken as
+    # numpy's rng.uniform(low, high) makes it, low + (high - low) * u, and
+    # the standard rule accepts a worse one when u < exp(-delta / T), which
+    # is u < acceptance_probability for u in [0, 1). Each u is the next
+    # double of rng.random(1024) blocks, the doubles that scalar
+    # rng.random() calls give, so the proposals and the acceptance draws
+    # are those of scalar rng.uniform and rng.random calls.
     q = model.random_joints(rng).tolist()
+    draw = _uniforms(rng).__next__
     turns = pose_turns(q)
     h = horner_partials(model, turns)
     target = target.tolist()
@@ -171,6 +180,7 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
     best_q, best_f = q[:], e_now
     yield best_q, best_f
 
+    literal = config.paper_literal_acceptance
     for temperature in temperature_schedule(config):
         # Width cools slower than the temperature so a greedy refinement
         # phase survives after acceptance becomes selective.
@@ -180,13 +190,14 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
         stay = 0
         while stay < config.max_stay_counter:
             for j in range(7):
-                theta = wrap_float(q[j] + (-scale + width * rng.random()))
+                theta = wrap_float(q[j] + (-scale + width * draw()))
                 turn, turns[j] = turns[j], (math.cos(theta), math.sin(theta))
                 trial = horner_partials(model, turns, h, j)
                 e_new = math.dist(trial[0], target)
                 delta = e_new - e_now
-                if (delta < 0 or rng.random() < acceptance_probability(
-                        delta, temperature, config.paper_literal_acceptance)):
+                if delta < 0 or draw() < (
+                        acceptance_probability(delta, temperature, True)
+                        if literal else math.exp(-delta / temperature)):
                     q[j], h, e_now = theta, trial, e_new
                 else:
                     turns[j] = turn
@@ -198,3 +209,9 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
             if best_f < budget.tolerance:
                 break
         yield best_q, best_f
+
+
+def _uniforms(rng):
+    """The doubles of rng.random(), read ahead 1,024 at a time."""
+    while True:
+        yield from rng.random(1024).tolist()

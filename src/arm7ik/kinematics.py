@@ -360,8 +360,16 @@ def batch_end_effector_positions(model: KinematicModel, qs):
 
 def fitness(model: KinematicModel, q, target):
     """Euclidean distance (mm) from the tool point to the target."""
-    x, y, z = tool_point(model, q)
-    tx, ty, tz = np.asarray(target, dtype=float).tolist()
+    return pose_fitness(model, np.asarray(q, dtype=float).tolist(),
+                        np.asarray(target, dtype=float).tolist())
+
+
+def pose_fitness(model: KinematicModel, q, target):
+    """fitness of one pose given as seven floats, to a target given as an
+    (x, y, z) float triple, in plain floats: the solvers that hold a pose
+    as a list call it without numpy's conversions."""
+    x, y, z = _horner(model, [(math.cos(v), math.sin(v)) for v in q])
+    tx, ty, tz = target
     return math.hypot(x - tx, y - ty, z - tz)
 
 

@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_settings, population_best, setting
+from .core import check_settings, setting
 # perfbench/tracer.py wraps end_effector_position, fitness, joint_frames
 # and position_jacobian under this module's names, so all four stay
-# imported here; of them only nm_steps's fitness is called.
+# imported here, though no solver below calls them: nm evaluates poses
+# through pose_fitness, and Newton through point_and_jacobian.
 from .kinematics import (KinematicModel, end_effector_position, fitness,
-                         joint_frames, point_and_jacobian, position_jacobian,
-                         tool_point)
+                         joint_frames, point_and_jacobian, pose_fitness,
+                         position_jacobian, tool_point)
 
 DIVERGENCE_GUARD = 5   # consecutive fitness increases before aborting
 STALL_STEP_NORM = 1e-8  # joint-space step below which Newton has stalled
@@ -151,61 +152,73 @@ def nm_steps(model: KinematicModel, target, config, budget, rng):
     to the target. A collapsed simplex restarts around a point drawn from
     `rng`; restarts count against the budget, and the best point of the
     simplices before a restart is kept until a later one beats it."""
-    def obj(q):  # looks fitness up per call, so a wrapper put on it sees nm
-        return fitness(model, q, target)
+    # The simplex is eight lists of seven floats. Vertices are sorted
+    # stably by value, so tied vertices keep their order on any host
+    # (numpy's argsort orders ties by the CPU's SIMD level). The centroid
+    # sums rows 0-6 in order, as numpy's mean over axis 0 does.
+    t = np.asarray(target, dtype=float).tolist()
+    reflection, expansion = config.reflection, config.expansion
+    contraction, shrink = config.contraction, config.shrink
 
     def build_simplex(center):
-        pts = [np.asarray(center, dtype=float).copy()]
+        center = center.tolist()
+        pts = [center]
         for j in range(7):
-            v = pts[0].copy()
+            v = center[:]
             v[j] += config.initial_simplex_scale
             pts.append(v)
-        return np.array(pts)
+        return pts, [pose_fitness(model, v, t) for v in pts]
 
     def step():  # the simplex's best, unless the one kept is better
-        current = population_best(simplex, values)
-        return kept if kept[1] < current[1] else current
+        f = min(values)
+        if kept[1] < f:
+            return kept
+        return np.array(simplex[values.index(f)]), f
 
     kept = (None, math.inf)  # the best before the last restart
-    simplex = build_simplex(model.random_joints(rng))
-    values = np.array([obj(v) for v in simplex])
+    simplex, values = build_simplex(model.random_joints(rng))
     best = step()
     yield best
 
     while True:
-        order = np.argsort(values)
-        simplex, values = simplex[order], values[order]
+        order = sorted(range(8), key=values.__getitem__)
+        simplex = [simplex[k] for k in order]
+        values = [values[k] for k in order]
 
-        if np.ptp(simplex, axis=0).max() < 1e-15:  # collapsed: restart
-            kept = best
-            simplex = build_simplex(model.random_joints(rng))
-            values = np.array([obj(v) for v in simplex])
+        if all(max(col) - min(col) < 1e-15 for col in zip(*simplex)):
+            kept = best  # collapsed: restart
+            simplex, values = build_simplex(model.random_joints(rng))
             best = step()
             yield best
             continue
 
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = centroid + config.reflection * (centroid - worst)
-        f_r = obj(reflected)
+        centroid = [(a + b + c + d + e + f + g) / 7
+                    for a, b, c, d, e, f, g in zip(*simplex[:7])]
+        worst = simplex[7]
+        reflected = [c + reflection * (c - w)
+                     for c, w in zip(centroid, worst)]
+        f_r = pose_fitness(model, reflected, t)
         if f_r < values[0]:
-            expanded = centroid + config.expansion * (reflected - centroid)
-            f_e = obj(expanded)
+            expanded = [c + expansion * (r - c)
+                        for c, r in zip(centroid, reflected)]
+            f_e = pose_fitness(model, expanded, t)
             if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
+                simplex[7], values[7] = expanded, f_e
             else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
+                simplex[7], values[7] = reflected, f_r
+        elif f_r < values[6]:
+            simplex[7], values[7] = reflected, f_r
         else:
-            contracted = centroid + config.contraction * (worst - centroid)
-            f_c = obj(contracted)
-            if f_c < values[-1]:
-                simplex[-1], values[-1] = contracted, f_c
+            contracted = [c + contraction * (w - c)
+                          for c, w in zip(centroid, worst)]
+            f_c = pose_fitness(model, contracted, t)
+            if f_c < values[7]:
+                simplex[7], values[7] = contracted, f_c
             else:
                 best_x = simplex[0]
-                for k in range(1, len(simplex)):
-                    simplex[k] = best_x + config.shrink * (simplex[k] - best_x)
-                    values[k] = obj(simplex[k])
+                for k in range(1, 8):
+                    simplex[k] = [b + shrink * (v - b)
+                                  for b, v in zip(best_x, simplex[k])]
+                    values[k] = pose_fitness(model, simplex[k], t)
         best = step()
         yield best

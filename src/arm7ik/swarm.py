@@ -2,12 +2,14 @@
 swarm algorithm."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import check_settings, setting
-from .kinematics import KinematicModel, batch_fitness, fitness
+from .kinematics import (KinematicModel, batch_fitness, fitness, pose_fitness,
+                         wrap_float)
 
 
 @dataclass(frozen=True)
@@ -117,13 +119,15 @@ def qpso_steps(model: KinematicModel, target, config, budget, rng):
 
 
 def afsa_prey_step(rng, visual_range):
-    """Random step with norm at most visual_range; the cubed radius
-    factor makes short steps common so late refinement still succeeds."""
+    """Random step with norm at most visual_range, as seven floats; the
+    cubed radius factor makes short steps common so late refinement still
+    succeeds. The norm is np.linalg.norm's, the root of the dot product."""
     direction = rng.normal(size=7)
-    norm = np.linalg.norm(direction)
+    norm = math.sqrt(direction.dot(direction))
     if norm < 1e-300:
-        return np.zeros(7)
-    return direction / norm * visual_range * rng.random() ** 3
+        return [0.0] * 7
+    radius = rng.random() ** 3
+    return [d / norm * visual_range * radius for d in direction.tolist()]
 
 
 def afsa_steps(model: KinematicModel, target, config, budget, rng):
@@ -134,12 +138,27 @@ def afsa_steps(model: KinematicModel, target, config, budget, rng):
     random-step hill climbing with an occasional exploratory move gated
     by exploration_q.
     """
+    # A prey move runs in plain floats: per joint, the step, the sum, the
+    # wrap and the clip of clip_to_limits in its order, then pose_fitness,
+    # so it is bit-equal to clip_to_limits(x + step) and fitness.
     n = config.population_size
     fish = rng.uniform(model.lower, model.upper, size=(n, 7))
     values = batch_fitness(model, fish, target)
     g = int(np.argmin(values))
     best_q, best_f = fish[g].copy(), float(values[g])
     yield best_q, best_f
+
+    box = list(zip(model.lower.tolist(), model.upper.tolist()))
+    t = np.asarray(target, dtype=float).tolist()
+
+    def prey_move(x):  # x plus a prey step in the limits, and its fitness
+        cand = []
+        for a, s, (lo, hi) in zip(x, afsa_prey_step(rng, config.visual_range),
+                                  box):
+            v = wrap_float(a + s)
+            v = v if v > lo else lo
+            cand.append(v if v < hi else hi)
+        return cand, pose_fitness(model, cand, t)
 
     def move_toward(x, goal):
         diff = goal - x
@@ -179,20 +198,17 @@ def afsa_steps(model: KinematicModel, target, config, budget, rng):
 
             if not moved:
                 # Prey: bounded random steps, keep the first improvement.
+                here = x.tolist()
                 for _ in range(config.max_attempt_size):
-                    cand = model.clip_to_limits(
-                        x + afsa_prey_step(rng, config.visual_range))
-                    f_cand = fitness(model, cand, target)
+                    cand, f_cand = prey_move(here)
                     if f_cand < f:
                         x, f, moved = cand, f_cand, True
                         break
                 if not moved and rng.random() > config.exploration_q:
                     # Rare exploratory random walk, accepted regardless.
-                    x = model.clip_to_limits(
-                        x + afsa_prey_step(rng, config.visual_range))
-                    f = fitness(model, x, target)
+                    x, f = prey_move(here)
 
             fish[i], values[i] = x, f
             if f < best_f:
-                best_q, best_f = x.copy(), float(f)
+                best_q, best_f = np.array(x), float(f)
         yield best_q, best_f

@@ -14,8 +14,29 @@ from functools import reduce
 
 import numpy as np
 
+from arm7ik import KinematicModel
 from arm7ik.heuristics import acceptance_probability, temperature_schedule
-from arm7ik.kinematics import fitness, joint_axes, wrap_angle
+from arm7ik.kinematics import (batch_fitness, end_effector_position, fitness,
+                               joint_axes, wrap_angle)
+
+NONUNIT = (0.36, 0.42, 0.4, 0.126)
+# The arms the solver loops are checked against their references on: both
+# conventions, and a joint limit box other than (-pi, pi).
+ARMS = {
+    "unit": KinematicModel(),
+    "standard": KinematicModel(lengths=NONUNIT),
+    "modified": KinematicModel(lengths=NONUNIT, convention="modified"),
+    "limits": KinematicModel(joint_limits=[(-1.0, 1.0)] * 7),
+}
+
+
+def solver_targets(arm, rng, count):
+    """FK targets of `count` random poses of `arm`, plus one past the
+    workspace that no solve reaches."""
+    targets = [end_effector_position(arm, arm.random_joints(rng))
+               for _ in range(count)]
+    sphere = arm.workspace
+    return targets + [np.array([0.0, 0.0, sphere.h + sphere.r + 0.5])]
 
 
 def rot_z(theta):
@@ -339,4 +360,138 @@ def reference_sa_steps(model, target, config, tolerance, rng):
                     stay += 1
             if best_f < tolerance:
                 break
+        yield best_q, best_f
+
+
+def reference_nm_steps(model, target, config, rng):
+    """Nelder-Mead as a step generator (see core.run_steps) on a numpy
+    simplex, with a full fitness per vertex and a stable argsort, so tied
+    vertices keep their order."""
+    def build_simplex(center):
+        pts = [np.asarray(center, dtype=float).copy()]
+        for j in range(7):
+            v = pts[0].copy()
+            v[j] += config.initial_simplex_scale
+            pts.append(v)
+        return np.array(pts)
+
+    def step():
+        i = int(np.argmin(values))
+        current = simplex[i], float(values[i])
+        return kept if kept[1] < current[1] else current
+
+    kept = (None, math.inf)
+    simplex = build_simplex(model.random_joints(rng))
+    values = np.array([fitness(model, v, target) for v in simplex])
+    best = step()
+    yield best
+
+    while True:
+        order = np.argsort(values, kind="stable")
+        simplex, values = simplex[order], values[order]
+
+        if np.ptp(simplex, axis=0).max() < 1e-15:
+            kept = best
+            simplex = build_simplex(model.random_joints(rng))
+            values = np.array([fitness(model, v, target) for v in simplex])
+            best = step()
+            yield best
+            continue
+
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = centroid + config.reflection * (centroid - worst)
+        f_r = fitness(model, reflected, target)
+        if f_r < values[0]:
+            expanded = centroid + config.expansion * (reflected - centroid)
+            f_e = fitness(model, expanded, target)
+            if f_e < f_r:
+                simplex[-1], values[-1] = expanded, f_e
+            else:
+                simplex[-1], values[-1] = reflected, f_r
+        elif f_r < values[-2]:
+            simplex[-1], values[-1] = reflected, f_r
+        else:
+            contracted = centroid + config.contraction * (worst - centroid)
+            f_c = fitness(model, contracted, target)
+            if f_c < values[-1]:
+                simplex[-1], values[-1] = contracted, f_c
+            else:
+                best_x = simplex[0]
+                for k in range(1, len(simplex)):
+                    simplex[k] = best_x + config.shrink * (simplex[k] - best_x)
+                    values[k] = fitness(model, simplex[k], target)
+        best = step()
+        yield best
+
+
+def _reference_prey_step(rng, visual_range):
+    """A random step of norm at most visual_range, as a numpy vector."""
+    direction = rng.normal(size=7)
+    norm = np.linalg.norm(direction)
+    if norm < 1e-300:
+        return np.zeros(7)
+    return direction / norm * visual_range * rng.random() ** 3
+
+
+def reference_afsa_steps(model, target, config, rng):
+    """The artificial fish swarm as a step generator (see core.run_steps)
+    on numpy joint vectors: each prey move through clip_to_limits and a
+    full fitness."""
+    n = config.population_size
+    fish = rng.uniform(model.lower, model.upper, size=(n, 7))
+    values = batch_fitness(model, fish, target)
+    g = int(np.argmin(values))
+    best_q, best_f = fish[g].copy(), float(values[g])
+    yield best_q, best_f
+
+    def move_toward(x, goal):
+        diff = goal - x
+        dist = np.linalg.norm(diff)
+        if dist < 1e-12:
+            return x.copy()
+        step = min(dist, config.visual_range * rng.random())
+        return model.clip_to_limits(x + diff / dist * step)
+
+    while True:
+        for i in range(n):
+            x, f = fish[i], values[i]
+            moved = False
+
+            if n > 1:
+                dists = np.linalg.norm(fish - x, axis=1)
+                neighbors = np.flatnonzero(
+                    (dists > 0) & (dists <= config.visual_range))
+                if neighbors.size:
+                    centroid = fish[neighbors].mean(axis=0)
+                    fc = fitness(model, centroid, target)
+                    if (fc < f and neighbors.size / n < config.crowding_factor):
+                        cand = move_toward(x, centroid)
+                        f_cand = fitness(model, cand, target)
+                        if f_cand < f:
+                            x, f, moved = cand, f_cand, True
+                    if not moved:
+                        b = neighbors[np.argmin(values[neighbors])]
+                        if values[b] < f:
+                            cand = move_toward(x, fish[b])
+                            f_cand = fitness(model, cand, target)
+                            if f_cand < f:
+                                x, f, moved = cand, f_cand, True
+
+            if not moved:
+                for _ in range(config.max_attempt_size):
+                    cand = model.clip_to_limits(
+                        x + _reference_prey_step(rng, config.visual_range))
+                    f_cand = fitness(model, cand, target)
+                    if f_cand < f:
+                        x, f, moved = cand, f_cand, True
+                        break
+                if not moved and rng.random() > config.exploration_q:
+                    x = model.clip_to_limits(
+                        x + _reference_prey_step(rng, config.visual_range))
+                    f = fitness(model, x, target)
+
+            fish[i], values[i] = x, f
+            if f < best_f:
+                best_q, best_f = x.copy(), float(f)
         yield best_q, best_f

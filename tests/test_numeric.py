@@ -9,6 +9,7 @@ from arm7ik import (Budget, KinematicModel, NelderMeadConfig, NewtonConfig,
                     run_solver, tool_point)
 from arm7ik.core import run_steps
 from arm7ik.numeric import newton_steps, pseudo_inverse_step3
+import oracles
 
 
 def newton_from(model, target, start, config=NewtonConfig(),
@@ -185,3 +186,18 @@ class TestNelderMeadSolver:
             assert fitness(model, result.joints, target) == pytest.approx(
                 result.final_fitness, abs=1e-12)
 
+    @pytest.mark.parametrize("arm_name", sorted(oracles.ARMS))
+    def test_nm_matches_reference(self, arm_name):
+        # nm runs on float lists and sorts ties stably; the reference is
+        # the numpy simplex with a stable argsort. The target past the
+        # workspace collapses the simplex, so restarts run too.
+        arm = oracles.ARMS[arm_name]
+        config = NelderMeadConfig()
+        budget = make_budget("nm")
+        rng = np.random.default_rng(29)
+        for i, target in enumerate(oracles.solver_targets(arm, rng, 3)):
+            got = run_solver("nm", arm, target, np.random.default_rng((i, 2)),
+                             config, budget)
+            want = run_steps(oracles.reference_nm_steps(
+                arm, target, config, np.random.default_rng((i, 2))), budget)
+            assert got.same_outcome(want)

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from arm7ik import (AfsaConfig, Budget, PsoConfig, QpsoConfig,
                     end_effector_position, run_solver)
+from arm7ik.core import run_steps
 from arm7ik.swarm import afsa_prey_step, pso_velocity_update, qpso_attractor
+import oracles
 
 
 class TestPsoVelocityUpdate:
@@ -158,6 +160,24 @@ class TestAfsa:
         b = run_solver("afsa", model, target, np.random.default_rng(4),
                        budget=Budget(max_iterations=40))
         assert a.same_outcome(b)
+
+    @pytest.mark.parametrize("arm_name", sorted(oracles.ARMS))
+    @pytest.mark.parametrize("population", [1, 5])
+    def test_afsa_matches_reference(self, arm_name, population):
+        # Prey moves run in plain floats; the reference makes them on numpy
+        # vectors through clip_to_limits. With a population of 5 in the
+        # (-1, 1) box, fish come within visual range of each other, so the
+        # swarm and follow moves run too.
+        arm = oracles.ARMS[arm_name]
+        config = AfsaConfig(population_size=population)
+        budget = Budget(max_iterations=60)
+        rng = np.random.default_rng(31)
+        for i, target in enumerate(oracles.solver_targets(arm, rng, 3)):
+            got = run_solver("afsa", arm, target,
+                             np.random.default_rng((i, 3)), config, budget)
+            want = run_steps(oracles.reference_afsa_steps(
+                arm, target, config, np.random.default_rng((i, 3))), budget)
+            assert got.same_outcome(want)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,12 @@ target by target:
 
     PYTHONPATH=src python tools/solve_hashes.py --algos nr --dump new.jsonl
 
+Before the hashes it prints numpy's version and the SIMD extensions it
+found on this CPU (the `found` list of `np.show_runtime()`) to stderr, so
+two hash files saved with their stderr can be told apart by host: a
+solver that calls a numpy routine which dispatches on the CPU can solve
+differently on another host. Stdout holds the hash lines alone.
+
 `--compare OLD NEW` reads two such dumps and runs nothing. Per solver it
 prints how many of the solves both dumps hold changed their iteration
 count, converged flag, final fitness and joints, the largest joint change
@@ -64,8 +70,10 @@ success count before and after:
 import argparse
 import hashlib
 import json
+import sys
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from arm7ik import (KinematicModel, batch_end_effector_positions,
                     point_and_jacobian, run_solver, tool_point, wrap_angle)
@@ -147,8 +155,15 @@ def kernel_line(convention, n_poses=200):
     return f"kernel[{convention}] {digest.hexdigest()}"
 
 
+def host_line():
+    """numpy's version and the SIMD extensions it found on this CPU."""
+    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    return f"numpy {np.__version__} simd_found={','.join(found)}"
+
+
 def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
          dump=None):
+    print(host_line(), file=sys.stderr, flush=True)
     for convention in ("standard", "modified"):
         print(kernel_line(convention), flush=True)
     arm = KinematicModel()
