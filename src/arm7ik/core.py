@@ -154,9 +154,18 @@ class SolveResult:
 
 
 def population_best(points, values):
-    """The fittest of a population as a step: (point, fitness)."""
-    i = int(np.argmin(values))
-    return points[i], float(values[i])
+    """The fittest of a population as a step: (a copy of its point,
+    fitness), so the population can change after the yield."""
+    i = int(values.argmin())
+    return points[i].copy(), float(values[i])
+
+
+def keep_better(points, values, candidates, candidate_values):
+    """Where candidate i is fitter than member i (candidate_values[i] <
+    values[i]), replace the member and its value by the candidate's, in
+    place. fmin, not minimum, so a NaN candidate loses as it does under <."""
+    np.copyto(points, candidates, where=(candidate_values < values)[:, None])
+    np.fmin(values, candidate_values, out=values)
 
 
 def run_steps(steps, budget: Budget) -> SolveResult:

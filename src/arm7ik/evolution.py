@@ -5,8 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_settings, population_best, setting
-from .kinematics import KinematicModel, batch_fitness
+from .core import check_settings, keep_better, population_best, setting
+# perfbench/tracer.py wraps batch_fitness under this module's name, so it
+# stays imported here only for it: ga and de bind one batch_evaluator per
+# solve.
+from .kinematics import KinematicModel, batch_evaluator, batch_fitness
 
 
 @dataclass(frozen=True)
@@ -45,13 +48,21 @@ def ga_offspring(rng, p1, p2, config: GaConfig, model: KinematicModel):
     p1 = np.asarray(p1, dtype=float)
     first = p1.reshape(-1, 7)
     n = len(first)
-    crossed = rng.random((n, 1)) < config.crossover_probability
-    take = crossed & (rng.random((n, 7)) < 0.5)
+    draws = rng.random(15 * n)  # crossover, take and mutate draws in turn
+    take = draws[n:8 * n].reshape(n, 7) < 0.5
+    take &= draws[:n, None] < config.crossover_probability
     children = np.where(take, np.asarray(p2, dtype=float).reshape(-1, 7),
                         first)
-    mutate = rng.random((n, 7)) < config.mutation_probability
+    mutate = draws[8 * n:].reshape(n, 7) < config.mutation_probability
     joints = np.nonzero(mutate)[1]
-    children[mutate] = rng.uniform(model.lower[joints], model.upper[joints])
+    if joints.size:
+        # rng.uniform(lower[joints], upper[joints]) as numpy computes it,
+        # lower + (upper - lower) * u: the same doubles at a tenth of the
+        # per-call cost.
+        genes = (model.upper - model.lower)[joints]
+        genes *= rng.random(joints.size)
+        genes += model.lower[joints]
+        children[mutate] = genes
     return children.reshape(p1.shape)
 
 
@@ -62,17 +73,16 @@ def ga_steps(model: KinematicModel, target, config, budget, rng):
     displaced by the best new ones and the best fitness never regresses.
     """
     n = config.population_size
+    evaluate = batch_evaluator(model, target, n)
     pop = rng.uniform(model.lower, model.upper, size=(n, 7))
-    values = batch_fitness(model, pop, target)
+    values = evaluate(pop)
     yield population_best(pop, values)
 
     while True:
-        parents = tournament_winners(rng, values, (2, n))
-        children = ga_offspring(rng, pop[parents[0]], pop[parents[1]],
-                                config, model)
-        child_values = batch_fitness(model, children, target)
-        merged = np.vstack([pop, children])
-        merged_values = np.concatenate([values, child_values])
+        p1, p2 = pop[tournament_winners(rng, values, (2, n))]
+        children = ga_offspring(rng, p1, p2, config, model)
+        merged = np.concatenate((pop, children))
+        merged_values = np.concatenate((values, evaluate(children)))
         keep = np.argsort(merged_values, kind="stable")[:n]
         pop, values = merged[keep], merged_values[keep]
         yield population_best(pop, values)
@@ -91,8 +101,11 @@ def de_trials(rng, pop, config: DeConfig, model: KinematicModel):
     then wrapped and clipped into the joint limits."""
     n = len(pop)
     a, b, c = de_donors(rng, n).T
-    mutants = (pop[a] + config.differential_weight * (pop[b] - pop[c])
-               + rng.normal(0.0, config.mutation_probability, (n, 7)))
+    mutants = pop[b]
+    mutants -= pop[c]
+    mutants *= config.differential_weight
+    mutants += pop[a]
+    mutants += rng.normal(0.0, config.mutation_probability, (n, 7))
     cross = rng.random((n, 7)) < config.crossover_rate
     cross[np.arange(n), rng.integers(0, 7, n)] = True
     return model.clip_to_limits(np.where(cross, mutants, pop))
@@ -103,14 +116,12 @@ def de_steps(model: KinematicModel, target, config, budget, rng):
     vector (sigma = mutation_probability rad per gene) and greedy
     selection."""
     n = config.population_size
+    evaluate = batch_evaluator(model, target, n)
     pop = rng.uniform(model.lower, model.upper, size=(n, 7))
-    values = batch_fitness(model, pop, target)
+    values = evaluate(pop)
     yield population_best(pop, values)
 
     while True:
         trials = de_trials(rng, pop, config, model)
-        trial_values = batch_fitness(model, trials, target)
-        better = trial_values < values
-        pop[better] = trials[better]
-        values[better] = trial_values[better]
+        keep_better(pop, values, trials, evaluate(trials))
         yield population_best(pop, values)

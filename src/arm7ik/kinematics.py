@@ -104,6 +104,10 @@ class KinematicModel:
             raise ValueError("every joint limit interval must be nonempty")
         self.lower = limits[:, 0].copy()
         self.upper = limits[:, 1].copy()
+        # Read-only, so clip_to_limits can decide once whether it clips.
+        self.lower.flags.writeable = self.upper.flags.writeable = False
+        self._clips = not (np.all(self.lower <= -math.pi)
+                           and np.all(self.upper >= math.pi))
 
         # (cos tilt, sin tilt, d) per joint, the kernel's constants: a
         # standard row's alpha tilts the next joint.
@@ -119,8 +123,15 @@ class KinematicModel:
         return WorkspaceSphere(h=d1, r=d3 + d5 + d7)
 
     def clip_to_limits(self, q):
-        """Wrap into (-pi, pi] then clip into the joint limit box."""
-        return np.clip(wrap_angle(q), self.lower, self.upper)
+        """Wrap an array of joint vectors into (-pi, pi] then clip it into
+        the joint limit box, as a new array: np.clip(wrap_angle(q), lower,
+        upper), clipped in place on the wrapped array. A box that holds
+        [-pi, pi] on every joint leaves the wrapped array as it is."""
+        q = wrap_angle(q)
+        if self._clips:
+            np.maximum(q, self.lower, out=q)
+            np.minimum(q, self.upper, out=q)
+        return q
 
     def random_joints(self, rng):
         """Uniform joint vector within the limits."""
@@ -191,13 +202,17 @@ def joint_frames(model: KinematicModel, q):
 # its tilt. One pose runs in Python floats. A batch of n poses runs Horner's
 # rule in place on one (n, 3) float buffer through two complex views, x + iy
 # on columns 0-1 and y + iz on columns 1-2, so each rotation is a product
-# with e^(i phi) and a joint is three numpy calls: x + iy times the turn,
-# z + d, and y + iz times the scalar e^(i tilt). numpy's complex product
+# with e^(i phi) and a joint is at most three numpy calls: x + iy times the
+# turn, z + d, and y + iz times the scalar e^(i tilt). Joint 7 turns about
+# the tool axis, so the batch pass starts from its tool point, the same for
+# every pose, and never reads joint 7's angle. A batch's buffers are bound
+# once per batch size (_batch_pass), so a population solver pays only for
+# the arithmetic on each call (batch_evaluator). numpy's complex product
 # rounds differently from the float products, so a batch row and the same
 # pose alone can differ in the last bit. Two things would change how a
 # batch rounds: swapped operands (the state comes first) and an in-place
 # product over a single row, which rounds like the float products; so a
-# batch of one pose runs with a second, zero row.
+# batch of one pose still runs with a second row.
 
 def _horner(model, turns, first=0, joint=6, point=(0.0, 0.0, 0.0),
             partials=None):
@@ -331,31 +346,61 @@ def end_effector_position(model: KinematicModel, q):
     return np.array(tool_point(model, q))
 
 
+def _batch_pass(model: KinematicModel, n):
+    """Horner's rule over batches of n poses (see the kernel comment above
+    _horner) with its buffers bound once, as (run, p): run(qs) writes the
+    tool points of an (n, 7) array into the first n rows of the
+    (max(n, 2), 3) buffer p, over what the last call left there. Joint 7
+    turns about the tool axis and moves no point, so the pass starts from
+    its tool point, the same for every pose, and reads joints 1-6 only."""
+    rows = max(n, 2)  # one row would round like the float products
+    trig = np.zeros((6, rows, 2))
+    cos, sin = trig[:, :n, 0], trig[:, :n, 1]
+    p = np.empty((rows, 3))
+    xy = p[:, :2].view(complex)[:, 0]
+    yz = p[:, 1:].view(complex)[:, 0]
+    z = p[:, 2]
+    # Each joint's steps as (ufunc, state, factor), run in place. z + 0.0
+    # and a product with 1 + 0i give back every finite nonzero float, so a
+    # joint without a link offset or a tilt skips that step.
+    steps = []
+    for turn, (c, s, d) in zip(trig.view(complex)[::-1, :, 0],
+                               model._links[5::-1]):
+        steps.append((np.multiply, xy, turn))
+        if d:
+            steps.append((np.add, z, np.array(d)))
+        if (c, s) != (1.0, 0.0):
+            steps.append((np.multiply, yz, np.array(complex(c, s))))
+    c, s, d = model._links[6]
+    tip = np.array([0.0, 0.0 * c - d * s, 0.0 * s + d * c])
+
+    def run(qs):
+        theta = qs[:, :6].T
+        np.cos(theta, cos)
+        np.sin(theta, sin)
+        np.copyto(p, tip)
+        for ufunc, state, factor in steps:
+            ufunc(state, factor, state)
+    return run, p
+
+
 def batch_end_effector_positions(model: KinematicModel, qs):
     """Tool points of an (n, 7) array of joint vectors as a new (n, 3)
-    array: Horner's rule in place on one point buffer (see the kernel
-    comment above _horner), with cos and sin written into one (7, n, 2)
-    array viewed as complex. The hot path of the population solvers and
-    the dataset generator. ValueError unless qs is (n, 7)."""
+    array, from one batch pass (see _batch_pass). The dataset generator
+    and FK playback run it. ValueError unless qs is (n, 7)."""
+    qs = _joint_batch(qs)
+    run, p = _batch_pass(model, len(qs))
+    run(qs)
+    return p[:len(qs)]
+
+
+def _joint_batch(qs):
+    """qs as a float array; ValueError unless it is (n, 7)."""
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 7:
         raise ValueError(
             f"joint vectors must be an (n, 7) array, got shape {qs.shape}")
-    n = len(qs)
-    rows = max(n, 2)  # one row would round like the float products
-    trig = np.zeros((7, rows, 2))
-    np.cos(qs.T, out=trig[:, :n, 0])
-    np.sin(qs.T, out=trig[:, :n, 1])
-    p = np.zeros((rows, 3))
-    xy = p[:, :2].view(complex)[:, 0]
-    yz = p[:, 1:].view(complex)[:, 0]
-    z = p[:, 2]
-    for turn, (c, s, d) in zip(trig.view(complex)[::-1, :, 0],
-                               model._links[::-1]):
-        xy *= turn
-        z += d
-        yz *= complex(c, s)
-    return p[:n]
+    return qs
 
 
 def fitness(model: KinematicModel, q, target):
@@ -376,15 +421,32 @@ def pose_fitness(model: KinematicModel, q, target):
 def batch_fitness(model: KinematicModel, qs, target):
     """Distances to one target for many joint vectors at once, shape (n,).
     ValueError unless qs is (n, 7) and target is (3,)."""
+    qs = _joint_batch(qs)
+    return batch_evaluator(model, target, len(qs))(qs)
+
+
+def batch_evaluator(model: KinematicModel, target, n):
+    """batch_fitness for batches of n poses and one target, with the
+    target and the buffers of the batch pass bound once: a function that
+    takes an (n, 7) array, unchecked, and returns its distances as a new
+    (n,) array. The population solvers bind one per solve. ValueError
+    unless target is (3,)."""
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
         raise ValueError(f"target must have shape (3,), got {target.shape}")
-    p = batch_end_effector_positions(model, qs)
-    p -= target
-    p *= p
-    dist = p[:, 0] + p[:, 1]
-    dist += p[:, 2]
-    return np.sqrt(dist, out=dist)
+    run, p = _batch_pass(model, n)
+    head = p[:n]
+    x, y, z = head.T
+    mul, add = np.multiply, np.add
+
+    def evaluate(qs):
+        run(qs)
+        np.subtract(head, target, head)
+        mul(head, head, head)
+        dist = add(x, y)
+        add(dist, z, dist)
+        return np.sqrt(dist, dist)
+    return evaluate
 
 
 def position_jacobian(model: KinematicModel, q):

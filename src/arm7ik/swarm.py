@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_settings, setting
-from .kinematics import (KinematicModel, batch_fitness, fitness, pose_fitness,
-                         wrap_float)
+from .core import check_settings, keep_better, setting
+from .kinematics import (KinematicModel, batch_evaluator, batch_fitness,
+                         fitness, pose_fitness, wrap_float)
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,29 @@ class AfsaConfig:
 
 
 def pso_velocity_update(v, x, pbest, gbest, w, c1, c2, r1, r2):
-    """v' = w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), elementwise."""
-    return w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
+    """v' = w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), elementwise, as a
+    new array, summed in that order."""
+    out = w * v
+    term = c1 * r1
+    diff = np.subtract(pbest, x)
+    term *= diff
+    out += term
+    np.multiply(c2, r2, term)
+    np.subtract(gbest, x, diff)
+    term *= diff
+    out += term
+    return out
 
 
 def pso_steps(model: KinematicModel, target, config, budget, rng):
     """Canonical gbest PSO with per-dimension random coefficients;
     positions are wrapped back into the joint limits every step."""
     n = config.num_particles
+    evaluate = batch_evaluator(model, target, n)
     span = model.upper - model.lower
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
     v = rng.uniform(-span, span, size=(n, 7)) * 0.1
-    values = batch_fitness(model, x, target)
+    values = evaluate(x)
     pbest = x.copy()
     pbest_values = values.copy()
     g = int(np.argmin(values))
@@ -62,36 +73,37 @@ def pso_steps(model: KinematicModel, target, config, budget, rng):
     yield gbest, gbest_value
 
     v_max = 0.5 * span
+    v_min = -v_max
     while True:
-        r1 = rng.random((n, 7))
-        r2 = rng.random((n, 7))
+        r1, r2 = rng.random((2, n, 7))
         v = pso_velocity_update(v, x, pbest, gbest, config.inertia,
                                 config.cognitive, config.social, r1, r2)
-        v = np.clip(v, -v_max, v_max)
+        np.maximum(v, v_min, out=v)
+        np.minimum(v, v_max, out=v)
         x = model.clip_to_limits(x + v)
-        values = batch_fitness(model, x, target)
-        improved = values < pbest_values
-        pbest[improved] = x[improved]
-        pbest_values[improved] = values[improved]
-        g = int(np.argmin(pbest_values))
+        values = evaluate(x)
+        keep_better(pbest, pbest_values, x, values)
+        g = int(pbest_values.argmin())
         if pbest_values[g] < gbest_value:
             gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
         yield gbest, gbest_value
 
 
-def qpso_attractor(pbest, gbest, rng):
-    """Per-dimension convex combination of pbest and gbest."""
-    phi = rng.random(pbest.shape)
+def qpso_attractor(pbest, gbest, phi):
+    """Per-dimension convex combination of pbest and gbest, phi*pbest +
+    (1 - phi)*gbest, for uniform draws phi shaped like pbest."""
     return phi * pbest + (1.0 - phi) * gbest
 
 
 def qpso_steps(model: KinematicModel, target, config, budget, rng):
     """Quantum-behaved PSO: no velocity state; each particle is resampled
     around an attractor with spread beta*|mbest - x|*ln(1/u), beta
-    annealed linearly from beta_start to beta_end."""
+    annealed linearly from beta_start to beta_end, on the side a fair
+    coin picks."""
     n = config.num_particles
+    evaluate = batch_evaluator(model, target, n)
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
-    values = batch_fitness(model, x, target)
+    values = evaluate(x)
     pbest = x.copy()
     pbest_values = values.copy()
     g = int(np.argmin(values))
@@ -102,17 +114,21 @@ def qpso_steps(model: KinematicModel, target, config, budget, rng):
     for it in range(max_iter):
         frac = it / max(1, max_iter - 1)
         beta = config.beta_start + frac * (config.beta_end - config.beta_start)
-        mbest = pbest.mean(axis=0)
-        p = qpso_attractor(pbest, gbest, rng)
-        u = rng.random((n, 7))
-        sign = np.where(rng.random((n, 7)) < 0.5, 1.0, -1.0)
-        x = p + sign * beta * np.abs(mbest - x) * np.log(1.0 / u)
+        mbest = np.add.reduce(pbest, 0) / n  # pbest.mean(axis=0)
+        phi, u, coin = rng.random((3, n, 7))
+        # x = p + s*beta*|mbest - x|*ln(1/u) for the coin's sign s = +-1;
+        # the sign is applied last, which rounds the same.
+        np.subtract(mbest, x, x)
+        np.abs(x, x)
+        x *= beta
+        np.divide(1.0, u, u)
+        x *= np.log(u, u)
+        np.negative(x, x, where=coin >= 0.5)
+        x += qpso_attractor(pbest, gbest, phi)
         x = model.clip_to_limits(x)
-        values = batch_fitness(model, x, target)
-        improved = values < pbest_values
-        pbest[improved] = x[improved]
-        pbest_values[improved] = values[improved]
-        g = int(np.argmin(pbest_values))
+        values = evaluate(x)
+        keep_better(pbest, pbest_values, x, values)
+        g = int(pbest_values.argmin())
         if pbest_values[g] < gbest_value:
             gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
         yield gbest, gbest_value

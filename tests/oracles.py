@@ -14,7 +14,9 @@ from functools import reduce
 
 import numpy as np
 
-from arm7ik import KinematicModel
+from arm7ik import Budget, KinematicModel, run_solver
+from arm7ik.core import run_steps
+from arm7ik.evolution import de_donors, tournament_winners
 from arm7ik.heuristics import acceptance_probability, temperature_schedule
 from arm7ik.kinematics import (batch_fitness, end_effector_position, fitness,
                                joint_axes, wrap_angle)
@@ -27,6 +29,12 @@ ARMS = {
     "standard": KinematicModel(lengths=NONUNIT),
     "modified": KinematicModel(lengths=NONUNIT, convention="modified"),
     "limits": KinematicModel(joint_limits=[(-1.0, 1.0)] * 7),
+}
+# ARMS plus a box wider than (-pi, pi], which clip_to_limits leaves to the
+# wrap alone, as it does the unit arm's (-pi, pi).
+POPULATION_ARMS = {
+    **ARMS,
+    "wide": KinematicModel(joint_limits=[(-2 * math.pi, 2 * math.pi)] * 7),
 }
 
 
@@ -495,3 +503,146 @@ def reference_afsa_steps(model, target, config, rng):
             if f < best_f:
                 best_q, best_f = x.copy(), float(f)
         yield best_q, best_f
+
+
+def assert_solver_matches(algo, reference_steps, arm, config):
+    """The solver and its numpy reference give the same joints, fitness
+    and trace, bit for bit, on three FK targets of `arm` and one past its
+    workspace."""
+    budget = Budget(max_iterations=60)
+    rng = np.random.default_rng(37)
+    for i, target in enumerate(solver_targets(arm, rng, 3)):
+        got = run_solver(algo, arm, target, np.random.default_rng((i, 5)),
+                         config, budget)
+        want = run_steps(reference_steps(arm, target, config, budget,
+                                         np.random.default_rng((i, 5))),
+                         budget)
+        assert got.same_outcome(want)
+
+
+# The population solvers as plain numpy expressions, each step allocating
+# its arrays: fitness through reference_batch_fitness, the wrap and clip
+# through np.clip, and the yielded joints copied.
+
+def _reference_clip(model, q):
+    return np.clip(wrap_angle(q), model.lower, model.upper)
+
+
+def _reference_best(points, values):
+    i = int(np.argmin(values))
+    return points[i].copy(), float(values[i])
+
+
+def _reference_bests(pbest, pbest_values, gbest, gbest_value, x, values):
+    improved = values < pbest_values
+    pbest[improved] = x[improved]
+    pbest_values[improved] = values[improved]
+    g = int(np.argmin(pbest_values))
+    if pbest_values[g] < gbest_value:
+        gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
+    return gbest, gbest_value
+
+
+def reference_pso_steps(model, target, config, budget, rng):
+    """gbest PSO as a step generator (see core.run_steps)."""
+    n = config.num_particles
+    span = model.upper - model.lower
+    x = rng.uniform(model.lower, model.upper, size=(n, 7))
+    v = rng.uniform(-span, span, size=(n, 7)) * 0.1
+    values = reference_batch_fitness(model, x, target)
+    pbest = x.copy()
+    pbest_values = values.copy()
+    g = int(np.argmin(values))
+    gbest, gbest_value = x[g].copy(), float(values[g])
+    yield gbest, gbest_value
+
+    v_max = 0.5 * span
+    while True:
+        r1 = rng.random((n, 7))
+        r2 = rng.random((n, 7))
+        v = (config.inertia * v + config.cognitive * r1 * (pbest - x)
+             + config.social * r2 * (gbest - x))
+        v = np.clip(v, -v_max, v_max)
+        x = _reference_clip(model, x + v)
+        values = reference_batch_fitness(model, x, target)
+        gbest, gbest_value = _reference_bests(pbest, pbest_values, gbest,
+                                              gbest_value, x, values)
+        yield gbest, gbest_value
+
+
+def reference_qpso_steps(model, target, config, budget, rng):
+    """Quantum-behaved PSO as a step generator (see core.run_steps), with
+    its attractor, spread and sign drawn one (n, 7) array at a time."""
+    n = config.num_particles
+    x = rng.uniform(model.lower, model.upper, size=(n, 7))
+    values = reference_batch_fitness(model, x, target)
+    pbest = x.copy()
+    pbest_values = values.copy()
+    g = int(np.argmin(values))
+    gbest, gbest_value = x[g].copy(), float(values[g])
+    yield gbest, gbest_value
+
+    max_iter = budget.max_iterations
+    for it in range(max_iter):
+        frac = it / max(1, max_iter - 1)
+        beta = config.beta_start + frac * (config.beta_end - config.beta_start)
+        mbest = pbest.mean(axis=0)
+        phi = rng.random(pbest.shape)
+        p = phi * pbest + (1.0 - phi) * gbest
+        u = rng.random((n, 7))
+        sign = np.where(rng.random((n, 7)) < 0.5, 1.0, -1.0)
+        x = p + sign * beta * np.abs(mbest - x) * np.log(1.0 / u)
+        x = _reference_clip(model, x)
+        values = reference_batch_fitness(model, x, target)
+        gbest, gbest_value = _reference_bests(pbest, pbest_values, gbest,
+                                              gbest_value, x, values)
+        yield gbest, gbest_value
+
+
+def reference_ga_steps(model, target, config, budget, rng):
+    """The genetic algorithm as a step generator (see core.run_steps),
+    each draw of a generation its own call: tournaments, crossover coins,
+    gene picks, mutation coins, then rng.uniform for the mutated genes."""
+    n = config.population_size
+    pop = rng.uniform(model.lower, model.upper, size=(n, 7))
+    values = reference_batch_fitness(model, pop, target)
+    yield _reference_best(pop, values)
+
+    while True:
+        parents = tournament_winners(rng, values, (2, n))
+        p1, p2 = pop[parents[0]], pop[parents[1]]
+        crossed = rng.random((n, 1)) < config.crossover_probability
+        take = crossed & (rng.random((n, 7)) < 0.5)
+        children = np.where(take, p2, p1)
+        mutate = rng.random((n, 7)) < config.mutation_probability
+        joints = np.nonzero(mutate)[1]
+        children[mutate] = rng.uniform(model.lower[joints],
+                                       model.upper[joints])
+        child_values = reference_batch_fitness(model, children, target)
+        merged = np.vstack([pop, children])
+        merged_values = np.concatenate([values, child_values])
+        keep = np.argsort(merged_values, kind="stable")[:n]
+        pop, values = merged[keep], merged_values[keep]
+        yield _reference_best(pop, values)
+
+
+def reference_de_steps(model, target, config, budget, rng):
+    """DE/rand/1/bin with Gaussian noise as a step generator (see
+    core.run_steps), selecting into the population by boolean masks."""
+    n = config.population_size
+    pop = rng.uniform(model.lower, model.upper, size=(n, 7))
+    values = reference_batch_fitness(model, pop, target)
+    yield _reference_best(pop, values)
+
+    while True:
+        a, b, c = de_donors(rng, n).T
+        mutants = (pop[a] + config.differential_weight * (pop[b] - pop[c])
+                   + rng.normal(0.0, config.mutation_probability, (n, 7)))
+        cross = rng.random((n, 7)) < config.crossover_rate
+        cross[np.arange(n), rng.integers(0, 7, n)] = True
+        trials = _reference_clip(model, np.where(cross, mutants, pop))
+        trial_values = reference_batch_fitness(model, trials, target)
+        better = trial_values < values
+        pop[better] = trials[better]
+        values[better] = trial_values[better]
+        yield _reference_best(pop, values)

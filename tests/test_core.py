@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from arm7ik import Budget, ConvergenceTrace, SolveResult, SolverId, average_traces
+from arm7ik import (Budget, ConvergenceTrace, KinematicModel, SolveResult,
+                    SolverId, average_traces, end_effector_position)
+from arm7ik.registry import SOLVERS, make_budget, make_config
 
 
 def make_trace(values):
@@ -114,3 +116,30 @@ class TestSolveResult:
         a = self._result()
         assert not a.same_outcome(self._result(fitness=0.6))
         assert not a.same_outcome(self._result(iterations=4))
+
+
+class TestStepGenerators:
+    @pytest.mark.parametrize("solver_id", [s for s in SolverId
+                                           if s is not SolverId.DTNR])
+    def test_yielded_joints_never_change(self, solver_id):
+        """run_steps keeps the joints of the last yield, so a generator
+        must not write into an array it has yielded: each of the first 60
+        yields holds the same values after 60 more steps (or the end)."""
+        model = KinematicModel()
+        reach = model.workspace
+        targets = [end_effector_position(model, np.full(7, 0.4)),
+                   np.array([0.0, 0.0, reach.h + reach.r + 0.5])]
+        _, make_steps, _ = SOLVERS[solver_id]
+        for seed, target in enumerate(targets):
+            steps = make_steps(model, target, make_config(solver_id),
+                               make_budget(solver_id),
+                               np.random.default_rng(seed + 1))
+            yields = []
+            for it, (joints, _) in enumerate(steps):
+                if it < 60:
+                    yields.append((joints, np.array(joints, copy=True)))
+                elif it == 120:
+                    break
+            assert yields
+            for joints, copy in yields:
+                assert np.array_equal(joints, copy)

@@ -6,6 +6,7 @@ import pytest
 from arm7ik import (Budget, DeConfig, GaConfig, KinematicModel,
                     end_effector_position, ga_offspring, run_solver)
 from arm7ik.evolution import de_donors, de_trials, tournament_winners
+import oracles
 
 
 BOX = KinematicModel(joint_limits=[(-1.0, 1.0)] * 7)
@@ -128,6 +129,12 @@ class TestGaSolver:
         assert np.all(result.joints >= model.lower - 1e-12)
         assert np.all(result.joints <= model.upper + 1e-12)
 
+    @pytest.mark.parametrize("arm_name", sorted(oracles.POPULATION_ARMS))
+    def test_ga_matches_reference(self, arm_name):
+        oracles.assert_solver_matches(
+            "ga", oracles.reference_ga_steps,
+            oracles.POPULATION_ARMS[arm_name], GaConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GaConfig(population_size=1)
@@ -186,6 +193,12 @@ class TestDeSolver:
             with pytest.raises(ValueError):
                 DeConfig(**bad)
         DeConfig(population_size=4, mutation_probability=0.0)
+
+    @pytest.mark.parametrize("arm_name", sorted(oracles.POPULATION_ARMS))
+    def test_de_matches_reference(self, arm_name):
+        oracles.assert_solver_matches(
+            "de", oracles.reference_de_steps,
+            oracles.POPULATION_ARMS[arm_name], DeConfig())
 
     def test_tiny_population_rejected(self, model, rng):
         target = np.array([0.5, 0.5, 1.0])

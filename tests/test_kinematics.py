@@ -10,8 +10,8 @@ from arm7ik import (DhRow, KinematicModel, WorkspaceSphere,
                     forward_kinematics, is_reachable, joint_axes,
                     point_and_jacobian, position_jacobian, sample_workspace,
                     sample_workspace_batch, tool_point, wrap_angle)
-from arm7ik.kinematics import (frame_pass, horner_partials, pose_turns,
-                               wrap_float)
+from arm7ik.kinematics import (batch_evaluator, frame_pass, horner_partials,
+                               pose_turns, TWO_PI, wrap_float)
 import oracles
 
 NONUNIT = (0.36, 0.42, 0.4, 0.126)
@@ -305,9 +305,10 @@ def _assert_batch_matches_reference(model, qs, target):
     got = batch_end_effector_positions(model, qs)
     assert got.shape == (len(qs), 3)
     assert np.array_equal(_bits(got), _bits(expected))
+    want = _bits(oracles.reference_batch_fitness(model, qs, target))
+    assert np.array_equal(_bits(batch_fitness(model, qs, target)), want)
     assert np.array_equal(
-        _bits(batch_fitness(model, qs, target)),
-        _bits(oracles.reference_batch_fitness(model, qs, target)))
+        _bits(batch_evaluator(model, target, len(qs))(qs)), want)
 
 
 class TestBatchKernelAgainstReference:
@@ -338,6 +339,36 @@ class TestBatchKernelAgainstReference:
         for start in range(0, len(poses) - n + 1, n):
             _assert_batch_matches_reference(model, poses[start:start + n],
                                             rng.uniform(-3, 3, 3))
+
+
+class TestBatchEvaluator:
+    @pytest.mark.parametrize("n", [1, 2, 20, 30])
+    @pytest.mark.parametrize("convention", ["standard", "modified"])
+    def test_calls_are_independent_and_bit_identical(self, n, convention):
+        """One evaluator, many batches: each call equals the reference on
+        its own batch, whatever the calls before it left in the buffers,
+        and returns an array of its own."""
+        model = KinematicModel(lengths=NONUNIT, convention=convention)
+        rng = np.random.default_rng(n)
+        target = rng.uniform(-1, 1, 3)
+        evaluate = batch_evaluator(model, target, n)
+        batches = [rng.uniform(-2 * math.pi, 2 * math.pi, (n, 7))
+                   for _ in range(3)]
+        batches.append(np.array(_kernel_poses(seed=n, count=0))[-n:])
+        batches.append(batches[0])
+        outs = [evaluate(qs) for qs in batches]
+        for qs, out in zip(batches, outs):
+            assert np.array_equal(
+                _bits(out),
+                _bits(oracles.reference_batch_fitness(model, qs, target)))
+        assert np.array_equal(outs[0], outs[-1])
+        assert len({id(out) for out in outs}) == len(outs)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(outs) for b in outs[i + 1:])
+
+    def test_target_must_be_a_point(self, model):
+        with pytest.raises(ValueError, match=r"\(3,\)"):
+            batch_evaluator(model, np.zeros(2), 4)
 
 
 class TestBatchShapes:
@@ -521,6 +552,35 @@ class TestModelValidation:
         clipped = model.clip_to_limits(q)
         assert np.all(clipped >= -1.0)
         assert np.all(clipped <= 1.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_clip_to_limits_is_clip_of_the_wrap(self, seed):
+        """In place on the wrapped copy, and skipped for boxes that hold
+        [-pi, pi], it still equals np.clip(wrap_angle(q), lower, upper),
+        NaN entries included, and leaves q as it was."""
+        rng = np.random.default_rng(seed)
+        boxes = [rng.uniform(-TWO_PI, TWO_PI, (7, 2)) for _ in range(4)]
+        boxes = [np.sort(b, axis=1) for b in boxes]
+        boxes += [[(-math.pi, math.pi)] * 7, [(-TWO_PI, TWO_PI)] * 7,
+                  [(-math.pi, 3.0)] + [(-4.0, 4.0)] * 6]
+        q = rng.uniform(-10, 10, (40, 7))
+        q[rng.random(q.shape) < 0.1] = math.nan
+        q[0] = [math.pi, -math.pi, 0.0, -0.0, TWO_PI, 3.0, -3.0]
+        for box in boxes:
+            model = KinematicModel(joint_limits=box)
+            before = q.copy()
+            got = model.clip_to_limits(q)
+            want = np.clip(wrap_angle(q), model.lower, model.upper)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(q, before, equal_nan=True)
+            assert not np.shares_memory(got, q)
+
+    def test_limits_are_read_only(self):
+        # clip_to_limits decides once, from the limits, whether it clips.
+        model = KinematicModel()
+        for limit in (model.lower, model.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                limit[0] = 0.0
 
     def test_random_joints_within_limits(self, model, rng):
         q = model.random_joints(rng)

@@ -58,6 +58,12 @@ class TestPsoSolver:
                        budget=Budget(max_iterations=30))
         assert a.same_outcome(b)
 
+    @pytest.mark.parametrize("arm_name", sorted(oracles.POPULATION_ARMS))
+    def test_pso_matches_reference(self, arm_name):
+        oracles.assert_solver_matches(
+            "pso", oracles.reference_pso_steps,
+            oracles.POPULATION_ARMS[arm_name], PsoConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PsoConfig(num_particles=0)
@@ -68,18 +74,18 @@ class TestPsoSolver:
 class TestQpso:
     def test_attractor_of_equal_bests_is_that_point(self, rng):
         p = rng.normal(size=(6, 7))
-        out = qpso_attractor(p, p[0], np.random.default_rng(0))
+        phi = np.random.default_rng(0).random(p.shape)
+        out = qpso_attractor(p, p[0], phi)
         # With pbest == gbest per dimension the convex combination is
         # the point itself wherever they coincide.
-        same = qpso_attractor(p[0][None, :].repeat(6, axis=0), p[0],
-                              np.random.default_rng(0))
+        same = qpso_attractor(p[0][None, :].repeat(6, axis=0), p[0], phi)
         assert np.allclose(same, p[0], atol=1e-15)
         assert out.shape == p.shape
 
     def test_attractor_lies_between_the_bests(self, rng):
         pbest = np.zeros((4, 7))
         gbest = np.ones(7)
-        out = qpso_attractor(pbest, gbest, rng)
+        out = qpso_attractor(pbest, gbest, rng.random(pbest.shape))
         assert np.all(out >= 0.0)
         assert np.all(out <= 1.0)
 
@@ -105,6 +111,12 @@ class TestQpso:
         b = run_solver("qpso", model, target, np.random.default_rng(6),
                        budget=Budget(max_iterations=30))
         assert a.same_outcome(b)
+
+    @pytest.mark.parametrize("arm_name", sorted(oracles.POPULATION_ARMS))
+    def test_qpso_matches_reference(self, arm_name):
+        oracles.assert_solver_matches(
+            "qpso", oracles.reference_qpso_steps,
+            oracles.POPULATION_ARMS[arm_name], QpsoConfig())
 
     def test_single_particle_rejected(self, model):
         with pytest.raises(ValueError):
