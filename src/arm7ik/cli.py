@@ -50,9 +50,12 @@ def _parse_vector(text, n, name):
     if len(parts) != n:
         raise ConfigError(f"{name} needs {n} comma-separated values")
     try:
-        return np.array([float(p) for p in parts])
+        vector = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ConfigError(f"bad {name}: {exc}") from exc
+    if not np.isfinite(vector).all():
+        raise ConfigError(f"{name} values must be finite, got {text!r}")
+    return vector
 
 
 def _parse_overrides(pairs):
@@ -77,6 +80,8 @@ def cmd_fk(args):
 
 
 def cmd_sample(args):
+    if args.count < 1:
+        raise ConfigError("--count must be >= 1")
     model = _model_from_args(args)
     rng = np.random.default_rng(args.seed)
     sphere = model.workspace

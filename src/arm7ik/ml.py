@@ -162,7 +162,18 @@ class PolynomialModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["degree"], d["weights"], d["intercepts"])
+        degree = d.get("degree")
+        if type(degree) is not int or degree < 1:
+            raise ValueError(f"polynomial model degree must be an int >= 1, "
+                             f"got {degree!r}")
+        model = cls(degree, d.get("weights"), d.get("intercepts"))
+        # len(polynomial_exponents(degree)), without listing them.
+        n_terms = math.comb(degree + 3, 3) - 1
+        for name, shape in (("weights", (n_terms, 7)), ("intercepts", (7,))):
+            if getattr(model, name).shape != shape:
+                raise ValueError(f"polynomial model {name} must have shape "
+                                 f"{shape}")
+        return model
 
 
 def fit_polynomial(train: Dataset, degree=8) -> PolynomialModel:
@@ -185,7 +196,8 @@ class RegressionTree:
     leaves, stored as flat parallel node tables: `feature`, `threshold`,
     `left` and `right` as `array.array`s, `value` as an (n_nodes, 7)
     array. feature < 0 marks a leaf, whose row of `value` holds its mean
-    joint vector; internal nodes have all-zero rows. Every child index is
+    joint vector, wrapped into (-pi, pi] once here, so predictions return
+    it as it is; internal nodes have all-zero rows. Every child index is
     larger than its parent's, so a walk from the root always ends.
 
     Arrays hold no Python objects, so the garbage collector has nothing to
@@ -201,7 +213,8 @@ class RegressionTree:
         self.threshold = _table("d", threshold, np.float64)
         self.left = _table("q", left, np.int64)
         self.right = _table("q", right, np.int64)
-        self.value = np.array(value, dtype=float).reshape(-1, 7)
+        self.value = wrap_angle(
+            np.asarray(value, dtype=float).reshape(-1, 7))
         self.max_depth_used = int(max_depth_used)
 
     @property
@@ -217,7 +230,7 @@ class RegressionTree:
         node = 0
         while (f := feature[node]) >= 0:
             node = left[node] if x[f] <= threshold[node] else right[node]
-        return wrap_angle(self.value[node])
+        return self.value[node].copy()
 
     def predict_batch(self, positions):
         """Walk all rows down the tree together, one level per step,
@@ -242,7 +255,7 @@ class RegressionTree:
                 at, node, f = at[inner], node[inner], f[inner]
             go_left = flat[at + f] <= threshold[node]
             node = child[2 * node + go_left]
-        return wrap_angle(self.value[leaf_of])
+        return self.value[leaf_of]
 
     def to_dict(self):
         """Model format v2: the node tables as base64 little-endian arrays,
@@ -367,9 +380,10 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
     depth are scored together, one batch per row count. Splitting a
     node partitions its sorted row lists stably, so each child keeps its
     rows in sorted order with ties by row index, as a stable per-node
-    argsort would have them. Nodes are numbered at the end in the order a
-    depth-first fit that pushes the left child, then the right, creates
-    them.
+    argsort would have them. Nodes are numbered in level order, as a
+    per-node fit that takes nodes first in, first out creates them: the
+    root is node 0, and each split node's children take the next two
+    free ids, left then right.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -390,8 +404,10 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
     # One entry per depth; node j of a level owns orders[:, s:s + counts[j]].
     levels = []
     counts = np.array([n_rows])
+    end = 0  # one past the last node id of the levels so far
     while counts.size:
         depth = len(levels)
+        end += counts.size
         starts = np.cumsum(counts) - counts
         feature = np.full(counts.size, -1)
         threshold = np.zeros(counts.size)
@@ -407,9 +423,16 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
             group = np.flatnonzero(leaf & (counts == n))
             value[group] = y[orders[0, starts[group, None]
                                     + np.arange(n)]].mean(axis=1)
-        levels.append((feature, threshold, value))
+        # The j-th split node's children are nodes 2j and 2j + 1 of the
+        # next level, which starts at node `end`.
+        split = feature >= 0
+        left = np.where(split, end + 2 * np.cumsum(split) - 2, -1)
+        levels.append((feature, threshold, left, value))
         orders, counts = _partition(x, orders, counts, feature, threshold)
-    return _depth_first(levels)
+    feature, threshold, left, value = map(np.concatenate, zip(*levels))
+    return RegressionTree(feature, threshold, left,
+                          np.where(left >= 0, left + 1, -1), value,
+                          len(levels) - 1)
 
 
 def _partition(x, orders, counts, feature, threshold):
@@ -427,47 +450,6 @@ def _partition(x, orders, counts, feature, threshold):
                                axis=1)
     children = np.bincount(child[0], minlength=2 * counts.size)
     return moved, children[np.repeat(feature >= 0, 2)]
-
-
-def _depth_first(levels):
-    """Assemble the per-depth node tables into one RegressionTree, numbered
-    as a depth-first fit with a stack creates the nodes: each split node,
-    when popped, takes the next two ids for its children, and the right
-    child is popped first. So the children of the split node that is r-th
-    to be popped get ids 2r + 1 and 2r + 2, and a split node's left child
-    is popped after every split node under its right sibling."""
-    # Level-order ids: the children of the j-th split node of one level
-    # are nodes 2j and 2j + 1 of the next.
-    first = np.cumsum([0] + [f.size for f, _, _ in levels])
-    feature = np.concatenate([f for f, _, _ in levels])
-    splits = [np.flatnonzero(f >= 0) + at
-              for (f, _, _), at in zip(levels, first)]
-    left = np.full(feature.size, -1)
-    for d, split in enumerate(splits[:-1]):
-        left[split] = first[d + 1] + 2 * np.arange(split.size)
-    # Split nodes in each subtree, bottom-up.
-    below = (feature >= 0).astype(np.int64)
-    for split in reversed(splits):
-        below[split] += below[left[split]] + below[left[split] + 1]
-    # Pop rank of each split node, top-down, and the ids it gives out.
-    popped = np.zeros(feature.size, dtype=np.int64)
-    new_id = np.zeros(feature.size, dtype=np.int64)
-    for split in splits:
-        r, child = popped[split], left[split]
-        popped[child + 1] = r + 1
-        popped[child] = r + 1 + below[child + 1]
-        new_id[child] = 2 * r + 1
-        new_id[child + 1] = 2 * r + 2
-    old_id = np.empty_like(new_id)
-    old_id[new_id] = np.arange(new_id.size)
-    feature = feature[old_id]
-    internal = feature >= 0
-    child = left[old_id]
-    return RegressionTree(
-        feature, np.concatenate([t for _, t, _ in levels])[old_id],
-        np.where(internal, new_id[child], -1),
-        np.where(internal, new_id[child + 1], -1),
-        np.concatenate([v for _, _, v in levels])[old_id], len(levels) - 1)
 
 
 def save_model(model, path):
@@ -502,7 +484,11 @@ def average_fitness_on_positions(predictor, positions, model: KinematicModel):
     """Mean tool-to-target distance when predicted joints are played back
     through forward kinematics."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    pred = predictor.predict_batch(positions)
+    return _playback_fitness(predictor.predict_batch(positions), positions,
+                             model)
+
+
+def _playback_fitness(pred, positions, model):
     reached = batch_end_effector_positions(model, pred)
     return float(np.linalg.norm(reached - positions, axis=1).mean())
 
@@ -521,6 +507,6 @@ def evaluate(predictor, test: Dataset, model: KinematicModel) -> ModelMetrics:
     with np.errstate(divide="ignore", invalid="ignore"):
         per_output = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot, 0.0)
     signed = float(per_output.mean())
-    avg_fit = average_fitness_on_positions(predictor, test.positions, model)
+    avg_fit = _playback_fitness(pred, test.positions, model)
     return ModelMetrics(r_squared=abs(signed), r_squared_signed=signed,
                         mse=mse, average_fitness=avg_fit)

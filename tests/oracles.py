@@ -9,6 +9,7 @@ library runs in a faster form; tests require the two to agree bit for
 bit.
 """
 import cmath
+import collections
 import math
 from functools import reduce
 
@@ -251,19 +252,20 @@ def _reference_best_split(x, y, y_sq, min_leaf):
 
 
 def reference_tree(positions, joints, max_depth=84, min_leaf=1):
-    """Per-node CART, one node at a time from an explicit stack: the node
-    tables (feature, threshold, left, right, value) as arrays, plus the
-    deepest depth reached. A node's children take the next two ids when
-    it is popped, and the right child is popped first. Leaves hold the
-    mean joint vector of their rows; internal nodes a zero row."""
+    """Per-node CART, one node at a time from a first-in, first-out queue:
+    the node tables (feature, threshold, left, right, value) as arrays,
+    plus the deepest depth reached. A node's children take the next two
+    ids when it is taken from the queue, left then right, so ids run in
+    level order. Leaves hold the mean joint vector of their rows, wrapped
+    into (-pi, pi]; internal nodes a zero row."""
     x = np.asarray(positions, dtype=float)
     y = np.asarray(joints, dtype=float)
     y_sq = np.einsum("ij,ij->i", y, y)
     feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [None]
     deepest = 0
-    stack = [(0, np.arange(x.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
+    queue = collections.deque([(0, np.arange(x.shape[0]), 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
         deepest = max(deepest, depth)
         rows_x, rows_y = x[idx], y[idx]
         split = None
@@ -272,7 +274,7 @@ def reference_tree(positions, joints, max_depth=84, min_leaf=1):
             if split is not None and split[2] <= 1e-12:
                 split = None
         if split is None:
-            value[node] = rows_y.mean(axis=0)
+            value[node] = wrap_angle(rows_y.mean(axis=0))
             continue
         f, thresh, _ = split
         go_left = rows_x[:, f] <= thresh
@@ -284,8 +286,8 @@ def reference_tree(positions, joints, max_depth=84, min_leaf=1):
             left.append(-1)
             right.append(-1)
             value.append(None)
-        stack.append((left[node], idx[go_left], depth + 1))
-        stack.append((right[node], idx[~go_left], depth + 1))
+        queue.append((left[node], idx[go_left], depth + 1))
+        queue.append((right[node], idx[~go_left], depth + 1))
     value = np.array([np.zeros(7) if v is None else v for v in value])
     return (np.array(feature), np.array(threshold), np.array(left),
             np.array(right), value), deepest

@@ -48,6 +48,14 @@ class TestFk:
         assert code == EXIT_CONFIG
         assert "error" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_joint_is_a_config_error(self, capsys, bad):
+        code, out, err = run_cli(capsys, "fk", "--joints",
+                                 f"1,2,3,4,5,6,{bad}")
+        assert code == EXIT_CONFIG
+        assert "--joints values must be finite" in err
+        assert out == ""
+
     def test_custom_geometry_config(self, capsys, tmp_path):
         robot = tmp_path / "robot.yaml"
         robot.write_text("lengths: [0.36, 0.42, 0.4, 0.126]\n")
@@ -92,6 +100,13 @@ class TestSample:
         for line in lines:
             x, y, z = (float(v) for v in line.split(","))
             assert x * x + y * y + (z - 1.0) ** 2 <= 9.0 + 1e-12
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_a_config_error(self, capsys, count):
+        code, out, err = run_cli(capsys, "sample", "--count", count)
+        assert code == EXIT_CONFIG
+        assert "--count must be >= 1" in err
+        assert out == ""
 
     def test_seed_controls_the_draw(self, capsys):
         _, a, _ = run_cli(capsys, "sample", "--count", "5", "--seed", "1")
@@ -151,6 +166,14 @@ class TestSolve:
                                "--target", "nan,0,1")
         assert code == EXIT_CONFIG
         assert "finite" in err
+
+    @pytest.mark.parametrize("target", ["0,inf,1", "0,0,-inf", "nan,nan,nan"])
+    def test_target_is_checked_before_solving(self, capsys, target):
+        code, out, err = run_cli(capsys, "solve", "--algo", "pso",
+                                 "--target", target)
+        assert code == EXIT_CONFIG
+        assert "--target values must be finite" in err
+        assert out == ""
 
     def test_unknown_override_key_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--algo", "ga",
@@ -267,6 +290,27 @@ class TestMlPipeline:
                                "--degree", "0")
         assert code == EXIT_CONFIG
         assert "degree must be >= 1" in err
+
+    @pytest.mark.parametrize("damage", [
+        lambda d: d.pop("degree"),
+        lambda d: d.update(degree="x"),
+        lambda d: d.update(weights=d["weights"][:-1]),
+    ], ids=["no-degree", "string-degree", "short-weights"])
+    def test_malformed_polynomial_file_is_a_config_error(self, capsys,
+                                                         tmp_path, damage):
+        data = tmp_path / "data.csv"
+        run_cli(capsys, "dataset", "--count", "200", "--out", str(data))
+        path = tmp_path / "poly.json"
+        run_cli(capsys, "train", "--model", "poly", "--degree", "2",
+                "--data", str(data), "--out", str(path))
+        d = json.loads(path.read_text())
+        damage(d)
+        path.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "evaluate", "--model-file",
+                                 str(path), "--data", str(data))
+        assert code == EXIT_CONFIG
+        assert "polynomial model" in err
+        assert out == ""
 
     def test_missing_dataset_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "train", "--model", "linear",

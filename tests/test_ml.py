@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arm7ik import KinematicModel, wrap_angle
+from arm7ik.kinematics import TWO_PI
 from arm7ik.ml import (Dataset, PolynomialModel, RegressionTree,
-                       evaluate, fit_polynomial, fit_tree,
-                       generate_dataset, load_model, polynomial_exponents,
-                       polynomial_features, save_model, split_dataset)
+                       average_fitness_on_positions, evaluate, fit_polynomial,
+                       fit_tree, generate_dataset, load_model,
+                       polynomial_exponents, polynomial_features, save_model,
+                       split_dataset)
 import oracles
 
 
@@ -201,6 +203,37 @@ def assert_matches_reference(ds, **kwargs):
     assert tree.max_depth_used == deepest
 
 
+def depth_first_dict(tree):
+    """tree's v2 dict with its nodes renumbered as the earlier per-node
+    stack fit numbered them: a popped split node's children take the next
+    two ids, left then right, and the right child is popped first."""
+    feature, left, right = (np.asarray(t) for t in (tree.feature, tree.left,
+                                                    tree.right))
+    order = [0]          # level-order id of each depth-first id
+    new_id = np.zeros(tree.n_nodes, dtype=np.int64)
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        if feature[node] >= 0:
+            for child in (left[node], right[node]):
+                new_id[child] = len(order)
+                order.append(child)
+            stack += [left[node], right[node]]
+    old = np.array(order)
+    split = feature[old] >= 0
+    tables = {"feature": feature[old],
+              "threshold": np.asarray(tree.threshold)[old],
+              "left": np.where(split, new_id[left[old]], -1),
+              "right": np.where(split, new_id[right[old]], -1),
+              "leaf_value": tree.value[old][~split]}
+    d = tree.to_dict()
+    for name, table in tables.items():
+        dtype = TestPersistence.TABLE_TYPES[name]
+        d[name] = base64.b64encode(
+            table.astype(dtype).tobytes()).decode("ascii")
+    return d, tables
+
+
 class TestRegressionTree:
     def test_single_row_gives_single_leaf(self):
         joints = np.array([[0.1, 0.2, 0.3, -0.4, 0.5, -0.6, 0.7]])
@@ -348,6 +381,26 @@ class TestRegressionTree:
         assert np.array_equal(batch, tree.predict_batch(probe))
         assert batch[-1, 0] == pytest.approx(2.0)
 
+    def test_leaves_are_stored_wrapped(self):
+        # Joints past pi, as a grid over (-2pi, 2pi) limits gives: the
+        # leaves hold the wrapped means, which predictions return as is.
+        positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        joints = np.array([[4.0] * 7, [-4.0] * 7])
+        tree = fit_tree(Dataset(joints, positions, {}))
+        assert np.array_equal(tree.value, wrap_angle(
+            np.array([[0.0] * 7, [4.0] * 7, [-4.0] * 7])))
+        assert np.array_equal(tree.predict_batch(positions),
+                              wrap_angle(joints))
+        assert np.array_equal(tree.predict(positions[0]),
+                              wrap_angle(joints[0]))
+
+    def test_predict_returns_a_copy_of_the_leaf(self):
+        ds = Dataset(np.full((1, 7), 0.5), np.zeros((1, 3)), {})
+        tree = fit_tree(ds)
+        tree.predict(np.zeros(3))[:] = 9.0
+        tree.predict_batch(np.zeros((2, 3)))[:] = 9.0
+        assert np.array_equal(tree.value, np.full((1, 7), 0.5))
+
     def test_node_tables_are_invisible_to_the_garbage_collector(
             self, model, tmp_path):
         # A large tree's node tables, held as lists, cost each collection
@@ -378,6 +431,55 @@ class TestPersistence:
         probe = ds.positions[:30]
         assert np.array_equal(back.predict_batch(probe),
                               fitted.predict_batch(probe))
+
+    def test_reads_a_depth_first_file_with_unwrapped_leaves(self, model,
+                                                            tmp_path):
+        # Earlier releases numbered nodes depth-first and stored leaf means
+        # unwrapped; such a file predicts bit for bit as the fitted tree.
+        ds = generate_dataset(model, 300, rng=np.random.default_rng(9))
+        tree = fit_tree(ds)
+        d, tables = depth_first_dict(tree)
+        assert not np.array_equal(tables["left"], np.asarray(tree.left))
+        leaf_value = tables["leaf_value"].ravel()
+        # An entry whose sum with 2pi is exact, so wrapping it gives the
+        # entry back: a leaf mean that lay 2pi out of (-pi, pi].
+        at = np.flatnonzero(leaf_value + TWO_PI - TWO_PI == leaf_value)[0]
+        leaf_value[at] += TWO_PI
+        d["leaf_value"] = base64.b64encode(
+            leaf_value.astype("<f8").tobytes()).decode("ascii")
+        path = tmp_path / "depth_first.json"
+        path.write_text(json.dumps(d))
+        back = load_model(path)
+        probe = np.vstack([ds.positions, np.random.default_rng(10).uniform(
+            -1.0, 2.0, size=(2000, 3))])
+        assert np.array_equal(back.predict_batch(probe),
+                              tree.predict_batch(probe))
+        for p in probe[::10]:
+            assert np.array_equal(back.predict(p), tree.predict(p))
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d.pop("degree"), "degree"),
+        (lambda d: d.update(degree="x"), "degree"),
+        (lambda d: d.update(degree=2.0), "degree"),
+        (lambda d: d.update(degree=True), "degree"),
+        (lambda d: d.update(degree=0), "degree"),
+        (lambda d: d.update(degree=3), "weights"),
+        (lambda d: d.update(weights=d["weights"][:-1]), "weights"),
+        (lambda d: d.update(weights=[r[:-1] for r in d["weights"]]),
+         "weights"),
+        (lambda d: d.pop("weights"), "weights"),
+        (lambda d: d.update(intercepts=d["intercepts"][:-1]), "intercepts"),
+        (lambda d: d.update(intercepts=[d["intercepts"]]), "intercepts"),
+    ])
+    def test_rejects_a_malformed_polynomial_file(self, rng, tmp_path, damage,
+                                                 message):
+        ds = synthetic_dataset(rng, n=50, f=lambda p: p @ np.ones((3, 7)))
+        d = fit_polynomial(ds, degree=2).to_dict()
+        damage(d)
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"
@@ -495,7 +597,28 @@ class _ConstantMean:
         return np.tile(self._mean, (len(positions), 1))
 
 
+class _Counting:
+    """Predictor wrapper that counts its predict_batch calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def predict_batch(self, positions):
+        self.calls += 1
+        return self.inner.predict_batch(positions)
+
+
 class TestEvaluate:
+    def test_predicts_the_test_set_once(self, model):
+        ds = generate_dataset(model, 200, rng=np.random.default_rng(3))
+        tree = fit_tree(ds, max_depth=4)
+        counting = _Counting(tree)
+        metrics = evaluate(counting, ds, model)
+        assert counting.calls == 1
+        assert metrics.average_fitness == average_fitness_on_positions(
+            tree, ds.positions, model)
+
     def test_perfect_predictor(self, model):
         ds = generate_dataset(model, 60, rng=np.random.default_rng(0))
         metrics = evaluate(_Echo(ds), ds, model)

@@ -13,7 +13,11 @@ It also prints a SHA-256 over the node tables (feature, threshold, left,
 right, value) of two fitted trees: the criterion 3 tree, and the tree of
 the benchmark's learned_ik workload (25k rows, dataset seed 42, split
 seed 0). Two checkouts that print the same tree hashes fit identical
-trees.
+trees. After each tree's line comes a SHA-256 over its predictions on a
+fixed batch of 100,000 workspace targets: `predict_batch` on all of
+them and `predict` on the first 1,000. A change that renumbers the
+nodes or rewrites the stored values without changing any prediction
+moves the tree line and leaves this one as it was.
 
 It first prints a SHA-256 per DH convention over the kernel's outputs on
 200 fixed random poses of the arm with lengths (0.36, 0.42, 0.4, 0.126):
@@ -76,7 +80,8 @@ import numpy as np
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from arm7ik import (KinematicModel, batch_end_effector_positions,
-                    point_and_jacobian, run_solver, tool_point, wrap_angle)
+                    point_and_jacobian, run_solver, sample_workspace_batch,
+                    tool_point, wrap_angle)
 from arm7ik.ml import fit_tree, generate_dataset, split_dataset
 
 # The acceptance suite's solver order, which its per-run seeds depend on.
@@ -131,6 +136,14 @@ def tree_line(name, tree):
         digest.update(np.asarray(table, dtype=dtype).tobytes())
     return (f"tree[{name}] {digest.hexdigest()} nodes={tree.n_nodes} "
             f"depth={tree.max_depth_used}")
+
+
+def prediction_line(name, tree, targets):
+    digest = hashlib.sha256()
+    digest.update(np.asarray(tree.predict_batch(targets), float).tobytes())
+    for target in targets[:1000]:
+        digest.update(np.asarray(tree.predict(target), float).tobytes())
+    return f"tree_predict[{name}] {digest.hexdigest()}"
 
 
 def kernel_line(convention, n_poses=200):
@@ -188,16 +201,20 @@ def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
 
 
 def dtnr_lines(arm, targets, dataset_rows, fp):
-    """Print both tree lines and dtnr's line, folding dtnr's results into
-    `fp`; returns its digest."""
+    """Print both trees' table and prediction lines and dtnr's line,
+    folding dtnr's results into `fp`; returns its digest."""
     ds = generate_dataset(arm, dataset_rows, 0.1, np.random.default_rng(42),
                           seed=42)
     train, _ = split_dataset(ds, 0.25, np.random.default_rng(1))
+    probe = sample_workspace_batch(arm.workspace, np.random.default_rng(2024),
+                                   100_000)
     tree = fit_tree(train)
-    print(tree_line("criterion_3", tree), flush=True)
     ik_train, _ = split_dataset(generate_dataset(arm, 25_000, seed=42), 0.25,
                                 seed=0)
-    print(tree_line("learned_ik", fit_tree(ik_train)), flush=True)
+    for name, fitted in (("criterion_3", tree),
+                         ("learned_ik", fit_tree(ik_train))):
+        print(tree_line(name, fitted), flush=True)
+        print(prediction_line(name, fitted, probe), flush=True)
     for target in targets:
         fp.fold(run_solver("dtnr", arm, target, None, tree=tree))
     print(fp.line())
