@@ -55,6 +55,10 @@ class Dataset:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if rows.shape[1] != 10:
             raise ValueError("dataset CSV must have 10 columns")
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise ValueError(f"dataset CSV data row {bad[0] + 1} (line "
+                             f"{bad[0] + 2}) holds a non-finite value")
         try:
             with open(str(path) + ".meta.json") as fh:
                 metadata = json.load(fh)
@@ -176,12 +180,19 @@ class PolynomialModel:
         return model
 
 
+def _check_finite(train: Dataset):
+    for name in ("positions", "joints"):
+        if not np.isfinite(getattr(train, name)).all():
+            raise ValueError(f"training {name} must be finite")
+
+
 def fit_polynomial(train: Dataset, degree=8) -> PolynomialModel:
     """Least-squares fit of every joint on the total-degree `degree`
     monomials of the position and a constant; degree 1 is linear
     regression."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    _check_finite(train)
     feats = polynomial_features(train.positions, degree)
     if len(train) < feats.shape[1] + 1:
         raise ValueError(f"a degree-{degree} fit needs at least "
@@ -282,6 +293,10 @@ class RegressionTree:
         if n == 0 or not n == threshold.size == left.size == right.size:
             raise ValueError("tree node tables are empty or of different "
                              "lengths")
+        max_depth_used = d.get("max_depth_used", 0)
+        if type(max_depth_used) is not int or max_depth_used < 0:
+            raise ValueError(f"tree max_depth_used must be an int >= 0, "
+                             f"got {max_depth_used!r}")
         leaf = feature < 0
         if np.any(feature > 2):
             raise ValueError("tree node splits on a feature other than "
@@ -296,10 +311,14 @@ class RegressionTree:
         if leaf_value.size != 7 * int(leaf.sum()):
             raise ValueError("tree leaf-value count is not 7 x the number "
                              "of leaves")
+        for name, table in (("threshold", threshold),
+                            ("leaf_value", leaf_value)):
+            if not np.isfinite(table).all():
+                raise ValueError(f"tree {name} table holds a non-finite "
+                                 f"value")
         value = np.zeros((n, 7))
         value[leaf] = leaf_value.reshape(-1, 7)
-        return cls(feature, threshold, left, right, value,
-                   d.get("max_depth_used", 0))
+        return cls(feature, threshold, left, right, value, max_depth_used)
 
 
 def _table(typecode, values, dtype):
@@ -322,47 +341,83 @@ def _unpack(d, name, dtype):
                          f"malformed: {exc}") from None
 
 
-def _best_splits(xt, y, y_sq, orders, starts, n, min_leaf):
-    """Best split of each of B nodes that hold n rows apiece: (feature,
+def _best_splits(xt, y, y_sq, orders, starts, counts, total_sq, min_leaf):
+    """Best split of each of B nodes, node j holding counts[j] rows from
+    column starts[j] of orders, whose y_sq sum to total_sq[j]: (feature,
     threshold), with feature -1 where no split gains more than 1e-12.
 
     orders[0] lists each node's rows by row index, orders[1 + f] by
-    feature f; a node's rows are orders[:, start:start + n]. Every
-    candidate split on all three features of all B nodes is scored with
-    one set of (3, B, n, ...) array operations, which reproduce the
-    per-node arithmetic of a one-node scan bit for bit: sums along the
-    row axis run in the same order, and np.vecdot is the same dot product
-    as `a @ a` on a vector.
+    feature f. Its last column names the sentinel row, the last of xt, y
+    and y_sq, with which each node is padded to the largest count W;
+    split positions at or past counts[j] - min_leaf are masked invalid.
+    Every candidate split on all three features of all B nodes is then
+    scored with one set of (W, 3, B, ...) array operations, which
+    reproduce the per-node arithmetic of a one-node scan bit for bit:
+    sums and running sums along the position axis add in row order, and
+    the padding adds -0.0; each dot product runs over a contiguous 7-axis,
+    by einsum as in the scan or by np.vecdot, the same as `a @ a`.
     """
-    pos = starts[:, None] + np.arange(n)
-    by_index = orders[0, pos]
-    total_sum = y[by_index].sum(axis=1)              # (B, 7)
-    total_sq = y_sq[by_index].sum(axis=1)            # (B,)
-    parent_sse = total_sq - np.vecdot(total_sum, total_sum) / n
-    rows = orders[1:, pos]                           # (3, B, n)
-    xs = xt[np.arange(3)[:, None, None], rows]
-    cum_sum = np.cumsum(y[rows], axis=2)
-    cum_sq = np.cumsum(y_sq[rows], axis=2)
+    pos = _positions(orders, starts, counts)                 # (W, B)
+    width = pos.shape[0]
+    at_pos = np.take(orders, pos, axis=1)                    # (4, W, B)
+    total_sum = np.take(y, at_pos[0], axis=0).sum(axis=0)    # (B, 7)
+    parent_sse = total_sq - np.vecdot(total_sum, total_sum) / counts
+    rows = at_pos[1:].transpose(1, 0, 2)                     # (W, 3, B)
+    # xt flat: feature f's values start at f * xt.shape[1].
+    xs = np.take(xt, rows + (np.arange(3) * xt.shape[1])[:, None])
+    cum_sum = np.take(y, rows, axis=0)
+    cum_sq = np.take(y_sq, rows)
+    if width < counts.size:
+        # np.cumsum runs one inner loop per feature, node and joint; a
+        # block of many narrow nodes adds faster a position at a time.
+        for i in range(1, width):
+            np.add(cum_sum[i - 1], cum_sum[i], out=cum_sum[i])
+            np.add(cum_sq[i - 1], cum_sq[i], out=cum_sq[i])
+    else:
+        np.cumsum(cum_sum, axis=0, out=cum_sum)
+        np.cumsum(cum_sq, axis=0, out=cum_sq)
     # split after position i: left = [0..i], right = [i+1..]
-    lo, hi = min_leaf - 1, n - min_leaf
-    valid = xs[..., lo:hi] < xs[..., lo + 1:hi + 1]
-    n_left = np.arange(lo, hi) + 1.0
-    n_right = n - n_left
-    left_sum = cum_sum[:, :, lo:hi]
-    right_sum = total_sum[:, None, :] - left_sum
-    left_sq = cum_sq[..., lo:hi]
-    sse = (left_sq - np.einsum("fbij,fbij->fbi", left_sum, left_sum) / n_left
-           + (total_sq[:, None] - left_sq)
-           - np.einsum("fbij,fbij->fbi", right_sum, right_sum) / n_right)
-    sse[~valid] = np.inf
-    k = sse.argmin(axis=2)                                        # (3, B)
-    gain = np.where(valid.any(axis=2), parent_sse - sse.min(axis=2), -np.inf)
+    lo, hi = min_leaf - 1, width - min_leaf
+    n_left = np.arange(lo, hi)[:, None, None] + 1.0
+    invalid = (xs[lo:hi] >= xs[lo + 1:hi + 1]) | (n_left > counts - min_leaf)
+    # Past a node's count n_right is <= 0; those positions are invalid.
+    n_right = np.maximum(counts - n_left, 1.0)
+    left_sum = cum_sum[lo:hi]
+    left_sq = cum_sq[lo:hi]
+    left_dot = np.einsum("wfbj,wfbj->wfb", left_sum, left_sum)
+    right_sum = np.subtract(total_sum, left_sum, out=left_sum)
+    sse = (left_sq - left_dot / n_left + (total_sq - left_sq)
+           - np.einsum("wfbj,wfbj->wfb", right_sum, right_sum) / n_right)
+    np.putmask(sse, invalid, np.inf)
+    k = sse.argmin(axis=0)                                   # (3, B)
+    # -inf where a feature has no valid split
+    gain = parent_sse - np.take_along_axis(sse, k[None], axis=0)[0]
     f = gain.argmax(axis=0)        # the first feature wins a tie
-    b = np.arange(starts.size)
+    b = np.arange(counts.size)
     split = gain[f, b] > 1e-12
     at = k[f, b] + lo
-    threshold = 0.5 * (xs[f, b, at] + xs[f, b, at + 1])
+    threshold = 0.5 * (xs[at, f, b] + xs[at + 1, f, b])
     return np.where(split, f, -1), np.where(split, threshold, 0.0)
+
+
+def _positions(orders, starts, counts):
+    """(W, B) columns of orders that hold B nodes' rows, W the largest
+    count, each node's padded past its count with the last column."""
+    at = np.arange(counts.max())[:, None]
+    return np.where(at < counts, starts + at, orders.shape[1] - 1)
+
+
+def _size_classes(counts, nodes):
+    """`nodes` in groups of one size class, 2^(e-1) <= count < 2^e."""
+    return _runs(nodes, np.frexp(counts[nodes])[1])
+
+
+def _runs(nodes, keys):
+    """`nodes` in groups of equal key."""
+    if not nodes.size:
+        return []
+    order = np.argsort(keys, kind="stable")
+    return np.split(nodes[order], np.flatnonzero(np.diff(keys[order])) + 1)
 
 
 def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
@@ -376,13 +431,19 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
     competitive here.
 
     The fit is level-synchronous (presorted CART, Breiman et al. 1984):
-    each feature is argsorted once, and the rows of every node of one
-    depth are scored together, one batch per row count. Splitting a
-    node partitions its sorted row lists stably, so each child keeps its
-    rows in sorted order with ties by row index, as a stable per-node
-    argsort would have them. Nodes are numbered in level order, as a
-    per-node fit that takes nodes first in, first out creates them: the
-    root is node 0, and each split node's children take the next two
+    each feature is argsorted once, and the nodes of one depth are scored
+    together, one batch per size class (2^(e-1) <= rows < 2^e), each node
+    padded to the batch's largest count with a sentinel row that adds
+    -0.0. A class that would pad to more rows than the root holds is cut
+    into batches that do not. Sums, running sums and leaf means add in row
+    order, so the padding leaves their bits as they are. Only the sum of
+    each node's squared joint norms is taken per exact row count: numpy
+    sums a contiguous row pairwise, in an order set by its length.
+    Splitting a node partitions its sorted row lists stably, so each child
+    keeps its rows in sorted order with ties by row index, as a stable
+    per-node argsort would have them. Nodes are numbered in level order,
+    as a per-node fit that takes nodes first in, first out creates them:
+    the root is node 0, and each split node's children take the next two
     free ids, left then right.
     """
     if len(train) == 0:
@@ -391,11 +452,16 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
         raise ValueError("min_leaf must be >= 1")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    _check_finite(train)
     x = np.asarray(train.positions, dtype=float)
-    y = np.asarray(train.joints, dtype=float)
-    y_sq = np.einsum("ij,ij->i", y, y)
-    xt = np.ascontiguousarray(x.T)
     n_rows = len(train)
+    # Row n_rows is the sentinel that padded positions read: y is -0.0,
+    # which leaves every sum it joins as it was, bit for bit.
+    y = np.full((n_rows + 1, 7), -0.0)
+    y[:n_rows] = train.joints
+    y_sq = np.einsum("ij,ij->i", y, y)
+    xt = np.zeros((3, n_rows + 1))
+    xt[:, :n_rows] = x.T
     orders = np.empty((4, n_rows), dtype=np.intp)
     orders[0] = np.arange(n_rows)
     for f in range(3):
@@ -409,20 +475,29 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
         depth = len(levels)
         end += counts.size
         starts = np.cumsum(counts) - counts
+        padded = np.concatenate([orders, np.full((4, 1), n_rows)], axis=1)
         feature = np.full(counts.size, -1)
         threshold = np.zeros(counts.size)
         value = np.zeros((counts.size, 7))
         if depth < max_depth:
-            splittable = counts >= 2 * min_leaf
-            for n in np.unique(counts[splittable]):
-                group = np.flatnonzero(splittable & (counts == n))
-                feature[group], threshold[group] = _best_splits(
-                    xt, y, y_sq, orders, starts[group], int(n), min_leaf)
-        leaf = feature < 0
-        for n in np.unique(counts[leaf]):
-            group = np.flatnonzero(leaf & (counts == n))
-            value[group] = y[orders[0, starts[group, None]
-                                    + np.arange(n)]].mean(axis=1)
+            nodes = np.flatnonzero(counts >= 2 * min_leaf)
+            total_sq = np.zeros(counts.size)
+            for group in _runs(nodes, counts[nodes]):
+                n = counts[group[0]]
+                total_sq[group] = y_sq[orders[0, starts[group, None]
+                                              + np.arange(n)]].sum(axis=1)
+            for group in _size_classes(counts, nodes):
+                # No batch pads to more rows than the root holds.
+                size = n_rows // counts[group].max()
+                for s in range(0, group.size, size):
+                    batch = group[s:s + size]
+                    feature[batch], threshold[batch] = _best_splits(
+                        xt, y, y_sq, padded, starts[batch], counts[batch],
+                        total_sq[batch], min_leaf)
+        for group in _size_classes(counts, np.flatnonzero(feature < 0)):
+            pos = _positions(padded, starts[group], counts[group])
+            value[group] = (np.take(y, padded[0, pos], axis=0).sum(axis=0)
+                            / counts[group, None])
         # The j-th split node's children are nodes 2j and 2j + 1 of the
         # next level, which starts at node `end`.
         split = feature >= 0

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 
@@ -526,3 +527,38 @@ class TestTreeFiles:
         code, _, err = run_cli(capsys, *args, "--spec", str(spec))
         assert code == EXIT_CONFIG
         assert "not a regression tree" in err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d.update(leaf_value=base64.b64encode(
+            np.full(len(base64.b64decode(d["leaf_value"])) // 8, np.nan)
+            .astype("<f8").tobytes()).decode("ascii")), "leaf_value"),
+        (lambda d: d.update(max_depth_used=None), "max_depth_used"),
+    ], ids=["nan-leaves", "null-depth"])
+    def test_tree_file_with_bad_numbers_is_a_config_error(
+            self, capsys, tmp_path, model_files, damage, message):
+        d = json.loads((model_files / "tree.json").read_text())
+        damage(d)
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "solve", "--algo", "dtnr", "--target",
+                                 "0.4,0.3,1.2", "--tree", str(tree))
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("model", ["tree", "poly", "linear"])
+def test_training_on_a_non_finite_cell_is_a_config_error(capsys, tmp_path,
+                                                         model):
+    data = tmp_path / "data.csv"
+    run_cli(capsys, "dataset", "--count", "200", "--out", str(data))
+    lines = data.read_text().splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:-1] + ["nan"])
+    data.write_text("\n".join(lines) + "\n")
+    out_file = tmp_path / "model.json"
+    code, out, err = run_cli(capsys, "train", "--model", model,
+                             "--data", str(data), "--out", str(out_file))
+    assert code == EXIT_CONFIG
+    assert "data row 5 (line 6)" in err
+    assert out == ""
+    assert not out_file.exists()

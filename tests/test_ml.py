@@ -3,12 +3,14 @@ import gc
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from arm7ik import KinematicModel, wrap_angle
+from arm7ik import ml
 from arm7ik.kinematics import TWO_PI
 from arm7ik.ml import (Dataset, PolynomialModel, RegressionTree,
                        average_fitness_on_positions, evaluate, fit_polynomial,
@@ -87,6 +89,20 @@ class TestGenerateDataset:
         assert np.array_equal(back.joints, ds.joints)
         assert np.array_equal(back.positions, ds.positions)
         assert back.metadata == ds.metadata
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_csv_with_a_non_finite_cell_is_rejected(self, model, tmp_path,
+                                                    cell):
+        ds = generate_dataset(model, 5, rng=np.random.default_rng(0))
+        path = tmp_path / "data.csv"
+        ds.save_csv(path)
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[8] = cell
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"data row 3 \(line 4\)"):
+            Dataset.load_csv(path)
 
 
 class TestSplitDataset:
@@ -189,6 +205,16 @@ class TestPolynomialModel:
             fit_polynomial(ds, degree=degree)
 
 
+@pytest.mark.parametrize("fit", [fit_tree, lambda ds: fit_polynomial(ds, 2)])
+@pytest.mark.parametrize("field", ["positions", "joints"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_training_data_is_rejected(model, fit, field, bad):
+    ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+    getattr(ds, field)[17, 1] = bad
+    with pytest.raises(ValueError, match=f"training {field} must be finite"):
+        fit(ds)
+
+
 def assert_matches_reference(ds, **kwargs):
     """fit_tree's node tables equal the per-node reference CART's, bit for
     bit."""
@@ -235,6 +261,14 @@ def depth_first_dict(tree):
 
 
 class TestRegressionTree:
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        # Padded split positions divide by n_right <= 0; no warning of
+        # theirs may leak out of a fit.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
     def test_single_row_gives_single_leaf(self):
         joints = np.array([[0.1, 0.2, 0.3, -0.4, 0.5, -0.6, 0.7]])
         ds = Dataset(joints, np.array([[1.0, 2.0, 3.0]]), {})
@@ -343,7 +377,8 @@ class TestRegressionTree:
         assert_matches_reference(
             Dataset(ds.joints, np.round(ds.positions, 2), {}))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(1, 40), levels=st.integers(1, 6),
            seed=st.integers(0, 2 ** 32 - 1), min_leaf=st.integers(1, 5),
            max_depth=st.integers(0, 10),
@@ -356,6 +391,70 @@ class TestRegressionTree:
         joints = 0.1 + rng.uniform(-spread, spread, size=(n, 7))
         assert_matches_reference(Dataset(joints, positions, {}),
                                  max_depth=max_depth, min_leaf=min_leaf)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(2, 400), levels=st.integers(2, 6),
+           seed=st.integers(0, 2 ** 32 - 1), min_leaf=st.integers(1, 5),
+           max_depth=st.integers(0, 12))
+    def test_node_tables_match_the_reference_in_mixed_size_classes(
+            self, n, levels, seed, min_leaf, max_depth):
+        # A few hundred rows on a coarse grid: a depth's size class holds
+        # nodes of several counts, scored as one padded batch, and both
+        # running-sum paths (many narrow nodes, few wide ones) run.
+        rng = np.random.default_rng(seed)
+        positions = rng.integers(0, levels, size=(n, 3)) / levels
+        joints = rng.uniform(-3.0, 3.0, size=(n, 7))
+        assert_matches_reference(Dataset(joints, positions, {}),
+                                 max_depth=max_depth, min_leaf=min_leaf)
+
+    def test_each_depth_scores_one_batch_per_size_class(self, model,
+                                                        monkeypatch):
+        # Unrounded positions: a per-class sum of squared joint norms,
+        # in place of the per-count one, moves a split on this set.
+        ds = generate_dataset(model, 1000, rng=np.random.default_rng(11))
+        calls, depth = [], [0]
+        best_splits, partition = ml._best_splits, ml._partition
+
+        def scoring(xt, y, y_sq, orders, starts, counts, *rest):
+            calls.append((depth[0], counts.copy()))
+            return best_splits(xt, y, y_sq, orders, starts, counts, *rest)
+
+        def next_depth(*args):
+            depth[0] += 1
+            return partition(*args)
+
+        monkeypatch.setattr(ml, "_best_splits", scoring)
+        monkeypatch.setattr(ml, "_partition", next_depth)
+        assert_matches_reference(ds)
+        classes = [(d, int(np.frexp(counts.max())[1])) for d, counts in calls]
+        assert len(classes) == len(set(classes))
+        for _, counts in calls:
+            assert np.frexp(counts)[1].min() == np.frexp(counts.max())[1]
+        # Both running-sum paths ran, and some batch held several counts.
+        narrow = [counts.max() < counts.size for _, counts in calls]
+        assert any(narrow) and not all(narrow)
+        assert any(np.unique(counts).size > 1 for _, counts in calls)
+
+    def test_a_class_wider_than_the_root_is_cut_into_batches(
+            self, monkeypatch):
+        # The root splits 12 rows into 5 and 7; padded to 7, that class
+        # would hold 14 rows, so each child is scored on its own.
+        x = np.arange(12.0)
+        positions = np.stack([x, np.zeros(12), np.zeros(12)], axis=1)
+        joints = np.where(x < 4.5, 1.0, -1.0)[:, None] + 0.01 * np.sin(
+            x[:, None] * np.arange(1, 8))
+        widths = []
+        best_splits = ml._best_splits
+
+        def scoring(xt, y, y_sq, orders, starts, counts, *rest):
+            widths.append(counts.max() * counts.size)
+            return best_splits(xt, y, y_sq, orders, starts, counts, *rest)
+
+        monkeypatch.setattr(ml, "_best_splits", scoring)
+        ds = Dataset(joints, positions, {})
+        assert_matches_reference(ds, max_depth=2)
+        assert widths == [12, 5, 7]
 
     def test_deep_chain_tree_saves_loads_and_predicts(self, tmp_path):
         # Split node k (id 2k) sends x <= k to leaf 2k + 1 and the rest on
@@ -548,6 +647,12 @@ class TestPersistence:
         ("feature", lambda a: np.where(a >= 0, 3, a), "feature"),
         ("leaf_value", lambda a: a[:-7], "leaf-value count"),
         ("leaf_value", lambda a: a[:-1], "leaf-value count"),
+        ("leaf_value", lambda a: np.where(np.arange(a.size) == 3, np.nan, a),
+         "leaf_value table holds a non-finite"),
+        ("threshold", lambda a: np.where(np.arange(a.size) == 0, np.inf, a),
+         "threshold table holds a non-finite"),
+        ("threshold", lambda a: np.where(a == 0.0, np.nan, a),
+         "threshold table holds a non-finite"),
     ])
     def test_rejects_inconsistent_node_tables(self, model, tmp_path, field,
                                               tamper, message):
@@ -560,6 +665,17 @@ class TestPersistence:
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("max_depth_used", [None, -1, 1.5, True, "3"])
+    def test_rejects_a_bad_max_depth_used(self, model, tmp_path,
+                                          max_depth_used):
+        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        d = fit_tree(ds).to_dict()
+        d["max_depth_used"] = max_depth_used
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="max_depth_used"):
             load_model(path)
 
     @pytest.mark.parametrize("damage", [

@@ -10,14 +10,18 @@ fitness. Wall-clock fields are left out. dtnr uses the tree of criteria 3
 and 4 (100k rows, seed 42, 75/25 split).
 
 It also prints a SHA-256 over the node tables (feature, threshold, left,
-right, value) of two fitted trees: the criterion 3 tree, and the tree of
+right, value) of three fitted trees: the criterion 3 tree, the tree of
 the benchmark's learned_ik workload (25k rows, dataset seed 42, split
-seed 0). Two checkouts that print the same tree hashes fit identical
-trees. After each tree's line comes a SHA-256 over its predictions on a
-fixed batch of 100,000 workspace targets: `predict_batch` on all of
-them and `predict` on the first 1,000. A change that renumbers the
-nodes or rewrites the stored values without changing any prediction
-moves the tree line and leaves this one as it was.
+seed 0), and a tree on that training set with max_depth=12 and
+min_leaf=3 (`learned_ik_depth12_leaf3`). The fit masks split positions
+at or past n - min_leaf; the third tree fingerprints that masking, with
+a min_leaf above 1, on real data. Two checkouts that print the same
+tree hashes fit identical trees. After each tree's line comes a
+SHA-256 over its predictions on a fixed batch of 100,000 workspace
+targets: `predict_batch` on all of them and `predict` on the first
+1,000. A change that renumbers the nodes or rewrites the stored values
+without changing any prediction moves the tree line and leaves this one
+as it was.
 
 It first prints a SHA-256 per DH convention over the kernel's outputs on
 200 fixed random poses of the arm with lengths (0.36, 0.42, 0.4, 0.126):
@@ -44,7 +48,7 @@ distribution intact on batches other than the acceptance batch:
 
     PYTHONPATH=src python tools/solve_hashes.py --seed 3
 
-`--algos sa,ccd` hashes only the listed solvers, and fits the two trees
+`--algos sa,ccd` hashes only the listed solvers, and fits the trees
 only when dtnr is listed. Each solver keeps its per-target seeds, so its
 line is the one a full run prints:
 
@@ -201,7 +205,7 @@ def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
 
 
 def dtnr_lines(arm, targets, dataset_rows, fp):
-    """Print both trees' table and prediction lines and dtnr's line,
+    """Print the trees' table and prediction lines and dtnr's line,
     folding dtnr's results into `fp`; returns its digest."""
     ds = generate_dataset(arm, dataset_rows, 0.1, np.random.default_rng(42),
                           seed=42)
@@ -212,7 +216,9 @@ def dtnr_lines(arm, targets, dataset_rows, fp):
     ik_train, _ = split_dataset(generate_dataset(arm, 25_000, seed=42), 0.25,
                                 seed=0)
     for name, fitted in (("criterion_3", tree),
-                         ("learned_ik", fit_tree(ik_train))):
+                         ("learned_ik", fit_tree(ik_train)),
+                         ("learned_ik_depth12_leaf3",
+                          fit_tree(ik_train, max_depth=12, min_leaf=3))):
         print(tree_line(name, fitted), flush=True)
         print(prediction_line(name, fitted, probe), flush=True)
     for target in targets:
