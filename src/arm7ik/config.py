@@ -4,8 +4,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
-import yaml
-
 from .core import SolverId, check_settings, setting
 from .kinematics import KinematicModel
 
@@ -15,6 +13,9 @@ class ConfigError(ValueError):
 
 
 def _load_yaml(path):
+    # yaml is imported here, where a file is parsed: it is about 15 ms of
+    # the package import, which most commands do not need.
+    import yaml
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)

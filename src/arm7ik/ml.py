@@ -4,7 +4,6 @@ CART regression tree, and the evaluation metrics used to compare them."""
 from __future__ import annotations
 
 import base64
-import csv
 import json
 import math
 from array import array
@@ -22,6 +21,9 @@ TREE_VERSION = 2   # flat node tables; version 1 trees must be re-trained
 # values follow as "leaf_value", "<f8", 7 per leaf in node order.
 _TREE_TABLES = (("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
                 ("right", "<i4"))
+# FK playback's block: the batch pass's buffers take 120 bytes a row, so
+# a block's stay near 1 MB however many rows are played back.
+PLAYBACK_ROWS = 8192
 
 
 @dataclass
@@ -40,13 +42,13 @@ class Dataset:
                        dict(self.metadata))
 
     def save_csv(self, path):
+        # The bytes csv.writer writes, one `repr` per cell: no float's
+        # repr needs quoting, so the rows are joined here in one pass.
+        rows = np.hstack([self.joints, self.positions]).tolist()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"theta{i}" for i in range(1, 8)]
-                            + ["x", "y", "z"])
-            for q, p in zip(self.joints, self.positions):
-                writer.writerow([repr(float(v)) for v in q]
-                                + [repr(float(v)) for v in p])
+            fh.write(",".join([f"theta{i}" for i in range(1, 8)]
+                              + ["x", "y", "z"]) + "\r\n")
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
         with open(str(path) + ".meta.json", "w") as fh:
             json.dump(self.metadata, fh, indent=2)
 
@@ -152,11 +154,11 @@ class PolynomialModel:
         self.intercepts = np.asarray(intercepts, dtype=float)
 
     def predict_batch(self, positions):
-        feats = polynomial_features(positions, self.degree)
+        feats = polynomial_features(_position_batch(positions), self.degree)
         return wrap_angle(feats @ self.weights + self.intercepts)
 
     def predict(self, position):
-        return self.predict_batch(position)[0]
+        return self.predict_batch(_position(position))[0]
 
     def to_dict(self):
         return {"format": MODEL_FORMAT, "version": MODEL_VERSION,
@@ -178,6 +180,31 @@ class PolynomialModel:
                 raise ValueError(f"polynomial model {name} must have shape "
                                  f"{shape}")
         return model
+
+
+def _position(position):
+    """position as three floats; ValueError unless it is a finite (3,)
+    array. It checks in plain floats: dtnr calls it once per solve."""
+    array = np.asarray(position, dtype=float)
+    if array.shape != (3,):
+        raise ValueError(f"a position must be a (3,) array, got shape "
+                         f"{array.shape}")
+    x = array.tolist()
+    if not all(map(math.isfinite, x)):
+        raise ValueError("positions must be finite")
+    return x
+
+
+def _position_batch(positions):
+    """positions as an (n, 3) float array; ValueError unless they are a
+    finite (3,) or (n, 3) array."""
+    array = np.asarray(positions, dtype=float)
+    if array.ndim not in (1, 2) or array.shape[-1] != 3:
+        raise ValueError(f"positions must be a (3,) or (n, 3) array, got "
+                         f"shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError("positions must be finite")
+    return np.atleast_2d(array)
 
 
 def _check_finite(train: Dataset):
@@ -235,7 +262,7 @@ class RegressionTree:
     def predict(self, position):
         # Plain indexing of the array tables: for one pose this beats any
         # numpy walk, and dtnr calls it once per solve.
-        x = np.asarray(position, dtype=float).tolist()
+        x = _position(position)
         feature, threshold = self.feature, self.threshold
         left, right = self.left, self.right
         node = 0
@@ -245,28 +272,31 @@ class RegressionTree:
 
     def predict_batch(self, positions):
         """Walk all rows down the tree together, one level per step,
-        advancing only the rows that still sit at an internal node."""
-        positions = np.atleast_2d(np.asarray(positions, dtype=float))
+        advancing only the rows that still sit at an internal node. Every
+        gather is a `take`, which costs less than fancy or mask indexing."""
+        positions = _position_batch(positions)
         feature = np.frombuffer(self.feature, dtype=np.int64)
         threshold = np.frombuffer(self.threshold, dtype=np.float64)
         # child[2 * node + go_left]: the right child, then the left.
         child = np.stack([np.frombuffer(self.right, dtype=np.int64),
                           np.frombuffer(self.left, dtype=np.int64)],
                          axis=1).ravel()
-        n, width = positions.shape
+        n = positions.shape[0]
         flat = positions.ravel()
         leaf_of = np.zeros(n, dtype=np.int64)
-        at = np.arange(0, n * width, width)  # active rows' offsets in flat
+        at = np.arange(0, 3 * n, 3)  # active rows' offsets in flat
         node = leaf_of.copy()
         while at.size:
-            f = feature[node]
+            f = feature.take(node)
             inner = f >= 0
             if not inner.all():
-                leaf_of[at[~inner] // width] = node[~inner]
-                at, node, f = at[inner], node[inner], f[inner]
-            go_left = flat[at + f] <= threshold[node]
-            node = child[2 * node + go_left]
-        return self.value[leaf_of]
+                done = np.flatnonzero(~inner)
+                leaf_of[at.take(done) // 3] = node.take(done)
+                kept = np.flatnonzero(inner)
+                at, node, f = at.take(kept), node.take(kept), f.take(kept)
+            go_left = flat.take(at + f) <= threshold.take(node)
+            node = child.take(2 * node + go_left)
+        return self.value.take(leaf_of, axis=0)
 
     def to_dict(self):
         """Model format v2: the node tables as base64 little-endian arrays,
@@ -409,15 +439,35 @@ def _positions(orders, starts, counts):
 
 def _size_classes(counts, nodes):
     """`nodes` in groups of one size class, 2^(e-1) <= count < 2^e."""
-    return _runs(nodes, np.frexp(counts[nodes])[1])
-
-
-def _runs(nodes, keys):
-    """`nodes` in groups of equal key."""
     if not nodes.size:
         return []
+    keys = np.frexp(counts[nodes])[1]
     order = np.argsort(keys, kind="stable")
     return np.split(nodes[order], np.flatnonzero(np.diff(keys[order])) + 1)
+
+
+def _row_count_sums(y_sq, rows, starts, counts, nodes):
+    """y_sq summed over the rows of each of `nodes`, as a (counts.size,)
+    array that is 0 elsewhere. The nodes' rows are gathered once, nodes
+    stably sorted by count, so the k nodes of one count form a contiguous
+    (k, count) block whose row sums numpy takes pairwise, in the order a
+    one-node sum of that length takes."""
+    total = np.zeros(counts.size)
+    if not nodes.size:
+        return total
+    nodes = nodes[np.argsort(counts[nodes], kind="stable")]
+    n = counts[nodes]
+    begin = np.cumsum(n) - n  # each node's first entry in `flat`
+    flat = y_sq[rows[np.repeat(starts[nodes] - begin, n)
+                     + np.arange(begin[-1] + n[-1])]]
+    sums = np.empty(nodes.size)
+    bounds = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), nodes.size]
+    n, begin = n.tolist(), begin.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        block = flat[begin[a]:begin[a] + (b - a) * n[a]]
+        np.add.reduce(block.reshape(b - a, n[a]), axis=1, out=sums[a:b])
+    total[nodes] = sums
+    return total
 
 
 def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
@@ -437,14 +487,14 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
     -0.0. A class that would pad to more rows than the root holds is cut
     into batches that do not. Sums, running sums and leaf means add in row
     order, so the padding leaves their bits as they are. Only the sum of
-    each node's squared joint norms is taken per exact row count: numpy
-    sums a contiguous row pairwise, in an order set by its length.
-    Splitting a node partitions its sorted row lists stably, so each child
-    keeps its rows in sorted order with ties by row index, as a stable
-    per-node argsort would have them. Nodes are numbered in level order,
-    as a per-node fit that takes nodes first in, first out creates them:
-    the root is node 0, and each split node's children take the next two
-    free ids, left then right.
+    each node's squared joint norms is taken per exact row count
+    (_row_count_sums): numpy sums a contiguous row pairwise, in an order
+    set by its length. Splitting a node partitions its sorted row lists
+    stably (_partition), so each child keeps its rows in sorted order with
+    ties by row index, as a stable per-node argsort would have them. Nodes
+    are numbered in level order, as a per-node fit that takes nodes first
+    in, first out creates them: the root is node 0, and each split node's
+    children take the next two free ids, left then right.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -453,7 +503,7 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     _check_finite(train)
-    x = np.asarray(train.positions, dtype=float)
+    x = np.ascontiguousarray(train.positions, dtype=float)
     n_rows = len(train)
     # Row n_rows is the sentinel that padded positions read: y is -0.0,
     # which leaves every sum it joins as it was, bit for bit.
@@ -481,11 +531,7 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
         value = np.zeros((counts.size, 7))
         if depth < max_depth:
             nodes = np.flatnonzero(counts >= 2 * min_leaf)
-            total_sq = np.zeros(counts.size)
-            for group in _runs(nodes, counts[nodes]):
-                n = counts[group[0]]
-                total_sq[group] = y_sq[orders[0, starts[group, None]
-                                              + np.arange(n)]].sum(axis=1)
+            total_sq = _row_count_sums(y_sq, orders[0], starts, counts, nodes)
             for group in _size_classes(counts, nodes):
                 # No batch pads to more rows than the root holds.
                 size = n_rows // counts[group].max()
@@ -512,17 +558,22 @@ def fit_tree(train: Dataset, max_depth=84, min_leaf=1) -> RegressionTree:
 
 def _partition(x, orders, counts, feature, threshold):
     """Drop the rows of leaves and move each split node's rows to its
-    children, left then right, keeping their order in every list."""
-    node_at = np.repeat(np.arange(counts.size), counts)
-    keep = feature[node_at] >= 0
-    node_at, rows = node_at[keep], orders[:, keep]
+    children, left then right, keeping their order in every list. x is
+    the (n, 3) positions; every gather is a flat `take`."""
+    # Child ids 2j and 2j + 1 fit this type: up to 32,767 nodes, a
+    # 16-bit key, which numpy's stable argsort sorts by radix.
+    key = np.min_scalar_type(2 * counts.size)
+    node_at = np.repeat(np.arange(counts.size, dtype=key), counts)
+    kept = np.flatnonzero(feature.take(node_at) >= 0)
+    node_at, rows = node_at.take(kept), orders.take(kept, axis=1)
     to_right = np.zeros(x.shape[0], dtype=bool)
-    to_right[rows[0]] = ~(x[rows[0], feature[node_at]] <= threshold[node_at])
+    to_right[rows[0]] = ~(x.ravel().take(3 * rows[0] + feature.take(node_at))
+                          <= threshold.take(node_at))
     # Node j's children are 2j and 2j + 1; a stable sort by child keeps
     # each child's rows in the order they had in the parent.
-    child = 2 * node_at + to_right[rows]
-    moved = np.take_along_axis(rows, np.argsort(child, axis=1, kind="stable"),
-                               axis=1)
+    child = 2 * node_at + to_right.take(rows)
+    order = np.argsort(child, axis=1, kind="stable")
+    moved = rows.ravel().take(order + (np.arange(4) * rows.shape[1])[:, None])
     children = np.bincount(child[0], minlength=2 * counts.size)
     return moved, children[np.repeat(feature >= 0, 2)]
 
@@ -557,15 +608,22 @@ class ModelMetrics:
 
 def average_fitness_on_positions(predictor, positions, model: KinematicModel):
     """Mean tool-to-target distance when predicted joints are played back
-    through forward kinematics."""
+    through forward kinematics, PLAYBACK_ROWS rows at a time; the mean is
+    the one a single batch gives, bit for bit."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     return _playback_fitness(predictor.predict_batch(positions), positions,
                              model)
 
 
 def _playback_fitness(pred, positions, model):
-    reached = batch_end_effector_positions(model, pred)
-    return float(np.linalg.norm(reached - positions, axis=1).mean())
+    """Mean tool-to-target distance. A row's FK and distance do not
+    depend on its block; the mean is taken over all rows at once."""
+    distance = np.empty(len(positions))
+    for lo in range(0, len(positions), PLAYBACK_ROWS):
+        block = slice(lo, lo + PLAYBACK_ROWS)
+        reached = batch_end_effector_positions(model, pred[block])
+        distance[block] = np.linalg.norm(reached - positions[block], axis=1)
+    return float(distance.mean())
 
 
 def evaluate(predictor, test: Dataset, model: KinematicModel) -> ModelMetrics:

@@ -1,12 +1,28 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import arm7ik
 from arm7ik import ConfigError
 from arm7ik.config import (BenchmarkSpec, default_model, load_benchmark_spec,
                            load_robot)
 from arm7ik.core import SolverId
+
+
+def test_importing_the_package_leaves_yaml_unimported():
+    # yaml is imported where a config file is parsed, not with the package.
+    src = str(Path(arm7ik.__file__).resolve().parents[1])
+    code = "import sys, arm7ik, arm7ik.cli; print('yaml' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestRobotConfig:

@@ -1,4 +1,5 @@
 import base64
+import csv
 import gc
 import itertools
 import json
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from arm7ik import KinematicModel, wrap_angle
+from arm7ik import (KinematicModel, batch_end_effector_positions,
+                    sample_workspace_batch, wrap_angle)
 from arm7ik import ml
 from arm7ik.kinematics import TWO_PI
 from arm7ik.ml import (Dataset, PolynomialModel, RegressionTree,
@@ -89,6 +91,25 @@ class TestGenerateDataset:
         assert np.array_equal(back.joints, ds.joints)
         assert np.array_equal(back.positions, ds.positions)
         assert back.metadata == ds.metadata
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # Cells whose repr is short, subnormal, exponent-form or extreme.
+        cells = [-0.0, 5e-324, 1e-7, 1e16, -1.7976931348623157e308, 0.1,
+                 -2.5, 1 / 3, 123456789.0, 1e-300]
+        table = np.array([np.roll(cells, k) for k in range(4)])
+        path = tmp_path / "data.csv"
+        Dataset(table[:, :7], table[:, 7:], {}).save_csv(path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"theta{i}" for i in range(1, 8)]
+                            + ["x", "y", "z"])
+            for row in table:
+                writer.writerow([repr(float(v)) for v in row])
+        assert path.read_bytes() == reference.read_bytes()
+        back = Dataset.load_csv(path)
+        assert np.array_equal(np.hstack([back.joints, back.positions]),
+                              table)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_csv_with_a_non_finite_cell_is_rejected(self, model, tmp_path,
@@ -213,6 +234,44 @@ def test_non_finite_training_data_is_rejected(model, fit, field, bad):
     getattr(ds, field)[17, 1] = bad
     with pytest.raises(ValueError, match=f"training {field} must be finite"):
         fit(ds)
+
+
+class TestPositionChecks:
+    """Both model kinds take a position as (3,) and a batch as (3,) or
+    (n, 3), finite, and raise ValueError for anything else."""
+
+    @pytest.fixture(params=["tree", "polynomial"])
+    def fitted(self, request, model):
+        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        if request.param == "tree":
+            return fit_tree(ds, max_depth=6)
+        return fit_polynomial(ds, 2)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 2), (5, 3, 1), (2,),
+                                       (4,), ()])
+    def test_batch_of_the_wrong_shape_is_rejected(self, fitted, shape):
+        with pytest.raises(ValueError, match="positions must be"):
+            fitted.predict_batch(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (3, 3), (2,), ()])
+    def test_position_of_the_wrong_shape_is_rejected(self, fitted, shape):
+        with pytest.raises(ValueError, match="position must be"):
+            fitted.predict(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_are_rejected(self, fitted, bad):
+        batch = np.full((4, 3), 0.5)
+        batch[2, 1] = bad
+        with pytest.raises(ValueError, match="positions must be finite"):
+            fitted.predict_batch(batch)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            fitted.predict(batch[2])
+
+    def test_a_single_position_batch_and_lists_are_taken(self, fitted):
+        p = [0.5, -0.25, 1.0]
+        assert np.array_equal(fitted.predict_batch(p),
+                              fitted.predict_batch(np.array([p])))
+        assert np.array_equal(fitted.predict(p), fitted.predict_batch(p)[0])
 
 
 def assert_matches_reference(ds, **kwargs):
@@ -455,6 +514,36 @@ class TestRegressionTree:
         ds = Dataset(joints, positions, {})
         assert_matches_reference(ds, max_depth=2)
         assert widths == [12, 5, 7]
+
+    def test_partition_past_16_bit_child_ids(self):
+        # 40,000 nodes of 1-3 rows: child ids reach 79,999, so the sort
+        # key widens to 32 bits; the lists and counts are those of a
+        # stable sort of int64 child ids.
+        rng = np.random.default_rng(21)
+        counts = rng.integers(1, 4, 40_000)
+        assert np.min_scalar_type(2 * counts.size) == np.uint32
+        n = int(counts.sum())
+        x = np.round(rng.uniform(-1.0, 1.0, (n, 3)), 1)
+        node_of = np.repeat(np.arange(counts.size), counts)
+        row = rng.permutation(n)  # the row at each list position
+        orders = np.stack([row[np.lexsort((key, node_of))] for key in
+                           (row, *(x[row, f] for f in range(3)))])
+        feature = rng.integers(-1, 3, counts.size)
+        threshold = np.round(rng.uniform(-1.0, 1.0, counts.size), 1)
+        moved, children = ml._partition(x, orders, counts, feature,
+                                        threshold)
+
+        keep = feature[node_of] >= 0
+        node_at, rows = node_of[keep], orders[:, keep]
+        right = ~(x[rows, feature[node_at]] <= threshold[node_at])
+        child = 2 * node_at.astype(np.int64) + right
+        expected = np.take_along_axis(
+            rows, np.argsort(child, axis=1, kind="stable"), axis=1)
+        assert np.array_equal(moved, expected)
+        split = np.flatnonzero(feature >= 0)
+        assert np.array_equal(children, np.bincount(
+            child[0], minlength=2 * counts.size)[
+                np.stack([2 * split, 2 * split + 1], axis=1).ravel()])
 
     def test_deep_chain_tree_saves_loads_and_predicts(self, tmp_path):
         # Split node k (id 2k) sends x <= k to leaf 2k + 1 and the rest on
@@ -723,6 +812,42 @@ class _Counting:
     def predict_batch(self, positions):
         self.calls += 1
         return self.inner.predict_batch(positions)
+
+
+class TestPlayback:
+    """FK playback runs in blocks of ml.PLAYBACK_ROWS (8,192) rows; the
+    tree walks any number of rows at once. Sizes one row either side of a
+    block boundary, and a last block of one row."""
+
+    SIZES = [1, ml.PLAYBACK_ROWS - 1, ml.PLAYBACK_ROWS, ml.PLAYBACK_ROWS + 1,
+             2 * ml.PLAYBACK_ROWS + 1]
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        model = KinematicModel()
+        ds = generate_dataset(model, 400, rng=np.random.default_rng(9))
+        tree = fit_tree(ds)
+        targets = sample_workspace_batch(model.workspace,
+                                         np.random.default_rng(10),
+                                         max(self.SIZES))
+        return model, tree, targets
+
+    @pytest.mark.parametrize("rows", SIZES)
+    def test_equals_the_one_batch_formula(self, case, rows):
+        model, tree, targets = case
+        positions = targets[:rows]
+        reached = batch_end_effector_positions(
+            model, tree.predict_batch(positions))
+        expected = float(np.linalg.norm(reached - positions, axis=1).mean())
+        got = average_fitness_on_positions(tree, positions, model)
+        assert got.hex() == expected.hex()
+
+    def test_predict_batch_equals_predict_per_row(self, case):
+        _, tree, targets = case
+        singles = np.array([tree.predict(p) for p in targets])
+        for rows in self.SIZES:
+            assert np.array_equal(tree.predict_batch(targets[:rows]),
+                                  singles[:rows]), rows
 
 
 class TestEvaluate:

@@ -21,7 +21,11 @@ SHA-256 over its predictions on a fixed batch of 100,000 workspace
 targets: `predict_batch` on all of them and `predict` on the first
 1,000. A change that renumbers the nodes or rewrites the stored values
 without changing any prediction moves the tree line and leaves this one
-as it was.
+as it was. After that comes a `playback[<tree>]` line: the `float.hex`
+of `average_fitness_on_positions` on the same 100,000 targets, the mean
+tool-to-target distance when the tree's predictions are played back
+through forward kinematics, so the playback's FK and its mean are
+fingerprinted too.
 
 It first prints a SHA-256 per DH convention over the kernel's outputs on
 200 fixed random poses of the arm with lengths (0.36, 0.42, 0.4, 0.126):
@@ -86,7 +90,8 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from arm7ik import (KinematicModel, batch_end_effector_positions,
                     point_and_jacobian, run_solver, sample_workspace_batch,
                     tool_point, wrap_angle)
-from arm7ik.ml import fit_tree, generate_dataset, split_dataset
+from arm7ik.ml import (average_fitness_on_positions, fit_tree,
+                       generate_dataset, split_dataset)
 
 # The acceptance suite's solver order, which its per-run seeds depend on.
 STANDALONE = ["nr", "nm", "sa", "pso", "qpso", "ccd", "afsa", "ga", "de"]
@@ -148,6 +153,11 @@ def prediction_line(name, tree, targets):
     for target in targets[:1000]:
         digest.update(np.asarray(tree.predict(target), float).tobytes())
     return f"tree_predict[{name}] {digest.hexdigest()}"
+
+
+def playback_line(name, tree, targets, arm):
+    fitness = average_fitness_on_positions(tree, targets, arm)
+    return f"playback[{name}] {fitness.hex()}"
 
 
 def kernel_line(convention, n_poses=200):
@@ -221,6 +231,7 @@ def dtnr_lines(arm, targets, dataset_rows, fp):
                           fit_tree(ik_train, max_depth=12, min_leaf=3))):
         print(tree_line(name, fitted), flush=True)
         print(prediction_line(name, fitted, probe), flush=True)
+        print(playback_line(name, fitted, probe, arm), flush=True)
     for target in targets:
         fp.fold(run_solver("dtnr", arm, target, None, tree=tree))
     print(fp.line())
