@@ -8,12 +8,12 @@ from .core import (Budget, ConvergenceTrace, SolveResult, SolverId,
 from .dtnr import DtnrConfig
 from .evolution import DeConfig, GaConfig, ga_offspring
 from .heuristics import (CcdConfig, SaConfig, acceptance_probability,
-                         ccd_joint_update, temperature_schedule)
+                         temperature_schedule)
 from .kinematics import (DhRow, KinematicModel, WorkspaceSphere, dh_transform,
                          end_effector_position, batch_end_effector_positions,
                          batch_fitness, finite_difference_jacobian, fitness,
-                         forward_kinematics, is_reachable, joint_axes,
-                         joint_frames, point_and_jacobian, position_jacobian,
+                         forward_kinematics, joint_axes, joint_frames,
+                         point_and_jacobian, position_jacobian,
                          sample_workspace, sample_workspace_batch, tool_point,
                          wrap_angle)
 from .numeric import NelderMeadConfig, NewtonConfig, pseudo_inverse

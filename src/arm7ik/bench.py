@@ -199,8 +199,18 @@ def reaggregate_runs(runs):
 
 
 def load_runs_jsonl(path):
+    """The run records of a runs.jsonl file, one per non-blank line;
+    ValueError naming the first that is not a JSON object holding every
+    field reaggregate_runs reads."""
+    folded = {"algorithm", "elapsed_s", "final_fitness", "iterations_used",
+              "success", "trace"}
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        lines = [(n, json.loads(s)) for n, s in enumerate(fh, 1) if s.strip()]
+    for n, rec in lines:
+        if not isinstance(rec, dict) or not rec.keys() >= folded:
+            raise ValueError(f"{path} line {n} is not a JSON object holding "
+                             f"{', '.join(sorted(folded))}")
+    return [rec for _, rec in lines]
 
 
 def sweep_parameter(solver_id, parameter, grid, repeats, model,

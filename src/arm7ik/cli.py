@@ -129,6 +129,7 @@ def cmd_dataset(args):
 
 
 def cmd_train(args):
+    model = _model_from_args(args)  # a bad --config fails before the fit
     ds = ml.Dataset.load_csv(args.data)
     rng = np.random.default_rng(args.seed)
     train, test = ml.split_dataset(ds, args.test_fraction, rng)
@@ -139,7 +140,6 @@ def cmd_train(args):
         fitted = ml.fit_polynomial(
             train, 1 if args.model == "linear" else args.degree)
     ml.save_model(fitted, args.out)
-    model = _model_from_args(args)
     metrics = ml.evaluate(fitted, test, model)
     print(json.dumps({
         "model": args.model, "rows_train": len(train), "rows_test": len(test),

@@ -5,15 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import check_settings, setting
 # perfbench/tracer.py wraps fitness and joint_frames under this module's
 # names, so both stay imported here only for it: the solvers below
 # evaluate poses through the Horner partials and the frame pass.
 from .kinematics import (BASE_FRAME, KinematicModel, fitness, frame_pass,
-                         frame_point, horner_partials, joint_axes,
-                         joint_frames, pose_turns, wrap_angle, wrap_float)
+                         frame_point, horner_partials, joint_frames,
+                         pose_turns, wrap_angle, wrap_float)
 
 
 @dataclass(frozen=True)
@@ -40,22 +38,16 @@ class SaConfig:
             raise ValueError("t_max must be > t_min")
 
 
-def ccd_joint_update(model: KinematicModel, q, joint, target):
-    """Closed-form best angle for one joint with the rest frozen.
+def _ccd_rotation(p_e, axis, origin, target):
+    """Closed-form best angle for one joint with the rest frozen, from the
+    tool point p_e, the joint's unit axis and a point on it, and the
+    target, all float triples in the base frame.
 
     Rotating the tool about the joint axis traces a circle; the distance
     to the target is minimised when the projections of (tool - origin)
     and (target - origin) onto the plane normal to the axis align.
     Returns the signed rotation to apply.
     """
-    p_e, axes, origins = joint_axes(model, q, joint + 1)
-    return _ccd_rotation(p_e, axes[joint], origins[joint],
-                         np.asarray(target, dtype=float).tolist())
-
-
-def _ccd_rotation(p_e, axis, origin, target):
-    """ccd_joint_update from the tool point p_e and the joint's axis and
-    origin, all float triples in the base frame."""
     cx, cy, cz = _normal_part(p_e, origin, axis)
     tx, ty, tz = _normal_part(target, origin, axis)
     if math.hypot(cx, cy, cz) < 1e-12 or math.hypot(tx, ty, tz) < 1e-12:
@@ -75,7 +67,7 @@ def _normal_part(point, origin, axis):
 
 def ccd_steps(model: KinematicModel, target, config, budget, rng):
     """Cyclic coordinate descent from a start drawn from `rng`: each cycle
-    turns one joint at a time by its ccd_joint_update, tip to base. A
+    turns one joint at a time by its _ccd_rotation, tip to base. A
     cycle's fitness jitters; the best pose so far is the one yielded. Ends
     as non-converged after loop_guard cycles without a new best."""
     # The pose is a list of floats with its turns (see pose_turns) and Horner
@@ -113,7 +105,7 @@ def ccd_steps(model: KinematicModel, target, config, budget, rng):
 
 
 def _ccd_move(q, turns, joint, step, tail, target, tolerance):
-    """Turn one joint of the pose (q, turns) by its ccd_joint_update, from
+    """Turn one joint of the pose (q, turns) by its _ccd_rotation, from
     `step`, the frame pass over that joint alone, and `tail`, the tool
     point in the frame after it."""
     (axis,), (origin,), frame = step

@@ -164,15 +164,16 @@ def dh_transform(row: DhRow, theta: float, convention: str = "standard"):
 
 
 def forward_kinematics(model: KinematicModel, q):
-    """Base-to-tool 4x4 transform: product of the seven joint transforms.
-
-    The translation column is the kernel's tool point, so it is bit-equal
-    to end_effector_position."""
-    q = np.asarray(q, dtype=float)
+    """Base-to-tool 4x4 transform from the kernel. The rotation block is
+    the frame after joint 7 from the frame pass, whose z axis is joint 7's
+    axis: the last row's alpha is 0, so under either convention that
+    frame is DH frame 7. The translation column is the tool point, so it
+    is bit-equal to end_effector_position."""
+    turns = pose_turns(q)
+    frame = frame_pass(model, turns)[2]
     t = np.eye(4)
-    for i, row in enumerate(model.rows):
-        t = t @ dh_transform(row, q[i], model.convention)
-    t[:3, 3] = tool_point(model, q)
+    t[:3, :3] = np.reshape(frame[:9], (3, 3)).T
+    t[:3, 3] = _horner(model, turns)
     return t
 
 
@@ -466,11 +467,6 @@ def finite_difference_jacobian(model: KinematicModel, q, step=1e-6):
         jac[:, j] = (end_effector_position(model, hi)
                      - end_effector_position(model, lo)) / (2.0 * step)
     return jac
-
-
-def is_reachable(sphere: WorkspaceSphere, target) -> bool:
-    """Membership in the closed workspace ball."""
-    return sphere.contains(target)
 
 
 def sample_workspace(sphere: WorkspaceSphere, rng, law="ball"):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,12 +230,13 @@ def fit_polynomial(train: Dataset, degree=8) -> PolynomialModel:
 
 class RegressionTree:
     """Multi-output CART over (x, y, z) with mean joint vectors at the
-    leaves, stored as flat parallel node tables: `feature`, `threshold`,
-    `left` and `right` as `array.array`s, `value` as an (n_nodes, 7)
-    array. feature < 0 marks a leaf, whose row of `value` holds its mean
-    joint vector, wrapped into (-pi, pi] once here, so predictions return
-    it as it is; internal nodes have all-zero rows. Every child index is
-    larger than its parent's, so a walk from the root always ends.
+    leaves, stored as flat parallel node tables: `feature`, `left` and
+    `right` as int64 arrays, `threshold` as a float64 array and `value` as
+    an (n_nodes, 7) array. feature < 0 marks a leaf, whose row of `value`
+    holds its mean joint vector, wrapped into (-pi, pi] once here, so
+    predictions return it as it is; internal nodes have all-zero rows.
+    Every child index is larger than its parent's, so a walk from the root
+    always ends.
 
     Arrays hold no Python objects, so the garbage collector has nothing to
     scan in them. As lists, a 100k-row tree's ~150k-entry tables stalled
@@ -247,24 +247,32 @@ class RegressionTree:
 
     def __init__(self, feature, threshold, left, right, value,
                  max_depth_used=0):
-        self.feature = _table("q", feature, np.int64)
-        self.threshold = _table("d", threshold, np.float64)
-        self.left = _table("q", left, np.int64)
-        self.right = _table("q", right, np.int64)
+        self.feature = np.array(feature, dtype=np.int64)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.int64)
+        self.right = np.array(right, dtype=np.int64)
         self.value = wrap_angle(
             np.asarray(value, dtype=float).reshape(-1, 7))
         self.max_depth_used = int(max_depth_used)
+        # predict's walk indexes these: a memoryview item is a plain int
+        # or float, read faster than a numpy scalar.
+        self._walk = tuple(map(memoryview, (self.feature, self.threshold,
+                                            self.left, self.right)))
+
+    def __reduce__(self):
+        # A memoryview cannot be copied or pickled; rebuild the views.
+        return type(self), (self.feature, self.threshold, self.left,
+                            self.right, self.value, self.max_depth_used)
 
     @property
     def n_nodes(self):
         return len(self.feature)
 
     def predict(self, position):
-        # Plain indexing of the array tables: for one pose this beats any
+        # Plain indexing of the table views: for one pose this beats any
         # numpy walk, and dtnr calls it once per solve.
         x = _position(position)
-        feature, threshold = self.feature, self.threshold
-        left, right = self.left, self.right
+        feature, threshold, left, right = self._walk
         node = 0
         while (f := feature[node]) >= 0:
             node = left[node] if x[f] <= threshold[node] else right[node]
@@ -275,12 +283,9 @@ class RegressionTree:
         advancing only the rows that still sit at an internal node. Every
         gather is a `take`, which costs less than fancy or mask indexing."""
         positions = _position_batch(positions)
-        feature = np.frombuffer(self.feature, dtype=np.int64)
-        threshold = np.frombuffer(self.threshold, dtype=np.float64)
+        feature, threshold = self.feature, self.threshold
         # child[2 * node + go_left]: the right child, then the left.
-        child = np.stack([np.frombuffer(self.right, dtype=np.int64),
-                          np.frombuffer(self.left, dtype=np.int64)],
-                         axis=1).ravel()
+        child = np.stack([self.right, self.left], axis=1).ravel()
         n = positions.shape[0]
         flat = positions.ravel()
         leaf_of = np.zeros(n, dtype=np.int64)
@@ -301,7 +306,7 @@ class RegressionTree:
     def to_dict(self):
         """Model format v2: the node tables as base64 little-endian arrays,
         and the leaves' values only, in node order."""
-        leaf = np.frombuffer(self.feature, dtype=np.int64) < 0
+        leaf = self.feature < 0
         d = {"format": MODEL_FORMAT, "version": TREE_VERSION,
              "kind": self.kind, "max_depth_used": self.max_depth_used}
         for name, dtype in _TREE_TABLES:
@@ -349,12 +354,6 @@ class RegressionTree:
         value = np.zeros((n, 7))
         value[leaf] = leaf_value.reshape(-1, 7)
         return cls(feature, threshold, left, right, value, max_depth_used)
-
-
-def _table(typecode, values, dtype):
-    table = array(typecode)
-    table.frombytes(np.ascontiguousarray(values, dtype=dtype).tobytes())
-    return table
 
 
 def _pack(values, dtype):

@@ -313,6 +313,18 @@ class TestMlPipeline:
         assert "polynomial model" in err
         assert out == ""
 
+    def test_missing_config_fails_before_the_fit(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        out_file = tmp_path / "tree.json"
+        run_cli(capsys, "dataset", "--count", "200", "--out", str(data))
+        code, out, err = run_cli(capsys, "train", "--model", "tree",
+                                 "--data", str(data), "--out", str(out_file),
+                                 "--config", str(tmp_path / "nope.yaml"))
+        assert code == EXIT_MISSING_FILE
+        assert "nope.yaml" in err
+        assert out == ""
+        assert not out_file.exists()
+
     def test_missing_dataset_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "train", "--model", "linear",
                              "--data", str(tmp_path / "absent.csv"),
@@ -368,6 +380,23 @@ class TestBenchAndReport:
         with open(redone, newline="") as fh:
             rows2 = list(csv.reader(fh))
         assert rows2 == rows
+
+    @pytest.mark.parametrize("line", ['{"algorithm": "nr"}', "[1, 2]"],
+                             ids=["missing-field", "not-an-object"])
+    def test_malformed_runs_line_is_a_config_error(self, capsys, tmp_path,
+                                                   line):
+        runs = tmp_path / "runs.jsonl"
+        good = {"algorithm": "nr", "final_fitness": 0.1, "elapsed_s": 0.01,
+                "iterations_used": 3, "success": True, "trace": []}
+        runs.write_text(json.dumps(good) + "\n" + line + "\n")
+        out_file = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, "report", "--runs", str(runs),
+                                 "--out", str(out_file))
+        assert code == EXIT_CONFIG
+        assert "line 2 is not a JSON object holding" in err
+        assert "final_fitness" in err and "Traceback" not in err
+        assert out == ""
+        assert not out_file.exists()
 
     def test_bad_spec_yaml_is_a_config_error(self, capsys, tmp_path):
         spec = tmp_path / "bench.yaml"

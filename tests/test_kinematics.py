@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from arm7ik import (DhRow, KinematicModel, WorkspaceSphere,
                     batch_end_effector_positions, batch_fitness, dh_transform,
                     end_effector_position, finite_difference_jacobian, fitness,
-                    forward_kinematics, is_reachable, joint_axes,
-                    point_and_jacobian, position_jacobian, sample_workspace,
+                    forward_kinematics, joint_axes, point_and_jacobian,
+                    position_jacobian, sample_workspace,
                     sample_workspace_batch, tool_point, wrap_angle)
 from arm7ik.kinematics import (batch_evaluator, frame_pass, horner_partials,
                                pose_turns, TWO_PI, wrap_float)
@@ -146,6 +146,15 @@ class TestForwardKinematics:
             q = rng.uniform(-math.pi, math.pi, size=7)
             assert np.array_equal(end_effector_position(model, q),
                                   forward_kinematics(model, q)[:3, 3])
+
+    @pytest.mark.parametrize("convention", ["standard", "modified"])
+    def test_tool_axis_is_the_kernels_joint_7_axis(self, rng, convention):
+        # The rotation block comes from the kernel's frame pass, so its z
+        # column is joint 7's axis bit for bit; a 4x4 product rounds apart.
+        arm = KinematicModel(lengths=NONUNIT, convention=convention)
+        for q in rng.uniform(-math.pi, math.pi, size=(200, 7)):
+            assert np.array_equal(forward_kinematics(arm, q)[:3, 2],
+                                  joint_axes(arm, q)[1][6])
 
     def test_batch_positions_match_single(self, model, rng):
         qs = rng.uniform(-math.pi, math.pi, size=(64, 7))
@@ -451,9 +460,9 @@ class TestWorkspaceSphere:
 
     def test_membership_edges(self, model):
         sphere = model.workspace
-        assert is_reachable(sphere, [0.0, 0.0, sphere.h])
-        assert is_reachable(sphere, [0.0, 0.0, sphere.h + sphere.r])
-        assert not is_reachable(sphere, [0.0, 0.0, sphere.h + sphere.r + 1e-3])
+        assert sphere.contains([0.0, 0.0, sphere.h])
+        assert sphere.contains([0.0, 0.0, sphere.h + sphere.r])
+        assert not sphere.contains([0.0, 0.0, sphere.h + sphere.r + 1e-3])
 
 
 class TestSampler:

@@ -27,7 +27,13 @@ tool-to-target distance when the tree's predictions are played back
 through forward kinematics, so the playback's FK and its mean are
 fingerprinted too.
 
-It first prints a SHA-256 per DH convention over the kernel's outputs on
+Its first line names the host: numpy's version and the SIMD extensions
+it found on this CPU (the `found` list of `np.show_runtime()`). numpy
+picks some routines' kernels by that list, and the complex multiply of
+the batch pass among them rounds differently from X86_V3 (AVX2 with FMA)
+up, so a hash file says which dispatch made its bits.
+
+It then prints a SHA-256 per DH convention over the kernel's outputs on
 200 fixed random poses of the arm with lengths (0.36, 0.42, 0.4, 0.126):
 the tool point in the frame before each joint (`tool_point` at frames
 0-6), the tool point and Jacobian of `point_and_jacobian`, and the rows
@@ -38,9 +44,11 @@ hashed as `==` compares it, so -0.0 and 0.0 hash alike. These lines fold
 into no other hash, so a change to the kernel alone shows as a change in
 these two lines.
 
-Two checkouts that print the same hashes give bit-identical solves. A
-change that only reorders floating-point sums changes the hashes; the
-three summary columns then show whether the outcomes still agree:
+Two checkouts that print the same hashes under the same first line give
+bit-identical solves. A change that only reorders floating-point sums
+changes the hashes; the three summary columns then show whether the
+outcomes still agree. Run both on one host, so that their first lines
+agree and only hash lines can differ:
 
     PYTHONPATH=src python tools/solve_hashes.py > new.txt
     (cd ../parent && PYTHONPATH=src python ../repo/tools/solve_hashes.py) > old.txt
@@ -65,12 +73,6 @@ target by target:
 
     PYTHONPATH=src python tools/solve_hashes.py --algos nr --dump new.jsonl
 
-Before the hashes it prints numpy's version and the SIMD extensions it
-found on this CPU (the `found` list of `np.show_runtime()`) to stderr, so
-two hash files saved with their stderr can be told apart by host: a
-solver that calls a numpy routine which dispatches on the CPU can solve
-differently on another host. Stdout holds the hash lines alone.
-
 `--compare OLD NEW` reads two such dumps and runs nothing. Per solver it
 prints how many of the solves both dumps hold changed their iteration
 count, converged flag, final fitness and joints, the largest joint change
@@ -82,7 +84,6 @@ success count before and after:
 import argparse
 import hashlib
 import json
-import sys
 
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -190,7 +191,7 @@ def host_line():
 
 def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
          dump=None):
-    print(host_line(), file=sys.stderr, flush=True)
+    print(host_line(), flush=True)
     for convention in ("standard", "modified"):
         print(kernel_line(convention), flush=True)
     arm = KinematicModel()
