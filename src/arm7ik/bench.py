@@ -198,18 +198,32 @@ def reaggregate_runs(runs):
             for a, recs in _group(runs, "algorithm").items()]
 
 
+# The fields reaggregate_runs reads, each with the JSON types it folds.
+_FOLDED = {"algorithm": ((str,), "a string"),
+           "elapsed_s": ((int, float), "a number"),
+           "final_fitness": ((int, float), "a number"),
+           "iterations_used": ((int,), "an integer"),
+           "success": ((bool,), "true or false"),
+           "trace": ((list,), "a list")}
+
+
 def load_runs_jsonl(path):
     """The run records of a runs.jsonl file, one per non-blank line;
     ValueError naming the first that is not a JSON object holding every
-    field reaggregate_runs reads."""
-    folded = {"algorithm", "elapsed_s", "final_fitness", "iterations_used",
-              "success", "trace"}
+    field reaggregate_runs reads, with a value of the type it folds."""
     with open(path) as fh:
         lines = [(n, json.loads(s)) for n, s in enumerate(fh, 1) if s.strip()]
     for n, rec in lines:
-        if not isinstance(rec, dict) or not rec.keys() >= folded:
+        if not isinstance(rec, dict) or not rec.keys() >= _FOLDED.keys():
             raise ValueError(f"{path} line {n} is not a JSON object holding "
-                             f"{', '.join(sorted(folded))}")
+                             f"{', '.join(sorted(_FOLDED))}")
+        for name, (kinds, kind) in _FOLDED.items():
+            value = rec[name]
+            # JSON's true and false load as bool, which is an int.
+            if (not isinstance(value, kinds)
+                    or isinstance(value, bool) is not (kinds == (bool,))):
+                raise ValueError(f"{path} line {n}: {name} must be {kind}, "
+                                 f"got {value!r:.40}")
     return [rec for _, rec in lines]
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -130,6 +132,11 @@ def cmd_dataset(args):
 
 def cmd_train(args):
     model = _model_from_args(args)  # a bad --config fails before the fit
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):  # and so does a bad --out
+        raise FileNotFoundError(errno.ENOENT, "no such directory", folder)
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory")
     ds = ml.Dataset.load_csv(args.data)
     rng = np.random.default_rng(args.seed)
     train, test = ml.split_dataset(ds, args.test_fraction, rng)

@@ -9,7 +9,7 @@ from .core import check_settings, setting
 # perfbench/tracer.py wraps fitness and joint_frames under this module's
 # names, so both stay imported here only for it: the solvers below
 # evaluate poses through the Horner partials and the frame pass.
-from .kinematics import (BASE_FRAME, KinematicModel, fitness, frame_pass,
+from .kinematics import (KinematicModel, fitness, frame_pass,
                          frame_point, horner_partials, joint_frames,
                          pose_turns, wrap_angle, wrap_float)
 
@@ -48,21 +48,22 @@ def _ccd_rotation(p_e, axis, origin, target):
     and (target - origin) onto the plane normal to the axis align.
     Returns the signed rotation to apply.
     """
-    cx, cy, cz = _normal_part(p_e, origin, axis)
-    tx, ty, tz = _normal_part(target, origin, axis)
+    (ax, ay, az), (ox, oy, oz) = axis, origin
+    # c and t: (p_e - origin) and (target - origin), each less its
+    # projection onto the axis.
+    px, py, pz = p_e
+    cx, cy, cz = px - ox, py - oy, pz - oz
+    k = cx * ax + cy * ay + cz * az
+    cx, cy, cz = cx - k * ax, cy - k * ay, cz - k * az
+    px, py, pz = target
+    tx, ty, tz = px - ox, py - oy, pz - oz
+    k = tx * ax + ty * ay + tz * az
+    tx, ty, tz = tx - k * ax, ty - k * ay, tz - k * az
     if math.hypot(cx, cy, cz) < 1e-12 or math.hypot(tx, ty, tz) < 1e-12:
         return 0.0
-    ax, ay, az = axis
     return math.atan2(ax * (cy * tz - cz * ty) + ay * (cz * tx - cx * tz)
                       + az * (cx * ty - cy * tx),   # axis . (cur x tgt)
                       cx * tx + cy * ty + cz * tz)
-
-
-def _normal_part(point, origin, axis):
-    """(point - origin) minus its projection onto the unit vector axis."""
-    v = [point[i] - origin[i] for i in range(3)]
-    k = v[0] * axis[0] + v[1] * axis[1] + v[2] * axis[2]
-    return [v[i] - k * axis[i] for i in range(3)]
 
 
 def ccd_steps(model: KinematicModel, target, config, budget, rng):
@@ -71,11 +72,11 @@ def ccd_steps(model: KinematicModel, target, config, budget, rng):
     cycle's fitness jitters; the best pose so far is the one yielded. Ends
     as non-converged after loop_guard cycles without a new best."""
     # The pose is a list of floats with its turns (see pose_turns) and Horner
-    # partials h (see horner_partials). Joint j's update needs the frame
-    # after it, which takes the tool point h[j + 1] into the base frame.
-    # Every joint's frame comes from one pass up the chain before the sweep
-    # (the joints before the one updated have not moved yet), and h is
-    # refreshed one joint at a time behind the sweep.
+    # partials h (see horner_partials). Joint j's update needs its axis and
+    # the frame after it, which takes the tool point h[j + 1] into the base
+    # frame. One frame pass up the chain before the sweep gives every
+    # joint's axis and frame (the joints before the one updated have not
+    # moved yet), and h is refreshed one joint at a time behind the sweep.
     q = wrap_angle(model.random_joints(rng)).tolist()
     turns = pose_turns(q)
     h = horner_partials(model, turns)
@@ -86,12 +87,14 @@ def ccd_steps(model: KinematicModel, target, config, budget, rng):
     tolerance = config.per_joint_tolerance
     stalled = 0
     while True:
-        passes, frame = [], BASE_FRAME
-        for j in range(7):
-            passes.append(frame_pass(model, turns[j:j + 1], j, frame))
-            frame = passes[j][2]
+        frames = []
+        axes, origins, _ = frame_pass(model, turns, frames=frames)
         for j in range(6, -1, -1):
-            _ccd_move(q, turns, j, passes[j], h[j + 1], target, tolerance)
+            delta = _ccd_rotation(frame_point(frames[j], h[j + 1]), axes[j],
+                                  origins[j], target)
+            if abs(delta) > tolerance:
+                q[j] = wrap_float(q[j] + delta)
+                turns[j] = (math.cos(q[j]), math.sin(q[j]))
             h = horner_partials(model, turns, h, j, j)
         f = math.dist(h[0], target)
         if f < best_f - 1e-15:
@@ -102,17 +105,6 @@ def ccd_steps(model: KinematicModel, target, config, budget, rng):
         yield best_q, best_f
         if stalled >= config.loop_guard:
             return  # oscillating cycle; bail out as non-converged
-
-
-def _ccd_move(q, turns, joint, step, tail, target, tolerance):
-    """Turn one joint of the pose (q, turns) by its _ccd_rotation, from
-    `step`, the frame pass over that joint alone, and `tail`, the tool
-    point in the frame after it."""
-    (axis,), (origin,), frame = step
-    delta = _ccd_rotation(frame_point(frame, tail), axis, origin, target)
-    if abs(delta) > tolerance:
-        q[joint] = wrap_float(q[joint] + delta)
-        turns[joint] = (math.cos(q[joint]), math.sin(q[joint]))
 
 
 def temperature_schedule(config: SaConfig):
@@ -149,6 +141,11 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
     once the best is under the budget's tolerance. Cooling is geometric.
     The best configuration ever seen is kept.
 
+    Joint 7 turns about the tool axis and moves no point, so its proposal
+    leaves the fitness as it is (a delta of 0): it is accepted without an
+    evaluation and is never a new best. It still draws both uniforms, the
+    proposal's and the acceptance draw's.
+
     `rng` belongs to the solve: after the start, its uniforms are read
     ahead in blocks, so its state after the solve is not the one scalar
     draws would leave.
@@ -162,7 +159,8 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
     # is u < acceptance_probability for u in [0, 1). Each u is the next
     # double of rng.random(1024) blocks, the doubles that scalar
     # rng.random() calls give, so the proposals and the acceptance draws
-    # are those of scalar rng.uniform and rng.random calls.
+    # are those of scalar rng.uniform and rng.random calls. The rule never
+    # reads joint 7's turn, so turns[6] is left as the start's.
     q = model.random_joints(rng).tolist()
     draw = _uniforms(rng).__next__
     turns = pose_turns(q)
@@ -181,7 +179,7 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
         width = scale - -scale
         stay = 0
         while stay < config.max_stay_counter:
-            for j in range(7):
+            for j in range(6):
                 theta = wrap_float(q[j] + (-scale + width * draw()))
                 turn, turns[j] = turns[j], (math.cos(theta), math.sin(theta))
                 trial = horner_partials(model, turns, h, j)
@@ -198,6 +196,10 @@ def sa_steps(model: KinematicModel, target, config, budget, rng):
                     stay = 0
                 else:
                     stay += 1
+            # Joint 7 moves no point: a delta of 0, which u < 1 accepts.
+            q[6] = wrap_float(q[6] + (-scale + width * draw()))
+            draw()
+            stay += 1
             if best_f < budget.tolerance:
                 break
         yield best_q, best_f

@@ -116,6 +116,11 @@ class KinematicModel:
             alphas = [0.0] + alphas[:-1]
         self._links = tuple((math.cos(a), math.sin(a), r.d)
                             for a, r in zip(alphas, self.rows))
+        # Joint 7 turns about the tool axis, so its rule takes the tool
+        # point, the origin of the frame after it, to one point for every
+        # pose: the tool point in the frame before joint 7.
+        c, s, d = self._links[6]
+        self._tip = (0.0, 0.0 * c - d * s, 0.0 * s + d * c)
 
     @property
     def workspace(self) -> WorkspaceSphere:
@@ -205,22 +210,32 @@ def joint_frames(model: KinematicModel, q):
 # on columns 0-1 and y + iz on columns 1-2, so each rotation is a product
 # with e^(i phi) and a joint is at most three numpy calls: x + iy times the
 # turn, z + d, and y + iz times the scalar e^(i tilt). Joint 7 turns about
-# the tool axis, so the batch pass starts from its tool point, the same for
-# every pose, and never reads joint 7's angle. A batch's buffers are bound
-# once per batch size (_batch_pass), so a population solver pays only for
-# the arithmetic on each call (batch_evaluator). numpy's complex product
-# rounds differently from the float products, so a batch row and the same
-# pose alone can differ in the last bit. Two things would change how a
-# batch rounds: swapped operands (the state comes first) and an in-place
-# product over a single row, which rounds like the float products; so a
-# batch of one pose still runs with a second row.
+# the tool axis, so Horner's rule starts from its tool point, the same for
+# every pose (KinematicModel._tip), and never reads joint 7's angle: in the
+# batch pass, in the single-pose rule and in pose_fitness. That point
+# differs from joint 7's rule applied to the origin at most in the sign of
+# a coordinate that is exactly 0, which no distance sees. A batch's buffers
+# are bound once per batch size (_batch_pass), so a population solver pays
+# only for the arithmetic on each call (batch_evaluator). numpy's complex
+# product rounds differently from the float products, so a batch row and
+# the same pose alone can differ in the last bit. Two things would change
+# how a batch rounds: swapped operands (the state comes first) and an
+# in-place product over a single row, which rounds like the float products;
+# so a batch of one pose still runs with a second row.
 
 def _horner(model, turns, first=0, joint=6, point=(0.0, 0.0, 0.0),
             partials=None):
     """Horner's rule over joints joint..first of one pose from its turns
     (see pose_turns): `point`, given in the frame after joint `joint`, in
     the frame before joint `first`, as an (x, y, z) float triple. With a
-    list `partials`, each joint k passed stores its point as partials[k]."""
+    list `partials`, each joint k passed stores its point as partials[k].
+    From joint 7, `point` must be the origin (the tool point): the rule
+    then starts at joint 6 from model._tip and reads no turn of joint 7."""
+    if joint == 6 and first <= 6:
+        point = model._tip
+        joint = 5
+        if partials is not None:
+            partials[6] = point
     x, y, z = point
     links = model._links
     for k in range(joint, first - 1, -1):
@@ -235,9 +250,11 @@ def _horner(model, turns, first=0, joint=6, point=(0.0, 0.0, 0.0),
 
 
 def pose_turns(q):
-    """The turn (cos theta, sin theta) of each joint of one pose."""
-    return [(math.cos(v), math.sin(v))
-            for v in np.asarray(q, dtype=float).tolist()]
+    """The turn (cos theta, sin theta) of each joint of one pose, given as
+    a list of floats (taken as it is) or as anything np.asarray takes."""
+    if not isinstance(q, list):
+        q = np.asarray(q, dtype=float).tolist()
+    return [(math.cos(v), math.sin(v)) for v in q]
 
 
 def horner_partials(model, turns, partials=None, joint=6, first=0):
@@ -291,14 +308,17 @@ def joint_axes(model: KinematicModel, q, joints=7, tail=None):
 BASE_FRAME = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
-def frame_pass(model: KinematicModel, turns, first=0, frame=BASE_FRAME):
+def frame_pass(model: KinematicModel, turns, first=0, frame=BASE_FRAME,
+               frames=None):
     """Single-pose frame pass in plain floats over the joints from
     `first` on whose turns (see pose_turns) `turns` lists, starting from
     `frame`, the frame before joint `first`.
 
     Returns (axes, origins, frame): the unit rotation axis and a point on
     it of each joint passed as float triples, and the frame after the
-    last one (see BASE_FRAME), all in the base frame.
+    last one (see BASE_FRAME), all in the base frame. With a list
+    `frames`, the frame after each joint passed is appended to it: the
+    frames that one-joint passes chained from `frame` return.
     """
     xx, xy, xz, yx, yy, yz, zx, zy, zz, px, py, pz = frame
     axes, origins = [], []
@@ -315,6 +335,8 @@ def frame_pass(model: KinematicModel, turns, first=0, frame=BASE_FRAME):
         xx, xy, xz, yx, yy, yz = (c * xx + s * yx, c * xy + s * yy,
                                   c * xz + s * yz, c * yx - s * xx,
                                   c * yy - s * xy, c * yz - s * xz)
+        if frames is not None:
+            frames.append((xx, xy, xz, yx, yy, yz, zx, zy, zz, px, py, pz))
     return axes, origins, (xx, xy, xz, yx, yy, yz, zx, zy, zz, px, py, pz)
 
 
@@ -372,8 +394,7 @@ def _batch_pass(model: KinematicModel, n):
             steps.append((np.add, z, np.array(d)))
         if (c, s) != (1.0, 0.0):
             steps.append((np.multiply, yz, np.array(complex(c, s))))
-    c, s, d = model._links[6]
-    tip = np.array([0.0, 0.0 * c - d * s, 0.0 * s + d * c])
+    tip = np.array(model._tip)
 
     def run(qs):
         theta = qs[:, :6].T
@@ -413,8 +434,9 @@ def fitness(model: KinematicModel, q, target):
 def pose_fitness(model: KinematicModel, q, target):
     """fitness of one pose given as seven floats, to a target given as an
     (x, y, z) float triple, in plain floats: the solvers that hold a pose
-    as a list call it without numpy's conversions."""
-    x, y, z = _horner(model, [(math.cos(v), math.sin(v)) for v in q])
+    as a list call it without numpy's conversions. Joint 7 moves no
+    point, so its angle is not read."""
+    x, y, z = _horner(model, [(math.cos(v), math.sin(v)) for v in q[:6]])
     tx, ty, tz = target
     return math.hypot(x - tx, y - ty, z - tz)
 

@@ -3,6 +3,7 @@ and the Nelder-Mead downhill simplex."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,9 @@ def newton_steps(model, target, start, config, joints=7):
     3x3 Jacobian takes the closed form pseudo_inverse_step3, and any
     other Jacobian, or one near rank 1, goes through pseudo_inverse.
     Stops after DIVERGENCE_GUARD consecutive fitness increases, at a
-    non-finite fitness, or once a step is shorter than STALL_STEP_NORM."""
-    q = np.array(start, dtype=float)
+    non-finite fitness, or once a step is shorter than STALL_STEP_NORM.
+    It yields its joints as lists of floats."""
+    q = np.asarray(start, dtype=float).tolist()
     t = np.asarray(target, dtype=float).tolist()
     tail = tool_point(model, q, joints)
     p, jac = point_and_jacobian(model, q, joints, tail)
@@ -119,7 +121,7 @@ def newton_steps(model, target, start, config, joints=7):
     best_f = math.dist(p, t)
     yield best_q, best_f
 
-    head = q[:joints].tolist()
+    head, rest = q[:joints], q[joints:]
     damping = config.damping
     scale = config.step_scale
     prev_f = best_f
@@ -136,7 +138,7 @@ def newton_steps(model, target, start, config, joints=7):
         p, jac = point_and_jacobian(model, head, joints, tail)
         f = math.dist(p, t)
         if f < best_f:
-            best_f, best_q = f, np.concatenate((head, q[joints:]))
+            best_f, best_q = f, head + rest
         rises = rises + 1 if f > prev_f else 0
         prev_f = f
         yield best_q, best_f
@@ -154,8 +156,12 @@ def nm_steps(model: KinematicModel, target, config, budget, rng):
     simplices before a restart is kept until a later one beats it."""
     # The simplex is eight lists of seven floats. Vertices are sorted
     # stably by value, so tied vertices keep their order on any host
-    # (numpy's argsort orders ties by the CPU's SIMD level). The centroid
-    # sums rows 0-6 in order, as numpy's mean over axis 0 does.
+    # (numpy's argsort orders ties by the CPU's SIMD level). When a step
+    # replaced only the worst vertex, the other seven are still sorted, and
+    # the new one goes after those with a value <= its own, where the
+    # stable sort would put it. The centroid sums rows 0-6 in order, as
+    # numpy's mean over axis 0 does. A vertex list is replaced, never
+    # changed in place, so the best one is yielded as it is.
     t = np.asarray(target, dtype=float).tolist()
     reflection, expansion = config.reflection, config.expansion
     contraction, shrink = config.contraction, config.shrink
@@ -173,21 +179,29 @@ def nm_steps(model: KinematicModel, target, config, budget, rng):
         f = min(values)
         if kept[1] < f:
             return kept
-        return np.array(simplex[values.index(f)]), f
+        return simplex[values.index(f)], f
 
     kept = (None, math.inf)  # the best before the last restart
     simplex, values = build_simplex(model.random_joints(rng))
     best = step()
     yield best
 
+    resort = True
     while True:
-        order = sorted(range(8), key=values.__getitem__)
-        simplex = [simplex[k] for k in order]
-        values = [values[k] for k in order]
+        if resort:
+            order = sorted(range(8), key=values.__getitem__)
+            simplex = [simplex[k] for k in order]
+            values = [values[k] for k in order]
+        else:  # only the last vertex is new: where a stable sort puts it
+            k = bisect_right(values, values[7], 0, 7)
+            simplex.insert(k, simplex.pop())
+            values.insert(k, values.pop())
+        resort = False
 
         if all(max(col) - min(col) < 1e-15 for col in zip(*simplex)):
             kept = best  # collapsed: restart
             simplex, values = build_simplex(model.random_joints(rng))
+            resort = True
             best = step()
             yield best
             continue
@@ -220,5 +234,6 @@ def nm_steps(model: KinematicModel, target, config, budget, rng):
                     simplex[k] = [b + shrink * (v - b)
                                   for b, v in zip(best_x, simplex[k])]
                     values[k] = pose_fitness(model, simplex[k], t)
+                resort = True
         best = step()
         yield best

@@ -156,33 +156,43 @@ def afsa_steps(model: KinematicModel, target, config, budget, rng):
     """
     # A prey move runs in plain floats: per joint, the step, the sum, the
     # wrap and the clip of clip_to_limits in its order, then pose_fitness,
-    # so it is bit-equal to clip_to_limits(x + step) and fitness.
+    # so it is bit-equal to clip_to_limits(x + step) and fitness. A sum in
+    # (-pi, pi] wraps to itself plus 0.0, and the clip runs only when
+    # clip_to_limits would clip. The school is a list of fish, each a list
+    # of seven floats, with their fitness values; swarm and follow moves,
+    # which only a population above 1 makes, read it as arrays.
     n = config.population_size
     fish = rng.uniform(model.lower, model.upper, size=(n, 7))
     values = batch_fitness(model, fish, target)
     g = int(np.argmin(values))
     best_q, best_f = fish[g].copy(), float(values[g])
     yield best_q, best_f
+    fish, values = fish.tolist(), values.tolist()
 
     box = list(zip(model.lower.tolist(), model.upper.tolist()))
+    clips = model._clips
     t = np.asarray(target, dtype=float).tolist()
+    pi = math.pi
 
     def prey_move(x):  # x plus a prey step in the limits, and its fitness
         cand = []
         for a, s, (lo, hi) in zip(x, afsa_prey_step(rng, config.visual_range),
                                   box):
-            v = wrap_float(a + s)
-            v = v if v > lo else lo
-            cand.append(v if v < hi else hi)
+            v = a + s
+            v = v + 0.0 if -pi < v <= pi else wrap_float(v)
+            if clips:
+                v = v if v > lo else lo
+                v = v if v < hi else hi
+            cand.append(v)
         return cand, pose_fitness(model, cand, t)
 
-    def move_toward(x, goal):
+    def move_toward(x, goal):  # as a list, for x a list and goal an array
         diff = goal - x
         dist = np.linalg.norm(diff)
         if dist < 1e-12:
-            return x.copy()
+            return x[:]
         step = min(dist, config.visual_range * rng.random())
-        return model.clip_to_limits(x + diff / dist * step)
+        return model.clip_to_limits(x + diff / dist * step).tolist()
 
     while True:
         for i in range(n):
@@ -190,13 +200,14 @@ def afsa_steps(model: KinematicModel, target, config, budget, rng):
             moved = False
 
             if n > 1:
-                dists = np.linalg.norm(fish - x, axis=1)
+                school, scores = np.array(fish), np.array(values)
+                dists = np.linalg.norm(school - x, axis=1)
                 neighbors = np.flatnonzero(
                     (dists > 0) & (dists <= config.visual_range))
                 if neighbors.size:
                     # Swarm: head for the neighbourhood centroid if it is
                     # fitter and not crowded.
-                    centroid = fish[neighbors].mean(axis=0)
+                    centroid = school[neighbors].mean(axis=0)
                     fc = fitness(model, centroid, target)
                     if (fc < f and neighbors.size / n < config.crowding_factor):
                         cand = move_toward(x, centroid)
@@ -205,26 +216,25 @@ def afsa_steps(model: KinematicModel, target, config, budget, rng):
                             x, f, moved = cand, f_cand, True
                     # Follow: head for the best visible neighbour.
                     if not moved:
-                        b = neighbors[np.argmin(values[neighbors])]
-                        if values[b] < f:
-                            cand = move_toward(x, fish[b])
+                        b = neighbors[np.argmin(scores[neighbors])]
+                        if scores[b] < f:
+                            cand = move_toward(x, school[b])
                             f_cand = fitness(model, cand, target)
                             if f_cand < f:
                                 x, f, moved = cand, f_cand, True
 
             if not moved:
                 # Prey: bounded random steps, keep the first improvement.
-                here = x.tolist()
                 for _ in range(config.max_attempt_size):
-                    cand, f_cand = prey_move(here)
+                    cand, f_cand = prey_move(x)
                     if f_cand < f:
                         x, f, moved = cand, f_cand, True
                         break
                 if not moved and rng.random() > config.exploration_q:
                     # Rare exploratory random walk, accepted regardless.
-                    x, f = prey_move(here)
+                    x, f = prey_move(x)
 
             fish[i], values[i] = x, f
             if f < best_f:
-                best_q, best_f = np.array(x), float(f)
+                best_q, best_f = np.array(x), f
         yield best_q, best_f

@@ -390,6 +390,20 @@ class TestReportFiles:
         loaded = load_runs_jsonl(out / "runs.jsonl")
         assert reaggregate_runs(loaded) == reports
 
+    @pytest.mark.parametrize("field, value", [
+        ("algorithm", ["nr"]), ("elapsed_s", "0.1"), ("final_fitness", "x"),
+        ("final_fitness", True), ("iterations_used", 3.0),
+        ("iterations_used", False), ("success", 1), ("trace", {})])
+    def test_a_wrongly_typed_field_names_its_line(self, tmp_path, field,
+                                                  value):
+        good = {"algorithm": "nr", "elapsed_s": 0.01, "final_fitness": 0.1,
+                "iterations_used": 3, "success": True, "trace": []}
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(good) + "\n\n"
+                        + json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(ValueError, match=f"line 3: {field} must be"):
+            load_runs_jsonl(path)
+
 
 class TestSweep:
     def test_grid_must_be_strictly_increasing(self):

@@ -325,6 +325,23 @@ class TestMlPipeline:
         assert out == ""
         assert not out_file.exists()
 
+    def test_unwritable_out_fails_before_the_fit(self, capsys, tmp_path,
+                                                monkeypatch):
+        data = tmp_path / "data.csv"
+        run_cli(capsys, "dataset", "--count", "200", "--out", str(data))
+        monkeypatch.setattr("arm7ik.ml.fit_tree", None)  # a fit would raise
+        code, out, err = run_cli(capsys, "train", "--model", "tree",
+                                 "--data", str(data),
+                                 "--out", str(tmp_path / "nope" / "t.json"))
+        assert code == EXIT_MISSING_FILE
+        assert "nope" in err and "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "nope").exists()
+        code, out, err = run_cli(capsys, "train", "--model", "tree",
+                                 "--data", str(data), "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "is a directory" in err and out == ""
+
     def test_missing_dataset_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "train", "--model", "linear",
                              "--data", str(tmp_path / "absent.csv"),

@@ -10,8 +10,9 @@ from arm7ik import (DhRow, KinematicModel, WorkspaceSphere,
                     forward_kinematics, joint_axes, point_and_jacobian,
                     position_jacobian, sample_workspace,
                     sample_workspace_batch, tool_point, wrap_angle)
-from arm7ik.kinematics import (batch_evaluator, frame_pass, horner_partials,
-                               pose_turns, TWO_PI, wrap_float)
+from arm7ik.kinematics import (BASE_FRAME, batch_evaluator, frame_pass,
+                               horner_partials, pose_fitness, pose_turns,
+                               TWO_PI, wrap_float)
 import oracles
 
 NONUNIT = (0.36, 0.42, 0.4, 0.126)
@@ -305,6 +306,51 @@ BATCH_LENGTHS = [(1.0, 1.0, 1.0, 1.0), NONUNIT, (1.0, 3.0, 0.5, 0.5)]
 
 def _bits(values):
     return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+# A joint angle: any float in the limit range, or an angle whose cosine or
+# sine is a signed zero or exactly +-1.
+_ANGLE = st.one_of(st.sampled_from((0.0, -0.0, math.pi, -math.pi)),
+                   st.floats(-TWO_PI, TWO_PI))
+
+
+class TestJointSevenMovesNoPoint:
+    """Joint 7 turns about the tool axis, so the single-pose kernel starts
+    Horner's rule from joint 7's tool point, the same for every pose, and
+    never reads joint 7's angle. Only signed zeros may differ from the
+    rule applied to the origin (as the oracle does), in coordinates that
+    are exactly 0: a zero times a cosine or sine keeps a sign that the
+    fixed point need not have. == does not see that sign, and nor does a
+    distance, so points and fitness are compared with ==; the frame pass
+    reads no Horner point and is compared bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lengths=st.tuples(*[st.floats(1e-3, 1e3)] * 4),
+           convention=st.sampled_from(("standard", "modified")),
+           q=st.lists(_ANGLE, min_size=7, max_size=7), q7=_ANGLE,
+           target=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+    def test_joint_7_moves_no_point(self, lengths, convention, q, q7, target):
+        model = KinematicModel(lengths=lengths, convention=convention)
+        moved = q[:6] + [q7]
+        h = oracles.reference_partials(model, q)
+        assert oracles.reference_partials(model, moved) == h
+        for pose in (q, moved):
+            assert horner_partials(model, pose_turns(pose)) == h
+            for k in range(7):
+                assert tool_point(model, pose, k) == h[k]
+            assert (pose_fitness(model, pose, target)
+                    == oracles.reference_fitness(model, q, target))
+        turns = pose_turns(moved)
+        frames = []
+        axes, origins, last = frame_pass(model, turns, frames=frames)
+        steps, frame = [], BASE_FRAME
+        for j in range(7):
+            steps.append(frame_pass(model, turns[j:j + 1], j, frame))
+            frame = steps[-1][2]
+        for got, want in ((axes, [a for (a,), _, _ in steps]),
+                          (origins, [o for _, (o,), _ in steps]),
+                          (frames, [f for _, _, f in steps]), (last, frame)):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def _assert_batch_matches_reference(model, qs, target):

@@ -39,10 +39,15 @@ the tool point in the frame before each joint (`tool_point` at frames
 0-6), the tool point and Jacobian of `point_and_jacobian`, and the rows
 of `batch_end_effector_positions` over all 200 poses in one batch, then
 over the first 20 poses as 20 one-row batches and as 10 two-row batches,
-so a change to the kernel's small-batch path shows too. Each float is
-hashed as `==` compares it, so -0.0 and 0.0 hash alike. These lines fold
-into no other hash, so a change to the kernel alone shows as a change in
-these two lines.
+so a change to the kernel's small-batch path shows too. After each
+kernel line comes a `single_pose[<convention>]` line: a SHA-256 over the
+single-pose paths the point solvers run on the same 200 poses, given as
+lists of floats: the Horner partials of `horner_partials` (the tool point
+in the frame before each joint) and `pose_fitness` against 200 fixed
+targets. It is a line of its own, so kernel lines still compare with
+hash files made before it. Each float is hashed as `==` compares it, so
+-0.0 and 0.0 hash alike. These lines fold into no other hash, so a change
+to the kernel alone shows as a change in these four lines.
 
 Two checkouts that print the same hashes under the same first line give
 bit-identical solves. A change that only reorders floating-point sums
@@ -91,6 +96,7 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from arm7ik import (KinematicModel, batch_end_effector_positions,
                     point_and_jacobian, run_solver, sample_workspace_batch,
                     tool_point, wrap_angle)
+from arm7ik.kinematics import horner_partials, pose_fitness, pose_turns
 from arm7ik.ml import (average_fitness_on_positions, fit_tree,
                        generate_dataset, split_dataset)
 
@@ -161,15 +167,27 @@ def playback_line(name, tree, targets, arm):
     return f"playback[{name}] {fitness.hex()}"
 
 
-def kernel_line(convention, n_poses=200):
+def kernel_poses(convention, n_poses=200):
+    """The kernel lines' arm and its n_poses fixed random poses."""
     arm = KinematicModel(lengths=(0.36, 0.42, 0.4, 0.126),
                          convention=convention)
     qs = np.random.default_rng(2024).uniform(-np.pi, np.pi, size=(n_poses, 7))
+    return arm, qs
+
+
+def float_digest():
+    """A SHA-256 and the function that folds floats into it as == compares
+    them, so -0.0 and 0.0 hash alike."""
     digest = hashlib.sha256()
 
     def fold(values):
         digest.update((np.asarray(values, dtype=float) + 0.0).tobytes())
+    return digest, fold
 
+
+def kernel_line(convention, n_poses=200):
+    arm, qs = kernel_poses(convention, n_poses)
+    digest, fold = float_digest()
     for q in qs:
         for frame in range(7):
             fold(tool_point(arm, q, frame))
@@ -183,6 +201,19 @@ def kernel_line(convention, n_poses=200):
     return f"kernel[{convention}] {digest.hexdigest()}"
 
 
+def single_pose_line(convention, n_poses=200):
+    """The single-pose paths the point solvers run: horner_partials from
+    pose_turns, and pose_fitness against fixed targets, on the kernel
+    lines' poses given as lists of floats."""
+    arm, qs = kernel_poses(convention, n_poses)
+    targets = np.random.default_rng(2025).uniform(-1.0, 1.0, (n_poses, 3))
+    digest, fold = float_digest()
+    for q, target in zip(qs.tolist(), targets.tolist()):
+        fold(horner_partials(arm, pose_turns(q)))
+        fold(pose_fitness(arm, q, target))
+    return f"single_pose[{convention}] {digest.hexdigest()}"
+
+
 def host_line():
     """numpy's version and the SIMD extensions it found on this CPU."""
     found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
@@ -194,6 +225,7 @@ def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
     print(host_line(), flush=True)
     for convention in ("standard", "modified"):
         print(kernel_line(convention), flush=True)
+        print(single_pose_line(convention), flush=True)
     arm = KinematicModel()
     qs = np.random.default_rng(seed).uniform(arm.lower, arm.upper,
                                              size=(n_targets, 7))
