@@ -73,6 +73,22 @@ def _parse_overrides(pairs):
     return out
 
 
+def _check_out(path, flag="--out", directory=False):
+    """Refuse an output path before any work is done. A file's folder
+    must exist (FileNotFoundError, exit 4) and the file must not be a
+    directory; an output directory, made with its parents as needed, must
+    not be an existing non-directory (ConfigError, exit 3)."""
+    if directory:
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise ConfigError(f"{flag} {path} is not a directory")
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", folder)
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag} {path} is a directory")
+
+
 def cmd_fk(args):
     model = _model_from_args(args)
     q = _parse_vector(args.joints, 7, "--joints")
@@ -94,6 +110,8 @@ def cmd_sample(args):
 
 
 def cmd_solve(args):
+    if args.trace:
+        _check_out(args.trace, "--trace")
     model = _model_from_args(args)
     solver = SolverId(args.algo)
     target = _parse_vector(args.target, 3, "--target")
@@ -121,6 +139,7 @@ def cmd_solve(args):
 
 
 def cmd_dataset(args):
+    _check_out(args.out)
     model = _model_from_args(args)
     rng = np.random.default_rng(args.seed)
     ds = ml.generate_dataset(model, args.count, args.noise, rng,
@@ -131,12 +150,8 @@ def cmd_dataset(args):
 
 
 def cmd_train(args):
+    _check_out(args.out)
     model = _model_from_args(args)  # a bad --config fails before the fit
-    folder = os.path.dirname(args.out) or "."
-    if not os.path.isdir(folder):  # and so does a bad --out
-        raise FileNotFoundError(errno.ENOENT, "no such directory", folder)
-    if os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out} is a directory")
     ds = ml.Dataset.load_csv(args.data)
     rng = np.random.default_rng(args.seed)
     train, test = ml.split_dataset(ds, args.test_fraction, rng)
@@ -171,6 +186,8 @@ def cmd_evaluate(args):
 
 
 def cmd_sweep(args):
+    if args.out:
+        _check_out(args.out)
     model = _model_from_args(args)
     spec = load_benchmark_spec(args.spec)
     grid = [json.loads(v) for v in args.grid.split(",")]
@@ -189,6 +206,7 @@ def cmd_sweep(args):
 
 
 def cmd_bench(args):
+    _check_out(args.out, directory=True)
     model = _model_from_args(args)
     spec = load_benchmark_spec(args.spec)
     reports, traces, runs, metadata = bench_mod.run_benchmark(
@@ -202,6 +220,7 @@ def cmd_bench(args):
 
 
 def cmd_report(args):
+    _check_out(args.out)
     runs = bench_mod.load_runs_jsonl(args.runs)
     reports = bench_mod.reaggregate_runs(runs)
     bench_mod.write_report_csv(args.out, reports)

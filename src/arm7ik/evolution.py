@@ -36,8 +36,9 @@ def tournament_winners(rng, values, shape):
     random individuals each: the fitter pick wins, a tie goes to the
     first pick."""
     picks = rng.integers(0, len(values), (*shape, 2))
-    first, second = picks[..., 0], picks[..., 1]
-    return np.where(values[first] <= values[second], first, second)
+    fits = values[picks]
+    return np.where(fits[..., 0] <= fits[..., 1], picks[..., 0],
+                    picks[..., 1])
 
 
 def ga_offspring(rng, p1, p2, config: GaConfig, model: KinematicModel):
@@ -83,7 +84,7 @@ def ga_steps(model: KinematicModel, target, config, budget, rng):
         children = ga_offspring(rng, p1, p2, config, model)
         merged = np.concatenate((pop, children))
         merged_values = np.concatenate((values, evaluate(children)))
-        keep = np.argsort(merged_values, kind="stable")[:n]
+        keep = merged_values.argsort(kind="stable")[:n]
         pop, values = merged[keep], merged_values[keep]
         yield population_best(pop, values)
 
@@ -91,7 +92,7 @@ def ga_steps(model: KinematicModel, target, config, budget, rng):
 def de_donors(rng, n):
     """(n, 3) donor indices for DE/rand/1: row k holds three distinct
     indices, none equal to k, drawn uniformly."""
-    donors = np.argsort(rng.random((n, n - 1)), axis=1)[:, :3]
+    donors = rng.random((n, n - 1)).argsort(axis=1)[:, :3]
     return donors + (donors >= np.arange(n)[:, None])
 
 
@@ -100,11 +101,10 @@ def de_trials(rng, pop, config: DeConfig, model: KinematicModel):
     binomial crossover with at least one gene taken from the mutant,
     then wrapped and clipped into the joint limits."""
     n = len(pop)
-    a, b, c = de_donors(rng, n).T
-    mutants = pop[b]
-    mutants -= pop[c]
+    a, mutants, c = pop[de_donors(rng, n).T]
+    mutants -= c
     mutants *= config.differential_weight
-    mutants += pop[a]
+    mutants += a
     mutants += rng.normal(0.0, config.mutation_probability, (n, 7))
     cross = rng.random((n, 7)) < config.crossover_rate
     cross[np.arange(n), rng.integers(0, 7, n)] = True

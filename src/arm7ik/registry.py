@@ -65,9 +65,9 @@ def run_solver(solver_id, model, target, rng, config=None, budget=None,
     """One solve. The target must be three finite numbers; a missing
     config or budget is the solver's default. Every solver but dtnr draws
     its start from `rng`; dtnr needs the trained `tree` and starts from
-    its guess. `rng` belongs to the solve: sa reads it ahead in blocks, so
-    its state afterwards is not the one scalar draws would leave. Joints
-    come back wrapped (see run_steps)."""
+    its guess. `rng` belongs to the solve: sa, pso and qpso read it ahead
+    in blocks, so its state afterwards is not the one per-iteration draws
+    would leave. Joints come back wrapped (see run_steps)."""
     solver_id = SolverId(solver_id)
     target = np.asarray(target, dtype=float)
     if target.shape != (3,) or not np.all(np.isfinite(target)):

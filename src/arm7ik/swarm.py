@@ -42,96 +42,121 @@ class AfsaConfig:
     __post_init__ = check_settings
 
 
-def pso_velocity_update(v, x, pbest, gbest, w, c1, c2, r1, r2):
+DRAW_BLOCK = 32  # iterations of pso's and qpso's uniforms per draw
+
+
+def draw_blocks(rng, budget, shape):
+    """Each iteration's uniforms of shape `shape`, as (k, *shape) blocks of
+    up to DRAW_BLOCK iterations, never past budget.max_iterations: the
+    doubles of one rng.random(shape) call per iteration."""
+    cap = budget.max_iterations
+    for done in range(0, cap, DRAW_BLOCK):
+        yield rng.random((min(DRAW_BLOCK, cap - done), *shape))
+
+
+def pso_velocity_update(v, x, pull, w, coeffs):
     """v' = w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), elementwise, as a
-    new array, summed in that order."""
+    new array, summed in that order: `pull` holds pbest and gbest, and
+    `coeffs` c1*r1 and c2*r2, as the two rows of (2, ...) arrays."""
+    terms = np.subtract(pull, x)
+    terms *= coeffs
     out = w * v
-    term = c1 * r1
-    diff = np.subtract(pbest, x)
-    term *= diff
-    out += term
-    np.multiply(c2, r2, term)
-    np.subtract(gbest, x, diff)
-    term *= diff
-    out += term
+    out += terms[0]
+    out += terms[1]
     return out
 
 
 def pso_steps(model: KinematicModel, target, config, budget, rng):
     """Canonical gbest PSO with per-dimension random coefficients;
-    positions are wrapped back into the joint limits every step."""
+    positions are wrapped back into the joint limits every step. (r1, r2)
+    come in blocks (draw_blocks) scaled by (c1, c2); pbest and gbest, tiled,
+    are the two rows of one pull buffer."""
     n = config.num_particles
     evaluate = batch_evaluator(model, target, n)
     span = model.upper - model.lower
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
     v = rng.uniform(-span, span, size=(n, 7)) * 0.1
     values = evaluate(x)
-    pbest = x.copy()
+    pull = np.stack((x, x))
+    pbest = pull[0]
     pbest_values = values.copy()
-    g = int(np.argmin(values))
+    g = int(values.argmin())
     gbest, gbest_value = x[g].copy(), float(values[g])
+    pull[1] = gbest
     yield gbest, gbest_value
 
-    v_max = 0.5 * span
+    v_max = np.tile(0.5 * span, (n, 1))
     v_min = -v_max
-    while True:
-        r1, r2 = rng.random((2, n, 7))
-        v = pso_velocity_update(v, x, pbest, gbest, config.inertia,
-                                config.cognitive, config.social, r1, r2)
-        np.maximum(v, v_min, out=v)
-        np.minimum(v, v_max, out=v)
-        x = model.clip_to_limits(x + v)
-        values = evaluate(x)
-        keep_better(pbest, pbest_values, x, values)
-        g = int(pbest_values.argmin())
-        if pbest_values[g] < gbest_value:
-            gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
-        yield gbest, gbest_value
+    scale = np.array([config.cognitive, config.social])[:, None, None]
+    for block in draw_blocks(rng, budget, (2, n, 7)):
+        block *= scale
+        for coeffs in block:
+            v = pso_velocity_update(v, x, pull, config.inertia, coeffs)
+            np.maximum(v, v_min, out=v)
+            np.minimum(v, v_max, out=v)
+            x = model.clip_to_limits(x + v)
+            values = evaluate(x)
+            keep_better(pbest, pbest_values, x, values)
+            g = int(pbest_values.argmin())
+            if pbest_values[g] < gbest_value:
+                gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
+                pull[1] = gbest
+            yield gbest, gbest_value
 
 
-def qpso_attractor(pbest, gbest, phi):
+def qpso_attractor(pbest, gbest, phi, rest):
     """Per-dimension convex combination of pbest and gbest, phi*pbest +
-    (1 - phi)*gbest, for uniform draws phi shaped like pbest."""
-    return phi * pbest + (1.0 - phi) * gbest
+    (1 - phi)*gbest, for uniform draws phi shaped like pbest and rest =
+    1 - phi; rest is overwritten."""
+    out = phi * pbest
+    out += np.multiply(rest, gbest, rest)
+    return out
 
 
 def qpso_steps(model: KinematicModel, target, config, budget, rng):
     """Quantum-behaved PSO: no velocity state; each particle is resampled
     around an attractor with spread beta*|mbest - x|*ln(1/u), beta
     annealed linearly from beta_start to beta_end, on the side a fair
-    coin picks."""
+    coin picks. (phi, u, coin) come in blocks (draw_blocks), whose 1 - phi
+    and signed ln(1/u) take one call each; gbest is held tiled."""
     n = config.num_particles
     evaluate = batch_evaluator(model, target, n)
     x = rng.uniform(model.lower, model.upper, size=(n, 7))
     values = evaluate(x)
     pbest = x.copy()
     pbest_values = values.copy()
-    g = int(np.argmin(values))
+    g = int(values.argmin())
     gbest, gbest_value = x[g].copy(), float(values[g])
+    gbest_tile = np.tile(gbest, (n, 1))
     yield gbest, gbest_value
 
-    max_iter = budget.max_iterations
-    for it in range(max_iter):
-        frac = it / max(1, max_iter - 1)
-        beta = config.beta_start + frac * (config.beta_end - config.beta_start)
-        mbest = np.add.reduce(pbest, 0) / n  # pbest.mean(axis=0)
-        phi, u, coin = rng.random((3, n, 7))
-        # x = p + s*beta*|mbest - x|*ln(1/u) for the coin's sign s = +-1;
-        # the sign is applied last, which rounds the same.
-        np.subtract(mbest, x, x)
-        np.abs(x, x)
-        x *= beta
-        np.divide(1.0, u, u)
-        x *= np.log(u, u)
-        np.negative(x, x, where=coin >= 0.5)
-        x += qpso_attractor(pbest, gbest, phi)
-        x = model.clip_to_limits(x)
-        values = evaluate(x)
-        keep_better(pbest, pbest_values, x, values)
-        g = int(pbest_values.argmin())
-        if pbest_values[g] < gbest_value:
-            gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
-        yield gbest, gbest_value
+    last = max(1, budget.max_iterations - 1)
+    betas = iter([config.beta_start
+                  + it / last * (config.beta_end - config.beta_start)
+                  for it in range(budget.max_iterations)])
+    for block in draw_blocks(rng, budget, (3, n, 7)):
+        # x = p + s*beta*|mbest - x|*ln(1/u) for the coin's sign s = +-1:
+        # ln(1/u) takes the sign, which rounds the same.
+        phi, spread, coin = block.swapaxes(0, 1)
+        rest = 1.0 - phi
+        np.divide(1.0, spread, spread)
+        np.log(spread, spread)
+        np.negative(spread, spread, where=coin >= 0.5)
+        for phi_k, rest_k, spread_k in zip(phi, rest, spread):
+            mbest = np.add.reduce(pbest, 0) / n  # pbest.mean(axis=0)
+            np.subtract(mbest, x, x)
+            np.abs(x, x)
+            x *= next(betas)
+            x *= spread_k
+            x += qpso_attractor(pbest, gbest_tile, phi_k, rest_k)
+            x = model.clip_to_limits(x)
+            values = evaluate(x)
+            keep_better(pbest, pbest_values, x, values)
+            g = int(pbest_values.argmin())
+            if pbest_values[g] < gbest_value:
+                gbest, gbest_value = pbest[g].copy(), float(pbest_values[g])
+                gbest_tile[...] = gbest
+            yield gbest, gbest_value
 
 
 def afsa_prey_step(rng, visual_range):

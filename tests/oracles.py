@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from arm7ik import Budget, KinematicModel, run_solver
+from arm7ik import Budget, ConvergenceTrace, KinematicModel, run_solver
 from arm7ik.core import run_steps
 from arm7ik.evolution import de_donors, tournament_winners
 from arm7ik.heuristics import acceptance_probability, temperature_schedule
@@ -507,11 +507,33 @@ def reference_afsa_steps(model, target, config, rng):
         yield best_q, best_f
 
 
-def assert_solver_matches(algo, reference_steps, arm, config):
+def reference_average_traces(traces):
+    """core.average_traces as a loop over samples: each sample's best and
+    elapsed summed over the traces in order, a shorter trace holding its
+    last sample, then divided by the number of traces."""
+    traces = list(traces)
+    if not traces:
+        raise ValueError("cannot average an empty list of traces")
+    length = max(len(t) for t in traces)
+    out = ConvergenceTrace()
+    for i in range(length):
+        fit_sum = 0.0
+        time_sum = 0.0
+        for t in traces:
+            it, f, e = t.samples[min(i, len(t) - 1)]
+            fit_sum += f
+            time_sum += e
+        n = len(traces)
+        out.samples.append((i, fit_sum / n, time_sum / n))
+    return out
+
+
+def assert_solver_matches(algo, reference_steps, arm, config,
+                          max_iterations=60):
     """The solver and its numpy reference give the same joints, fitness
     and trace, bit for bit, on three FK targets of `arm` and one past its
-    workspace."""
-    budget = Budget(max_iterations=60)
+    workspace, under a budget of `max_iterations`."""
+    budget = Budget(max_iterations=max_iterations)
     rng = np.random.default_rng(37)
     for i, target in enumerate(solver_targets(arm, rng, 3)):
         got = run_solver(algo, arm, target, np.random.default_rng((i, 5)),

@@ -608,3 +608,71 @@ def test_training_on_a_non_finite_cell_is_a_config_error(capsys, tmp_path,
     assert "data row 5 (line 6)" in err
     assert out == ""
     assert not out_file.exists()
+
+
+class TestOutputPathsCheckedFirst:
+    """Each command refuses a bad output path before it does any work:
+    the work's entry point is replaced by None, which would raise if it
+    ran, and nothing is printed or written."""
+
+    def test_bench_out_naming_a_file(self, capsys, tmp_path, monkeypatch):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text("n_targets: 1\nalgorithms: [nr]\n")
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        monkeypatch.setattr("arm7ik.bench.run_benchmark", None)
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec),
+                                 "--out", str(taken))
+        assert code == EXIT_CONFIG
+        assert "is not a directory" in err and "Traceback" not in err
+        assert out == "" and taken.read_text() == "keep\n"
+
+    def test_solve_trace_naming_a_directory(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setattr("arm7ik.cli.run_solver", None)
+        code, out, err = run_cli(capsys, "solve", "--algo", "nr",
+                                 "--target", "0.5,0.5,1.0",
+                                 "--trace", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "--trace" in err and "is a directory" in err
+        assert out == ""
+        code, out, err = run_cli(capsys, "solve", "--algo", "nr",
+                                 "--target", "0.5,0.5,1.0",
+                                 "--trace", str(tmp_path / "no" / "t.csv"))
+        assert code == EXIT_MISSING_FILE and out == ""
+
+    def test_dataset_out_naming_a_directory(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setattr("arm7ik.ml.generate_dataset", None)
+        code, out, err = run_cli(capsys, "dataset", "--count", "10",
+                                 "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "is a directory" in err and out == ""
+        code, out, err = run_cli(capsys, "dataset", "--count", "10",
+                                 "--out", str(tmp_path / "no" / "d.csv"))
+        assert code == EXIT_MISSING_FILE and out == ""
+        assert not (tmp_path / "no").exists()
+
+    def test_report_out_naming_a_directory(self, capsys, tmp_path,
+                                           monkeypatch):
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("")
+        monkeypatch.setattr("arm7ik.bench.load_runs_jsonl", None)
+        code, out, err = run_cli(capsys, "report", "--runs", str(runs),
+                                 "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "is a directory" in err and out == ""
+
+    def test_sweep_out_in_a_missing_folder(self, capsys, tmp_path,
+                                           monkeypatch):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text("n_targets: 1\nalgorithms: [ga]\n")
+        monkeypatch.setattr("arm7ik.bench.sweep_parameter", None)
+        code, out, err = run_cli(capsys, "sweep", "--algo", "ga",
+                                 "--param", "population_size",
+                                 "--grid", "5,10", "--repeats", "1",
+                                 "--spec", str(spec),
+                                 "--out", str(tmp_path / "no" / "s.csv"))
+        assert code == EXIT_MISSING_FILE
+        assert "no" in err and out == ""
+        assert not (tmp_path / "no").exists()

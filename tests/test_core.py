@@ -6,6 +6,7 @@ import pytest
 from arm7ik import (Budget, ConvergenceTrace, KinematicModel, SolveResult,
                     SolverId, average_traces, end_effector_position)
 from arm7ik.registry import SOLVERS, make_budget, make_config
+import oracles
 
 
 def make_trace(values):
@@ -98,6 +99,35 @@ class TestAverageTraces:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             average_traces([])
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError):
+            average_traces([make_trace([1.0]), ConvergenceTrace()])
+
+    def test_takes_a_generator(self):
+        traces = [make_trace([4.0, 2.0]), make_trace([8.0])]
+        avg = average_traces(t for t in traces)
+        assert avg.samples == average_traces(traces).samples
+
+    @pytest.mark.parametrize("lengths", [(1, 2, 60, 303), (303, 1, 60, 2),
+                                         (60,)])
+    def test_equals_the_reference_loop_bit_for_bit(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        traces = []
+        for length in lengths:
+            t = ConvergenceTrace()
+            best, elapsed = (rng.random(2) * 10.0).tolist()
+            for i in range(length):
+                best *= float(rng.random())
+                elapsed += float(rng.random()) * 1e-3
+                t.record(i, best, elapsed)
+            traces.append(t)
+        got = average_traces(traces)
+        want = oracles.reference_average_traces(traces)
+        assert got.samples == want.samples
+        assert all(type(v) is type(w) for s, r in zip(got.samples,
+                                                      want.samples)
+                   for v, w in zip(s, r))
 
 
 class TestSolveResult:

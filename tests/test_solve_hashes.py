@@ -1,0 +1,49 @@
+"""tools/solve_hashes.py backs every claim that a change leaves solves bit
+for bit as they were, so a change that breaks its output format or its
+--compare mode fails here. It runs at tiny sizes: three targets, the four
+population solvers, no tree fit."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import arm7ik
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(arm7ik.__file__).resolve().parents[1])
+ALGOS = ("pso", "qpso", "ga", "de")
+
+
+def run_tool(*args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "solve_hashes.py"), *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_fingerprint_lines_and_compare_of_two_runs(tmp_path):
+    dumps = [tmp_path / "old.jsonl", tmp_path / "new.jsonl"]
+    runs = [run_tool("3", "300", "--algos", ",".join(ALGOS), "--dump",
+                     str(dump)) for dump in dumps]
+    assert runs[0] == runs[1]
+    lines = runs[0]
+    assert re.fullmatch(r"numpy \S+ simd_found=\S*", lines[0])
+    solver_lines = [line for line in lines
+                    if line.split(" ", 1)[0] in ALGOS]
+    assert [line.split(" ", 1)[0] for line in solver_lines] == list(ALGOS)
+    for line in solver_lines:
+        assert re.fullmatch(r"\w+ [0-9a-f]{64} success=\d+/3 "
+                            r"mean_iterations=\d+\.\d\d "
+                            r"median_fitness_mm=\S+", line), line
+    assert re.fullmatch(r"all [0-9a-f]{64}", lines[-1])
+
+    compared = run_tool("--compare", *map(str, dumps))
+    assert [line.split(" ", 1)[0] for line in compared] == list(ALGOS)
+    for line in compared:
+        fields = dict(f.split("=") for f in line.split()[1:])
+        assert fields["solves"] == "3"
+        for name in ("iterations", "converged", "fitness", "joints"):
+            assert fields[f"{name}_changed"] == "0", line

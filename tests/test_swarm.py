@@ -15,23 +15,32 @@ class TestPsoVelocityUpdate:
     def test_ballistic_motion_with_zero_attraction(self, rng):
         v = rng.normal(size=(5, 7))
         x = rng.normal(size=(5, 7))
-        out = pso_velocity_update(v, x, x + 1, x - 1, 1.0, 0.0, 0.0,
-                                  rng.random((5, 7)), rng.random((5, 7)))
+        out = pso_velocity_update(v, x, np.stack((x + 1, x - 1)), 1.0,
+                                  np.zeros((2, 5, 7)))
         assert np.array_equal(out, v)
 
     def test_reduces_to_inertia_term_at_the_best_point(self, rng):
         v = rng.normal(size=7)
         x = rng.normal(size=7)
-        out = pso_velocity_update(v, x, x, x, 0.7, 1.5, 1.5,
-                                  rng.random(7), rng.random(7))
+        out = pso_velocity_update(v, x, np.stack((x, x)), 0.7,
+                                  1.5 * rng.random((2, 7)))
         assert np.allclose(out, 0.7 * v, atol=1e-15)
 
     def test_matches_direct_formula(self, rng):
         v, x, pb, gb = rng.normal(size=(4, 7))
         r1, r2 = rng.random((2, 7))
         expected = 0.5 * v + 1.2 * r1 * (pb - x) + 1.8 * r2 * (gb - x)
-        out = pso_velocity_update(v, x, pb, gb, 0.5, 1.2, 1.8, r1, r2)
-        assert np.allclose(out, expected, atol=1e-15)
+        out = pso_velocity_update(v, x, np.stack((pb, gb)), 0.5,
+                                  np.stack((1.2 * r1, 1.8 * r2)))
+        assert np.array_equal(out, expected)
+
+    def test_leaves_its_inputs_alone(self, rng):
+        v, x = rng.normal(size=(2, 5, 7))
+        pull, coeffs = rng.normal(size=(2, 2, 5, 7))
+        before = [a.copy() for a in (v, x, pull, coeffs)]
+        pso_velocity_update(v, x, pull, 0.7, coeffs)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip((v, x, pull, coeffs), before))
 
 
 class TestPsoSolver:
@@ -64,6 +73,16 @@ class TestPsoSolver:
             "pso", oracles.reference_pso_steps,
             oracles.POPULATION_ARMS[arm_name], PsoConfig())
 
+    # Uniforms are drawn DRAW_BLOCK (32) iterations at a time, never past
+    # the cap: budgets at and around the block's edges.
+    @pytest.mark.parametrize("max_iterations", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("arm_name", sorted(oracles.POPULATION_ARMS))
+    def test_pso_matches_reference_across_draw_blocks(self, arm_name,
+                                                      max_iterations):
+        oracles.assert_solver_matches(
+            "pso", oracles.reference_pso_steps,
+            oracles.POPULATION_ARMS[arm_name], PsoConfig(), max_iterations)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PsoConfig(num_particles=0)
@@ -75,19 +94,28 @@ class TestQpso:
     def test_attractor_of_equal_bests_is_that_point(self, rng):
         p = rng.normal(size=(6, 7))
         phi = np.random.default_rng(0).random(p.shape)
-        out = qpso_attractor(p, p[0], phi)
+        out = qpso_attractor(p, p[0], phi, 1.0 - phi)
         # With pbest == gbest per dimension the convex combination is
         # the point itself wherever they coincide.
-        same = qpso_attractor(p[0][None, :].repeat(6, axis=0), p[0], phi)
+        same = qpso_attractor(p[0][None, :].repeat(6, axis=0), p[0], phi,
+                              1.0 - phi)
         assert np.allclose(same, p[0], atol=1e-15)
         assert out.shape == p.shape
 
     def test_attractor_lies_between_the_bests(self, rng):
         pbest = np.zeros((4, 7))
         gbest = np.ones(7)
-        out = qpso_attractor(pbest, gbest, rng.random(pbest.shape))
+        phi = rng.random(pbest.shape)
+        out = qpso_attractor(pbest, gbest, phi, 1.0 - phi)
         assert np.all(out >= 0.0)
         assert np.all(out <= 1.0)
+
+    def test_attractor_matches_direct_formula(self, rng):
+        pbest = rng.normal(size=(4, 7))
+        gbest = np.tile(rng.normal(size=7), (4, 1))
+        phi = rng.random(pbest.shape)
+        out = qpso_attractor(pbest, gbest, phi, 1.0 - phi)
+        assert np.array_equal(out, phi * pbest + (1.0 - phi) * gbest)
 
     def test_round_trip_target(self, model, rng):
         target = end_effector_position(model,
@@ -117,6 +145,16 @@ class TestQpso:
         oracles.assert_solver_matches(
             "qpso", oracles.reference_qpso_steps,
             oracles.POPULATION_ARMS[arm_name], QpsoConfig())
+
+    # Uniforms are drawn DRAW_BLOCK (32) iterations at a time, never past
+    # the cap: budgets at and around the block's edges.
+    @pytest.mark.parametrize("max_iterations", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("arm_name", sorted(oracles.POPULATION_ARMS))
+    def test_qpso_matches_reference_across_draw_blocks(self, arm_name,
+                                                       max_iterations):
+        oracles.assert_solver_matches(
+            "qpso", oracles.reference_qpso_steps,
+            oracles.POPULATION_ARMS[arm_name], QpsoConfig(), max_iterations)
 
     def test_single_particle_rejected(self, model):
         with pytest.raises(ValueError):
