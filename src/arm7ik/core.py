@@ -8,7 +8,6 @@ import math
 import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import accumulate, chain
 from sys import float_info
 
 import numpy as np
@@ -118,21 +117,19 @@ def average_traces(traces) -> ConvergenceTrace:
     holding their final value (a converged run's best stays put).
     """
     traces = list(traces)
-    lengths = [len(t) for t in traces]
-    if not lengths or 0 in lengths:
-        raise ValueError("cannot average an empty list of traces or an "
-                         "empty trace")
-    # Every sample's (iteration, best, elapsed), trace after trace; then
-    # (trace, sample, (best, elapsed)), summed over the traces in order.
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(
-        t.samples for t in traces)), float, 3 * sum(lengths)).reshape(-1, 3)
-    grid = np.empty((len(lengths), max(lengths), 2))
-    for rows, m, end in zip(grid, lengths, accumulate(lengths)):
-        rows[:m] = flat[end - m:end, 1:]
-        rows[m:] = flat[end - 1, 1:]
-    means = np.add.reduce(grid, 0) / len(lengths)
+    if not traces:
+        raise ValueError("cannot average an empty list of traces")
+    length = max(len(t) for t in traces)
     out = ConvergenceTrace()
-    out.samples = [(i, f, e) for i, (f, e) in enumerate(means.tolist())]
+    for i in range(length):
+        fit_sum = 0.0
+        time_sum = 0.0
+        for t in traces:
+            it, f, e = t.samples[min(i, len(t) - 1)]
+            fit_sum += f
+            time_sum += e
+        n = len(traces)
+        out.samples.append((i, fit_sum / n, time_sum / n))
     return out
 
 
@@ -182,24 +179,20 @@ def run_steps(steps, budget: Budget) -> SolveResult:
     its joints wrapped (a joint in (-pi, pi] keeps every bit); a generator
     must not change an array it has yielded.
     """
-    clock = time.perf_counter
-    start = clock()
+    start = time.perf_counter()
     trace = ConvergenceTrace()
-    record = trace.samples.append
-    tolerance, cap = budget.tolerance, budget.max_iterations
-    limit = budget.wall_clock_limit
     for it, (joints, best) in enumerate(steps):
-        elapsed = clock() - start
-        record((it, best, elapsed))
-        if best < tolerance or it >= cap:
+        elapsed = time.perf_counter() - start
+        trace.record(it, best, elapsed)
+        if best < budget.tolerance or it >= budget.max_iterations:
             break
-        if it and limit and elapsed > limit:
+        if it and budget.wall_clock_limit and elapsed > budget.wall_clock_limit:
             break
     return SolveResult(
         joints=wrap_angle(joints),
         final_fitness=best,
         iterations_used=it,
-        elapsed=clock() - start,
-        converged=best < tolerance,
+        elapsed=time.perf_counter() - start,
+        converged=best < budget.tolerance,
         trace=trace,
     )

@@ -216,17 +216,16 @@ def joint_frames(model: KinematicModel, q):
 # differs from joint 7's rule applied to the origin at most in the sign of
 # a coordinate that is exactly 0, which no distance sees. A batch's buffers
 # are bound once per batch size (_batch_pass), so a population solver pays
-# only for the arithmetic on each call (batch_evaluator). The evaluator
-# also holds the tool point and the target tiled to the batch's shape: a
-# ufunc whose operand broadcasts along the rows of a (20, 3) array costs
-# two to three times one on two full arrays, for the same bits. A large
-# batch (the dataset, FK playback) starts from the (3,) point instead and
-# saves the 24 bytes a row its tile would take. numpy's complex product
-# rounds differently from the float products, so a batch row and the same
-# pose alone can differ in the last bit. Two things would change how a
-# batch rounds: swapped operands (the state comes first) and an in-place
-# product over a single row, which rounds like the float products; so a
-# batch of one pose still runs with a second row.
+# only for the arithmetic on each call (batch_evaluator). The pass holds
+# the tool point, and the evaluator the target, tiled to the batch's
+# shape: a ufunc whose operand broadcasts along the rows of a (20, 3)
+# array costs two to three times one on two full arrays, for the same
+# bits. numpy's complex product rounds differently from the float
+# products, so a batch row and the same pose alone can differ in the last
+# bit. Two things would change how a batch rounds: swapped operands (the
+# state comes first) and an in-place product over a single row, which
+# rounds like the float products; so a batch of one pose still runs with
+# a second row.
 
 def _horner(model, turns, first=0, joint=6, point=(0.0, 0.0, 0.0),
             partials=None):
@@ -374,15 +373,15 @@ def end_effector_position(model: KinematicModel, q):
     return np.array(tool_point(model, q))
 
 
-def _batch_pass(model: KinematicModel, n, tiled=False):
+def _batch_pass(model: KinematicModel, n):
     """Horner's rule over batches of n poses (see the kernel comment above
     _horner) with its buffers bound once, as (run, p): run(qs) writes the
     tool points of an (n, 7) array into the first n rows of the
     (max(n, 2), 3) buffer p, over what the last call left there. Joint 7
     turns about the tool axis and moves no point, so the pass starts from
-    its tool point, the same for every pose, and reads joints 1-6 only.
-    With `tiled`, that point is held at p's shape, so the copy that starts
-    each call does not broadcast."""
+    its tool point, the same for every pose, held at p's shape so that the
+    copy that starts each call does not broadcast, and reads joints 1-6
+    only."""
     rows = max(n, 2)  # one row would round like the float products
     trig = np.zeros((6, rows, 2))
     cos, sin = trig[:, :n, 0], trig[:, :n, 1]
@@ -401,7 +400,7 @@ def _batch_pass(model: KinematicModel, n, tiled=False):
             steps.append((np.add, z, np.array(d)))
         if (c, s) != (1.0, 0.0):
             steps.append((np.multiply, yz, np.array(complex(c, s))))
-    tip = np.tile(model._tip, (rows, 1) if tiled else 1)
+    tip = np.tile(model._tip, (rows, 1))
 
     def run(qs):
         theta = qs[:, :6].T
@@ -464,7 +463,7 @@ def batch_evaluator(model: KinematicModel, target, n):
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
         raise ValueError(f"target must have shape (3,), got {target.shape}")
-    run, p = _batch_pass(model, n, tiled=True)
+    run, p = _batch_pass(model, n)
     head = p[:n]
     target = np.tile(target, (n, 1))
     x, y, z = head.T

@@ -43,15 +43,19 @@ class AfsaConfig:
 
 
 DRAW_BLOCK = 32  # iterations of pso's and qpso's uniforms per draw
+DRAW_DOUBLES = 1 << 14  # and doubles per draw (128 KB), unless one
+                        # iteration takes more
 
 
 def draw_blocks(rng, budget, shape):
     """Each iteration's uniforms of shape `shape`, as (k, *shape) blocks of
-    up to DRAW_BLOCK iterations, never past budget.max_iterations: the
-    doubles of one rng.random(shape) call per iteration."""
+    up to DRAW_BLOCK iterations and DRAW_DOUBLES doubles (at least one
+    iteration), never past budget.max_iterations: the doubles of one
+    rng.random(shape) call per iteration."""
     cap = budget.max_iterations
-    for done in range(0, cap, DRAW_BLOCK):
-        yield rng.random((min(DRAW_BLOCK, cap - done), *shape))
+    k = max(1, min(DRAW_BLOCK, DRAW_DOUBLES // math.prod(shape)))
+    for done in range(0, cap, k):
+        yield rng.random((min(k, cap - done), *shape))
 
 
 def pso_velocity_update(v, x, pull, w, coeffs):

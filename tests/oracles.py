@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from arm7ik import Budget, ConvergenceTrace, KinematicModel, run_solver
+from arm7ik import Budget, KinematicModel, run_solver
 from arm7ik.core import run_steps
 from arm7ik.evolution import de_donors, tournament_winners
 from arm7ik.heuristics import acceptance_probability, temperature_schedule
@@ -505,27 +505,6 @@ def reference_afsa_steps(model, target, config, rng):
             if f < best_f:
                 best_q, best_f = x.copy(), float(f)
         yield best_q, best_f
-
-
-def reference_average_traces(traces):
-    """core.average_traces as a loop over samples: each sample's best and
-    elapsed summed over the traces in order, a shorter trace holding its
-    last sample, then divided by the number of traces."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("cannot average an empty list of traces")
-    length = max(len(t) for t in traces)
-    out = ConvergenceTrace()
-    for i in range(length):
-        fit_sum = 0.0
-        time_sum = 0.0
-        for t in traces:
-            it, f, e = t.samples[min(i, len(t) - 1)]
-            fit_sum += f
-            time_sum += e
-        n = len(traces)
-        out.samples.append((i, fit_sum / n, time_sum / n))
-    return out
 
 
 def assert_solver_matches(algo, reference_steps, arm, config,

@@ -7,8 +7,38 @@ from hypothesis import given, strategies as st
 from arm7ik import (AfsaConfig, Budget, PsoConfig, QpsoConfig,
                     end_effector_position, run_solver)
 from arm7ik.core import run_steps
-from arm7ik.swarm import afsa_prey_step, pso_velocity_update, qpso_attractor
+from arm7ik.swarm import (DRAW_BLOCK, DRAW_DOUBLES, afsa_prey_step,
+                          draw_blocks, pso_velocity_update, qpso_attractor)
 import oracles
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("shape, cap", [((2, 20, 7), 65),
+                                            ((3, 20, 7), 1),
+                                            ((2, 300, 7), 10),
+                                            ((3, 2000, 7), 3)])
+    def test_same_doubles_as_one_draw_per_iteration(self, shape, cap):
+        blocks = list(draw_blocks(np.random.default_rng(9),
+                                  Budget(max_iterations=cap), shape))
+        rng = np.random.default_rng(9)
+        want = [rng.random(shape) for _ in range(cap)]
+        assert np.array_equal(np.concatenate(blocks), want)
+        assert rng.random() == np.random.default_rng(9).random(
+            cap * math.prod(shape) + 1)[-1]
+
+    @pytest.mark.parametrize("shape", [(2, 20, 7), (3, 20, 7),
+                                       (2, 300, 7), (3, 2000, 7)])
+    def test_blocks_are_bounded_in_iterations_and_doubles(self, shape):
+        per_iteration = math.prod(shape)
+        for block in draw_blocks(np.random.default_rng(0),
+                                 Budget(max_iterations=70), shape):
+            assert 1 <= len(block) <= DRAW_BLOCK
+            assert len(block) == 1 or block.size <= DRAW_DOUBLES
+        # The default populations still draw a full block.
+        if shape[1] == 20:
+            assert next(draw_blocks(np.random.default_rng(0),
+                                    Budget(max_iterations=70),
+                                    shape)).shape[0] == DRAW_BLOCK
 
 
 class TestPsoVelocityUpdate:
@@ -83,6 +113,12 @@ class TestPsoSolver:
             "pso", oracles.reference_pso_steps,
             oracles.POPULATION_ARMS[arm_name], PsoConfig(), max_iterations)
 
+    # 300 particles draw 3 iterations per block (DRAW_DOUBLES).
+    def test_pso_matches_reference_in_smaller_blocks(self):
+        oracles.assert_solver_matches(
+            "pso", oracles.reference_pso_steps, oracles.POPULATION_ARMS["wide"],
+            PsoConfig(num_particles=300), 10)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PsoConfig(num_particles=0)
@@ -155,6 +191,12 @@ class TestQpso:
         oracles.assert_solver_matches(
             "qpso", oracles.reference_qpso_steps,
             oracles.POPULATION_ARMS[arm_name], QpsoConfig(), max_iterations)
+
+    # 300 particles draw 2 iterations per block (DRAW_DOUBLES).
+    def test_qpso_matches_reference_in_smaller_blocks(self):
+        oracles.assert_solver_matches(
+            "qpso", oracles.reference_qpso_steps,
+            oracles.POPULATION_ARMS["wide"], QpsoConfig(num_particles=300), 10)
 
     def test_single_particle_rejected(self, model):
         with pytest.raises(ValueError):
