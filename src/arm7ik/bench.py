@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import BenchmarkSpec
 from .core import ConvergenceTrace, SolverId, average_traces
-from .kinematics import KinematicModel, sample_workspace
+from .kinematics import KinematicModel, sample_workspace_batch
 from .registry import make_budget, make_config, run_solver
 
 
@@ -56,12 +56,11 @@ class SweepResult:
 
 
 def generate_target_batch(model: KinematicModel, spec: BenchmarkSpec):
-    """The shared target list: n_targets workspace samples drawn from the
-    master seed. Every algorithm sees this identical list."""
+    """The shared target batch: n_targets workspace samples drawn from the
+    master seed, shape (n_targets, 3). Every algorithm sees this batch."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.master_seed))
-    sphere = model.workspace
-    return [sample_workspace(sphere, rng, spec.sampler)
-            for _ in range(spec.n_targets)]
+    return sample_workspace_batch(model.workspace, rng, spec.n_targets,
+                                  spec.sampler)
 
 
 def batch_hash(targets):

@@ -20,7 +20,7 @@ from . import bench as bench_mod
 from . import ml
 from .config import ConfigError, default_model, load_benchmark_spec, load_robot
 from .core import SolverId
-from .kinematics import (end_effector_position, sample_workspace)
+from .kinematics import end_effector_position, sample_workspace_batch
 from .registry import make_budget, make_config, run_solver
 
 EXIT_OK = 0
@@ -102,9 +102,8 @@ def cmd_sample(args):
         raise ConfigError("--count must be >= 1")
     model = _model_from_args(args)
     rng = np.random.default_rng(args.seed)
-    sphere = model.workspace
-    for _ in range(args.count):
-        p = sample_workspace(sphere, rng, args.sampler)
+    for p in sample_workspace_batch(model.workspace, rng, args.count,
+                                    args.sampler):
         print(",".join(repr(float(v)) for v in p))
     return EXIT_OK
 
@@ -306,7 +305,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except IsADirectoryError as exc:
+        print(f"error: {exc.filename} is a directory", file=sys.stderr)
+        return EXIT_CONFIG
+    except (FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except (ConfigError, ValueError) as exc:

@@ -75,7 +75,7 @@ def ga_steps(model: KinematicModel, target, config, budget, rng):
     """
     n = config.population_size
     evaluate = batch_evaluator(model, target, n)
-    pop = rng.uniform(model.lower, model.upper, size=(n, 7))
+    pop = model.random_joints(rng, n)
     values = evaluate(pop)
     yield population_best(pop, values)
 
@@ -117,7 +117,7 @@ def de_steps(model: KinematicModel, target, config, budget, rng):
     selection."""
     n = config.population_size
     evaluate = batch_evaluator(model, target, n)
-    pop = rng.uniform(model.lower, model.upper, size=(n, 7))
+    pop = model.random_joints(rng, n)
     values = evaluate(pop)
     yield population_best(pop, values)
 

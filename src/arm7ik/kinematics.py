@@ -6,6 +6,7 @@ numpy arrays of shape (7,).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,9 +139,12 @@ class KinematicModel:
             np.minimum(q, self.upper, out=q)
         return q
 
-    def random_joints(self, rng):
-        """Uniform joint vector within the limits."""
-        return rng.uniform(self.lower, self.upper)
+    def random_joints(self, rng, n=None):
+        """Uniform joint vector within the limits, or an (n, 7) stack of
+        them."""
+        if n is None:
+            return rng.uniform(self.lower, self.upper)
+        return rng.uniform(self.lower, self.upper, (n, 7))
 
 
 def dh_transform(row: DhRow, theta: float, convention: str = "standard"):
@@ -499,44 +503,31 @@ def finite_difference_jacobian(model: KinematicModel, q, step=1e-6):
 
 
 def sample_workspace(sphere: WorkspaceSphere, rng, law="ball"):
-    """One random target inside the workspace sphere.
-
-    law="ball" draws uniformly over the ball volume (r = R*u^(1/3));
-    law="paper" uses the disk-style square-root radius law instead, kept
-    for exact-reproduction runs.
-    """
-    u = rng.random()
-    if law == "ball":
-        r = sphere.r * u ** (1.0 / 3.0)
-    elif law == "paper":
-        r = sphere.r * math.sqrt(u)
-    else:
-        raise ValueError(f"unknown sampling law: {law!r}")
-    # Uniform direction from two angles.
-    phi = rng.uniform(0.0, TWO_PI)
-    cos_t = rng.uniform(-1.0, 1.0)
-    sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-    return np.array([r * sin_t * math.cos(phi),
-                     r * sin_t * math.sin(phi),
-                     sphere.h + r * cos_t])
+    """One random target inside the workspace sphere: the one-row
+    sample_workspace_batch."""
+    return sample_workspace_batch(sphere, rng, 1, law)[0]
 
 
 def sample_workspace_batch(sphere: WorkspaceSphere, rng, count, law="ball"):
-    """Stack of `count` workspace samples, shape (count, 3).
+    """`count` random targets inside the workspace sphere, shape (count, 3).
 
-    Drawn vectorised from the same random stream as `count` repeated
-    sample_workspace calls: row i reads the three uniforms call i reads.
-    Under law="paper" every row equals that call's bit for bit; under
-    law="ball" numpy's power can round the cube root one ulp apart from
-    Python's, so rows agree to about 1e-16.
+    Each row reads three uniforms in turn: the radius's, the azimuth's
+    (2*pi*u) and the polar cosine's (2*u - 1), so row i is the i-th of
+    `count` one-row draws. law="ball" draws uniformly over the ball volume
+    (r = R*u^(1/3)), its cube root taken per row by math.pow, the libm
+    call, since numpy's power rounds by its SIMD dispatch; law="paper"
+    uses the disk-style square-root radius law instead, kept for
+    exact-reproduction runs.
     """
     draws = rng.random((count, 3))
     if law == "ball":
-        r = sphere.r * draws[:, 0] ** (1.0 / 3.0)
+        r = np.fromiter(map(math.pow, draws[:, 0].tolist(),
+                            itertools.repeat(1.0 / 3.0)), float, count)
     elif law == "paper":
-        r = sphere.r * np.sqrt(draws[:, 0])
+        r = np.sqrt(draws[:, 0])
     else:
         raise ValueError(f"unknown sampling law: {law!r}")
+    r *= sphere.r
     phi = TWO_PI * draws[:, 1]
     cos_t = 2.0 * draws[:, 2] - 1.0
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t ** 2))

@@ -89,7 +89,7 @@ def generate_dataset(model: KinematicModel, count, noise_amplitude=0.1,
     meta = {"count": int(count), "noise_amplitude": float(noise_amplitude),
             "seed": seed, "fallback_random": False}
     if count < 2 ** 7:
-        joints = rng.uniform(model.lower, model.upper, size=(count, 7))
+        joints = model.random_joints(rng, count)
         meta["fallback_random"] = True
         meta["grid_per_axis"] = None
     else:

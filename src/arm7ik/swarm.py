@@ -78,7 +78,7 @@ def pso_steps(model: KinematicModel, target, config, budget, rng):
     n = config.num_particles
     evaluate = batch_evaluator(model, target, n)
     span = model.upper - model.lower
-    x = rng.uniform(model.lower, model.upper, size=(n, 7))
+    x = model.random_joints(rng, n)
     v = rng.uniform(-span, span, size=(n, 7)) * 0.1
     values = evaluate(x)
     pull = np.stack((x, x))
@@ -125,7 +125,7 @@ def qpso_steps(model: KinematicModel, target, config, budget, rng):
     and signed ln(1/u) take one call each; gbest is held tiled."""
     n = config.num_particles
     evaluate = batch_evaluator(model, target, n)
-    x = rng.uniform(model.lower, model.upper, size=(n, 7))
+    x = model.random_joints(rng, n)
     values = evaluate(x)
     pbest = x.copy()
     pbest_values = values.copy()
@@ -191,7 +191,7 @@ def afsa_steps(model: KinematicModel, target, config, budget, rng):
     # of seven floats, with their fitness values; swarm and follow moves,
     # which only a population above 1 makes, read it as arrays.
     n = config.population_size
-    fish = rng.uniform(model.lower, model.upper, size=(n, 7))
+    fish = model.random_joints(rng, n)
     values = batch_fitness(model, fish, target)
     g = int(np.argmin(values))
     best_q, best_f = fish[g].copy(), float(values[g])

@@ -48,6 +48,19 @@ def solver_targets(arm, rng, count):
     return targets + [np.array([0.0, 0.0, sphere.h + sphere.r + 0.5])]
 
 
+def reference_workspace_sample(sphere, rng, law="ball"):
+    """One workspace target from three scalar draws in Python floats: the
+    radius R*u^(1/3) (ball) or R*sqrt(u) (paper), then the azimuth and the
+    polar cosine."""
+    u = rng.random()
+    r = sphere.r * (u ** (1.0 / 3.0) if law == "ball" else math.sqrt(u))
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    cos_t = rng.uniform(-1.0, 1.0)
+    sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
+    return [r * sin_t * math.cos(phi), r * sin_t * math.sin(phi),
+            sphere.h + r * cos_t]
+
+
 def rot_z(theta):
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s, 0, 0],

@@ -676,3 +676,46 @@ class TestOutputPathsCheckedFirst:
         assert code == EXIT_MISSING_FILE
         assert "no" in err and out == ""
         assert not (tmp_path / "no").exists()
+
+
+# Each input flag, with a command that reads it first; "{tmp}" is the
+# test's folder.
+INPUT_FLAGS = {
+    "--config": ["fk", "--joints", "0,0,0,0,0,0,0"],
+    "--spec": ["bench", "--out", "{tmp}/bench"],
+    "--tree": ["solve", "--algo", "dtnr", "--target", "0.4,0.3,1.2"],
+    "--data": ["train", "--model", "tree", "--out", "{tmp}/t.json"],
+    "--model-file": ["evaluate", "--data", "{tmp}/d.csv"],
+    "--runs": ["report", "--out", "{tmp}/r.csv"],
+}
+
+
+class TestInputPaths:
+    """An input path that names a directory is a config error (exit 3)
+    and one that runs through a regular file is a missing file (exit 4),
+    each told in one `error:` line, not a traceback."""
+
+    @staticmethod
+    def run_flag(capsys, tmp_path, flag, path):
+        argv = [a.format(tmp=tmp_path) for a in INPUT_FLAGS[flag]]
+        return run_cli(capsys, *argv, flag, str(path))
+
+    @pytest.mark.parametrize("flag", list(INPUT_FLAGS))
+    def test_directory_is_a_config_error(self, capsys, tmp_path, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        code, out, err = self.run_flag(capsys, tmp_path, flag, folder)
+        assert code == EXIT_CONFIG
+        assert err == f"error: {folder} is a directory\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", list(INPUT_FLAGS))
+    def test_path_through_a_file_is_a_missing_file(self, capsys, tmp_path,
+                                                   flag):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x\n")
+        inner = plain / "inner.yaml"
+        code, out, err = self.run_flag(capsys, tmp_path, flag, inner)
+        assert code == EXIT_MISSING_FILE
+        assert err.startswith(f"error: missing file: {inner}")
+        assert err.count("\n") == 1 and out == ""

@@ -98,3 +98,31 @@ class TestDtnrSolver:
         result = run_solver("dtnr", model, target, None, tree=tree)
         assert not result.converged
         assert result.final_fitness >= 1.0 - 1e-9
+
+
+def test_final_fitness_cannot_beat_the_shoulder_sphere():
+    # At refine_joint_count=3 dtnr moves only joints 1-3, which all turn
+    # about one point s, the origin of joint 2's axis: (0, 0, d1) under
+    # the standard convention, (0, d1, ~0) under the modified one. With
+    # joints 4-7 at the tree seed the tool point stays on the sphere of
+    # radius |p(seed) - s| about s, so no solve gets closer to the target
+    # t than | |t - s| - |p(seed) - s| |. Only this lower bound is a
+    # property: the gap above it is what the Newton loop has not closed.
+    from arm7ik import (KinematicModel, end_effector_position, joint_axes,
+                        tool_point)
+    rng = np.random.default_rng(11)
+    config = DtnrConfig(refine_joint_count=3)
+    for i in range(12):
+        lengths = tuple(10.0 ** rng.uniform(-2.0, 2.0, 4))
+        model = KinematicModel(lengths=lengths,
+                               convention=("standard", "modified")[i % 2])
+        tree = fit_tree(generate_dataset(model, 3000,
+                                         rng=np.random.default_rng(i)))
+        s = np.array(joint_axes(model, np.zeros(7))[2][1])
+        for _ in range(40):
+            t = end_effector_position(model, model.random_joints(rng))
+            p = np.array(tool_point(model, tree.predict(t)))
+            reach, radius = np.linalg.norm(t - s), np.linalg.norm(p - s)
+            result = run_solver("dtnr", model, t, None, config, tree=tree)
+            gap = result.final_fitness - abs(reach - radius)
+            assert gap / (1.0 + reach + radius) >= -1e-12

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import arm7ik
 from arm7ik import (DhRow, KinematicModel, WorkspaceSphere,
                     batch_end_effector_positions, batch_fitness, dh_transform,
                     end_effector_position, finite_difference_jacobian, fitness,
@@ -16,6 +21,21 @@ from arm7ik.kinematics import (BASE_FRAME, batch_evaluator, frame_pass,
 import oracles
 
 NONUNIT = (0.36, 0.42, 0.4, 0.126)
+# A SHA-256 over 20,000 workspace rows per law on the unit arm, and one
+# campaign batch's target_batch_sha256, as `line`.
+SAMPLER_FINGERPRINT = """
+import hashlib
+import numpy as np
+from arm7ik import KinematicModel, sample_workspace_batch
+from arm7ik.bench import BenchmarkSpec, batch_hash, generate_target_batch
+model = KinematicModel()
+digest = hashlib.sha256()
+for law in ("ball", "paper"):
+    digest.update(sample_workspace_batch(
+        model.workspace, np.random.default_rng(5), 20_000, law).tobytes())
+spec = BenchmarkSpec(n_targets=200, master_seed=101)
+line = f"{digest.hexdigest()} {batch_hash(generate_target_batch(model, spec))}"
+"""
 
 
 class TestWrapAngle:
@@ -556,25 +576,42 @@ class TestSampler:
     @pytest.mark.parametrize("lengths", [(1.0, 1.0, 1.0, 1.0), NONUNIT])
     def test_batch_reads_the_stream_of_repeated_single_calls(self, lengths):
         # Row i is built from the three uniforms the i-th single call
-        # reads. Under the paper law the rows are bit-equal; under the
-        # ball law numpy's power and Python's u ** (1/3) may round the
-        # radius one ulp apart, and nothing else differs.
+        # reads, with the same rounding: under both laws the rows equal
+        # repeated sample_workspace calls and the scalar reference byte
+        # for byte, and the streams end at the same place.
         sphere = KinematicModel(lengths=lengths).workspace
-        eps = np.finfo(float).eps * (sphere.h + sphere.r)
         for seed in range(3):
             for law in ("paper", "ball"):
-                rng_batch = np.random.default_rng(seed)
-                rng_single = np.random.default_rng(seed)
-                batch = sample_workspace_batch(sphere, rng_batch, 2000, law)
-                single = np.array([sample_workspace(sphere, rng_single, law)
+                rngs = [np.random.default_rng(seed) for _ in range(3)]
+                batch = sample_workspace_batch(sphere, rngs[0], 2000, law)
+                single = np.array([sample_workspace(sphere, rngs[1], law)
                                    for _ in range(2000)])
-                assert rng_batch.random() == rng_single.random()
-                if law == "paper":
-                    assert np.array_equal(batch, single)
-                else:
-                    assert np.abs(batch - single).max() <= 2 * eps
-                    same = np.all(batch == single, axis=1)
-                    assert same.mean() > 0.8
+                reference = np.array([
+                    oracles.reference_workspace_sample(sphere, rngs[2], law)
+                    for _ in range(2000)])
+                assert batch.tobytes() == single.tobytes()
+                assert batch.tobytes() == reference.tobytes()
+                assert len({rng.random() for rng in rngs}) == 1
+
+    def test_bits_do_not_depend_on_numpy_dispatch(self):
+        # numpy picks some kernels by the SIMD extensions it finds on the
+        # CPU; with all of them disabled it runs its baseline kernels, and
+        # the sampler's bits must not move.
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+        found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+        if not found:
+            pytest.skip("numpy found no SIMD extension above its baseline")
+        here = {}
+        exec(SAMPLER_FINGERPRINT, here)
+        src = str(Path(arm7ik.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", SAMPLER_FINGERPRINT + "print(line)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src,
+                 "NPY_DISABLE_CPU_FEATURES": " ".join(found)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == here["line"]
 
     def test_unknown_law_raises(self, model, rng):
         with pytest.raises(ValueError):

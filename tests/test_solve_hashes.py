@@ -31,6 +31,11 @@ def test_fingerprint_lines_and_compare_of_two_runs(tmp_path):
     assert runs[0] == runs[1]
     lines = runs[0]
     assert re.fullmatch(r"numpy \S+ simd_found=\S*", lines[0])
+    sampler_lines = [line for line in lines if line.startswith("sampler[")]
+    assert [line.split(" ", 1)[0] for line in sampler_lines] == [
+        "sampler[ball]", "sampler[paper]"]
+    for line in sampler_lines:
+        assert re.fullmatch(r"\S+ [0-9a-f]{64}", line), line
     solver_lines = [line for line in lines
                     if line.split(" ", 1)[0] in ALGOS]
     assert [line.split(" ", 1)[0] for line in solver_lines] == list(ALGOS)

@@ -49,6 +49,15 @@ hash files made before it. Each float is hashed as `==` compares it, so
 -0.0 and 0.0 hash alike. These lines fold into no other hash, so a change
 to the kernel alone shows as a change in these four lines.
 
+Then comes a `sampler[<law>]` line for each radial law of the workspace
+sampler (ball and paper): a SHA-256 over 10,000 `sample_workspace_batch`
+rows on the default arm and 10,000 on the kernel lines' arm (fixed
+seeds), and over the campaign batch `bench.generate_target_batch` draws
+for n_targets at master seed `--seed`. The acceptance targets are FK
+targets and the tree probe sits under the trees' prediction lines, which
+a move of a few ulps in the probe may leave as they were, so these lines
+are where a change to the sampler shows.
+
 Two checkouts that print the same hashes under the same first line give
 bit-identical solves. A change that only reorders floating-point sums
 changes the hashes; the three summary columns then show whether the
@@ -93,9 +102,11 @@ import json
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-from arm7ik import (KinematicModel, batch_end_effector_positions,
+from arm7ik import (BenchmarkSpec, KinematicModel,
+                    batch_end_effector_positions,
                     point_and_jacobian, run_solver, sample_workspace_batch,
                     tool_point, wrap_angle)
+from arm7ik.bench import generate_target_batch
 from arm7ik.kinematics import horner_partials, pose_fitness, pose_turns
 from arm7ik.ml import (average_fitness_on_positions, fit_tree,
                        generate_dataset, split_dataset)
@@ -103,6 +114,7 @@ from arm7ik.ml import (average_fitness_on_positions, fit_tree,
 # The acceptance suite's solver order, which its per-run seeds depend on.
 STANDALONE = ["nr", "nm", "sa", "pso", "qpso", "ccd", "afsa", "ga", "de"]
 ALGOS = STANDALONE + ["dtnr"]
+KERNEL_LENGTHS = (0.36, 0.42, 0.4, 0.126)
 
 
 class Fingerprint:
@@ -169,8 +181,7 @@ def playback_line(name, tree, targets, arm):
 
 def kernel_poses(convention, n_poses=200):
     """The kernel lines' arm and its n_poses fixed random poses."""
-    arm = KinematicModel(lengths=(0.36, 0.42, 0.4, 0.126),
-                         convention=convention)
+    arm = KinematicModel(lengths=KERNEL_LENGTHS, convention=convention)
     qs = np.random.default_rng(2024).uniform(-np.pi, np.pi, size=(n_poses, 7))
     return arm, qs
 
@@ -214,6 +225,22 @@ def single_pose_line(convention, n_poses=200):
     return f"single_pose[{convention}] {digest.hexdigest()}"
 
 
+def sampler_line(law, seed, n_targets):
+    """The workspace sampler under `law`: 10,000 rows on the default arm
+    and on the kernel lines' arm, then the campaign batch of n_targets
+    targets at master seed `seed`."""
+    digest = hashlib.sha256()
+    for lengths, rng_seed in (((1.0, 1.0, 1.0, 1.0), 2026),
+                              (KERNEL_LENGTHS, 2027)):
+        digest.update(sample_workspace_batch(
+            KinematicModel(lengths=lengths).workspace,
+            np.random.default_rng(rng_seed), 10_000, law).tobytes())
+    spec = BenchmarkSpec(n_targets=n_targets, master_seed=seed, sampler=law)
+    digest.update(np.asarray(generate_target_batch(KinematicModel(), spec),
+                             dtype=float).tobytes())
+    return f"sampler[{law}] {digest.hexdigest()}"
+
+
 def host_line():
     """numpy's version and the SIMD extensions it found on this CPU."""
     found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
@@ -226,6 +253,8 @@ def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
     for convention in ("standard", "modified"):
         print(kernel_line(convention), flush=True)
         print(single_pose_line(convention), flush=True)
+    for law in ("ball", "paper"):
+        print(sampler_line(law, seed, n_targets), flush=True)
     arm = KinematicModel()
     qs = np.random.default_rng(seed).uniform(arm.lower, arm.upper,
                                              size=(n_targets, 7))
