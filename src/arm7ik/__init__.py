@@ -3,8 +3,7 @@ solvers (numerical, heuristic, evolutionary, swarm, tree-seeded hybrid),
 data-driven IK models, and a reproducible benchmark harness."""
 
 from .config import BenchmarkSpec, ConfigError, default_model, load_robot
-from .core import (Budget, ConvergenceTrace, SolveResult, SolverId,
-                   average_traces)
+from .core import Budget, SolveResult, SolverId, average_traces
 from .dtnr import DtnrConfig
 from .evolution import DeConfig, GaConfig, ga_offspring
 from .heuristics import (CcdConfig, SaConfig, acceptance_probability,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import BenchmarkSpec
-from .core import ConvergenceTrace, SolverId, average_traces
+from .core import SolverId, average_traces
 from .kinematics import KinematicModel, sample_workspace_batch
 from .registry import make_budget, make_config, run_solver
 
@@ -81,7 +81,7 @@ def _run_record(algo, target_index, repeat, seed_key, target, result, success):
         "elapsed_s": result.elapsed,
         "converged": result.converged,
         "success": success,
-        "trace": [list(s) for s in result.trace.samples],
+        "trace": [list(s) for s in result.trace],
     }
 
 
@@ -116,9 +116,10 @@ def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
     """Run every listed algorithm over the shared target batch: the one
     loop that solves for a campaign or a sweep.
 
-    Returns (reports, averaged_traces, runs, metadata). The reports are
-    folded from the runs, as `arm7ik report` folds them from runs.jsonl.
-    Averaged traces cover successful runs only; timing columns are
+    Returns (reports, averaged_traces, runs, metadata), the reports and
+    traces folded from the runs: the reports as `arm7ik report` folds them
+    from runs.jsonl, the traces per algorithm in first-seen order over its
+    successful runs ([] if none succeeds). Timing columns are
     machine-dependent. DTNR refuses to start without a trained tree, and
     every algorithm's config and budget is built before the first solve.
     """
@@ -130,9 +131,7 @@ def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
 
     targets = generate_target_batch(model, spec)
     runs = []
-    traces = {}
     for algo_idx, algo in enumerate(algos):
-        succ_traces = []
         for t_idx in range(spec.n_targets):
             for rep in range(spec.repeats_per_target):
                 seed_key = (spec.master_seed, algo_idx, t_idx, rep)
@@ -142,10 +141,6 @@ def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
                 success = result.final_fitness < spec.success_threshold
                 runs.append(_run_record(algo, t_idx, rep, seed_key,
                                         targets[t_idx], result, success))
-                if success:
-                    succ_traces.append(result.trace)
-        traces[algo.value] = (average_traces(succ_traces)
-                              if succ_traces else ConvergenceTrace())
 
     metadata = {
         "master_seed": spec.master_seed,
@@ -155,7 +150,18 @@ def run_benchmark(model: KinematicModel, spec: BenchmarkSpec, tree=None):
         "sampler": spec.sampler,
         "target_batch_sha256": batch_hash(targets),
     }
+    traces = {}
+    for algo, recs in _group(runs, "algorithm").items():
+        succ = [r["trace"] for r in recs if r["success"]]
+        traces[algo] = average_traces(succ) if succ else []
     return reaggregate_runs(runs), traces, runs, metadata
+
+
+def write_trace_csv(path, trace):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "fitness_mm", "elapsed_s"])
+        writer.writerows(trace)
 
 
 def write_report_csv(path, reports):
@@ -179,7 +185,7 @@ def export_report(out_dir, reports, traces, runs, metadata):
     trace_dir = os.path.join(out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
     for algo, trace in traces.items():
-        trace.write_csv(os.path.join(trace_dir, f"{algo}.csv"))
+        write_trace_csv(os.path.join(trace_dir, f"{algo}.csv"), trace)
 
 
 def _group(runs, key):

@@ -26,6 +26,9 @@ from .registry import make_budget, make_config, run_solver
 EXIT_OK = 0
 EXIT_CONFIG = 3
 EXIT_MISSING_FILE = 4
+# `sample` draws and prints this many rows at a time, so its memory stays
+# bounded however many rows it prints.
+SAMPLE_ROWS = 8192
 
 
 def _model_from_args(args):
@@ -102,9 +105,12 @@ def cmd_sample(args):
         raise ConfigError("--count must be >= 1")
     model = _model_from_args(args)
     rng = np.random.default_rng(args.seed)
-    for p in sample_workspace_batch(model.workspace, rng, args.count,
-                                    args.sampler):
-        print(",".join(repr(float(v)) for v in p))
+    for lo in range(0, args.count, SAMPLE_ROWS):
+        rows = sample_workspace_batch(model.workspace, rng,
+                                      min(SAMPLE_ROWS, args.count - lo),
+                                      args.sampler)
+        for p in rows.tolist():
+            print(",".join(map(repr, p)))
     return EXIT_OK
 
 
@@ -133,7 +139,7 @@ def cmd_solve(args):
     }
     print(json.dumps(out))
     if args.trace:
-        result.trace.write_csv(args.trace)
+        bench_mod.write_trace_csv(args.trace, result.trace)
     return EXIT_OK
 
 

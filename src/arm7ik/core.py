@@ -2,9 +2,7 @@
 traces, results and the one loop that drives every solver."""
 from __future__ import annotations
 
-import csv
 import enum
-import math
 import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -84,34 +82,9 @@ class Budget:
     __post_init__ = check_settings
 
 
-class ConvergenceTrace:
-    """Best-fitness history: (iteration, best_so_far, elapsed)."""
-
-    def __init__(self):
-        self.samples: list[tuple[int, float, float]] = []
-
-    def record(self, iteration: int, best: float, elapsed: float):
-        self.samples.append((iteration, best, elapsed))
-
-    @property
-    def best(self) -> float:
-        return self.samples[-1][1] if self.samples else math.inf
-
-    def __len__(self):
-        return len(self.samples)
-
-    def fitness_values(self):
-        return [s[1] for s in self.samples]
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "fitness_mm", "elapsed_s"])
-            writer.writerows(self.samples)
-
-
-def average_traces(traces) -> ConvergenceTrace:
-    """Pointwise mean of best-fitness curves.
+def average_traces(traces):
+    """Pointwise mean of best-fitness curves, each a list of (iteration,
+    best_fitness, elapsed) samples.
 
     Traces are aligned by sample position; shorter traces are padded by
     holding their final value (a converged run's best stays put).
@@ -120,28 +93,29 @@ def average_traces(traces) -> ConvergenceTrace:
     if not traces:
         raise ValueError("cannot average an empty list of traces")
     length = max(len(t) for t in traces)
-    out = ConvergenceTrace()
+    out = []
     for i in range(length):
         fit_sum = 0.0
         time_sum = 0.0
         for t in traces:
-            it, f, e = t.samples[min(i, len(t) - 1)]
+            it, f, e = t[min(i, len(t) - 1)]
             fit_sum += f
             time_sum += e
         n = len(traces)
-        out.samples.append((i, fit_sum / n, time_sum / n))
+        out.append((i, fit_sum / n, time_sum / n))
     return out
 
 
 @dataclass
 class SolveResult:
-    """One solver run: best joints found, bookkeeping, and the trace."""
+    """One solver run: best joints found, bookkeeping, and the trace: the
+    (iteration, best_fitness, elapsed) samples of every yield."""
     joints: object
     final_fitness: float
     iterations_used: int
     elapsed: float
     converged: bool
-    trace: ConvergenceTrace
+    trace: list[tuple[int, float, float]]
 
     def same_outcome(self, other: "SolveResult") -> bool:
         """Equality modulo wall-clock fields (the determinism check)."""
@@ -149,8 +123,8 @@ class SolveResult:
                 and self.final_fitness == other.final_fitness
                 and self.iterations_used == other.iterations_used
                 and self.converged == other.converged
-                and [s[:2] for s in self.trace.samples]
-                == [s[:2] for s in other.trace.samples])
+                and [s[:2] for s in self.trace]
+                == [s[:2] for s in other.trace])
 
 
 def population_best(points, values):
@@ -180,10 +154,10 @@ def run_steps(steps, budget: Budget) -> SolveResult:
     must not change an array it has yielded.
     """
     start = time.perf_counter()
-    trace = ConvergenceTrace()
+    trace = []
     for it, (joints, best) in enumerate(steps):
         elapsed = time.perf_counter() - start
-        trace.record(it, best, elapsed)
+        trace.append((it, best, elapsed))
         if best < budget.tolerance or it >= budget.max_iterations:
             break
         if it and budget.wall_clock_limit and elapsed > budget.wall_clock_limit:

@@ -53,7 +53,9 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path):
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        # np.loadtxt's own open error names no file; open's names it.
+        with open(path) as fh:
+            rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
         if rows.shape[1] != 10:
             raise ValueError("dataset CSV must have 10 columns")
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
@@ -316,12 +318,6 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, d):
-        version = d.get("version")
-        if version != TREE_VERSION:
-            raise ValueError(
-                f"tree model version {version!r} is not supported (this "
-                f"release reads version {TREE_VERSION}); re-train it with "
-                f"`arm7ik train --model tree`")
         feature, threshold, left, right = (
             _unpack(d, name, dtype) for name, dtype in _TREE_TABLES)
         n = feature.size
@@ -589,11 +585,18 @@ def load_model(path):
         raise ValueError(f"not an arm7ik model file: {path}")
     if d.get("kind") == "linear":  # an affine map: a degree-1 polynomial
         d = {**d, "kind": "polynomial", "degree": 1}
-    kinds = {"polynomial": PolynomialModel, "tree": RegressionTree}
+    kinds = {"polynomial": (PolynomialModel, MODEL_VERSION),
+             "tree": (RegressionTree, TREE_VERSION)}
     try:
-        cls = kinds[d.get("kind")]
+        cls, expected = kinds[d.get("kind")]
     except KeyError:
         raise ValueError(f"unknown model kind {d.get('kind')!r}") from None
+    version = d.get("version")
+    if type(version) is not int or version != expected:
+        raise ValueError(
+            f"{d['kind']} model version {version!r} is not supported (this "
+            f"release reads version {expected}); re-train it with "
+            f"`arm7ik train`")
     return cls.from_dict(d)
 
 

@@ -170,10 +170,10 @@ def test_criterion_5_property_suites(arm, ik_results, dtnr_results, desk):
     # (a) Trace monotonicity for all ten solvers.
     for algo, results in ik_results.items():
         for r in results[:20]:
-            fits = r.trace.fitness_values()
+            fits = [s[1] for s in r.trace]
             assert all(x >= y for x, y in zip(fits, fits[1:])), algo
     for r in dtnr_results[:20]:
-        fits = r.trace.fitness_values()
+        fits = [s[1] for s in r.trace]
         assert all(x >= y for x, y in zip(fits, fits[1:]))
 
     # (b) Radial law of the workspace sampler: P(r <= x) = (x/R)^3.
@@ -194,7 +194,7 @@ def test_criterion_5_property_suites(arm, ik_results, dtnr_results, desk):
     # (d) Population-solver monotonicity is covered by (a); re-assert the
     # dedicated trio explicitly.
     for algo in ("ga", "de", "pso"):
-        fits = ik_results[algo][0].trace.fitness_values()
+        fits = [s[1] for s in ik_results[algo][0].trace]
         assert all(x >= y for x, y in zip(fits, fits[1:]))
 
     # (e) Bit-identical determinism: two consecutive runs per solver.

@@ -14,8 +14,8 @@ from arm7ik import (BenchmarkSpec, Budget, KinematicModel, SolverId,
 from arm7ik.bench import (REPORT_COLUMNS, SweepResult, aggregate_records,
                           batch_hash, export_report, generate_target_batch,
                           load_runs_jsonl, reaggregate_runs, run_benchmark,
-                          sweep_parameter, write_report_csv)
-from arm7ik.core import run_steps
+                          sweep_parameter, write_report_csv, write_trace_csv)
+from arm7ik.core import average_traces, run_steps
 from arm7ik.evolution import DeConfig
 from arm7ik.kinematics import wrap_angle
 from arm7ik.ml import fit_tree, generate_dataset
@@ -193,12 +193,12 @@ class TestStepContract:
                             np.random.default_rng(seed),
                             budget=Budget(max_iterations=cap),
                             tree=small_tree)
-        samples = [s[:2] for s in result.trace.samples]
+        samples = [s[:2] for s in result.trace]
         assert [it for it, _ in samples] == list(range(len(samples)))
         fits = [f for _, f in samples]
         assert all(a >= b for a, b in zip(fits, fits[1:]))
         assert samples[-1] == (result.iterations_used, result.final_fitness)
-        assert result.trace.best == result.final_fitness
+        assert result.trace[-1][1] == result.final_fitness
 
 
 class TestOneFinish:
@@ -323,6 +323,17 @@ class TestRunBenchmark:
             [r["final_fitness"] for r in runs_b]
         assert [r["joints"] for r in runs_a] == [r["joints"] for r in runs_b]
 
+    def test_traces_are_folded_from_the_successful_records(self, model):
+        # At 1e-6 mm nr succeeds and ga fails on every target.
+        spec = tiny_spec(algorithms=["ga", "nr"], success_threshold=1e-6)
+        _, traces, runs, _ = run_benchmark(model, spec)
+        assert list(traces) == ["ga", "nr"]
+        for algo, trace in traces.items():
+            succ = [r["trace"] for r in runs
+                    if r["algorithm"] == algo and r["success"]]
+            assert trace == (average_traces(succ) if succ else [])
+        assert traces["ga"] == [] and traces["nr"]
+
     def test_dtnr_without_tree_refused_up_front(self, model):
         with pytest.raises(ValueError):
             run_benchmark(model, tiny_spec(algorithms=["dtnr"]))
@@ -367,6 +378,18 @@ class TestReportFiles:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [REPORT_COLUMNS]
+
+    def test_trace_csv_round_trip(self, tmp_path):
+        trace = [(0, 4.0, 0.0), (1, 2.0, 0.01), (2, 1.5, 0.02)]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert rows.shape == (3, 3)
+        assert np.allclose(rows[:, 1], [4.0, 2.0, 1.5])
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                ["iteration", "fitness_mm", "elapsed_s"],
+                *[[repr(v) for v in s] for s in trace]]
 
     def test_export_writes_every_artifact(self, model, tmp_path):
         spec = tiny_spec()

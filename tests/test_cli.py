@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from arm7ik import KinematicModel
+from arm7ik import KinematicModel, default_model, sample_workspace_batch
 from arm7ik.cli import EXIT_CONFIG, EXIT_MISSING_FILE, EXIT_OK, build_parser, main
 from arm7ik.ml import fit_polynomial, fit_tree, generate_dataset, save_model
 import oracles
@@ -108,6 +108,19 @@ class TestSample:
         assert code == EXIT_CONFIG
         assert "--count must be >= 1" in err
         assert out == ""
+
+    @pytest.mark.parametrize("sampler", ["ball", "paper"])
+    def test_blocks_print_the_rows_of_one_draw(self, capsys, monkeypatch,
+                                               sampler):
+        rows = sample_workspace_batch(default_model().workspace,
+                                      np.random.default_rng(4), 20, sampler)
+        want = "".join(",".join(repr(float(v)) for v in p) + "\n"
+                       for p in rows)
+        monkeypatch.setattr("arm7ik.cli.SAMPLE_ROWS", 3)
+        code, out, _ = run_cli(capsys, "sample", "--count", "20", "--seed",
+                               "4", "--sampler", sampler)
+        assert code == EXIT_OK
+        assert out == want
 
     def test_seed_controls_the_draw(self, capsys):
         _, a, _ = run_cli(capsys, "sample", "--count", "5", "--seed", "1")
@@ -296,7 +309,8 @@ class TestMlPipeline:
         lambda d: d.pop("degree"),
         lambda d: d.update(degree="x"),
         lambda d: d.update(weights=d["weights"][:-1]),
-    ], ids=["no-degree", "string-degree", "short-weights"])
+        lambda d: d.update(version=99),
+    ], ids=["no-degree", "string-degree", "short-weights", "version-99"])
     def test_malformed_polynomial_file_is_a_config_error(self, capsys,
                                                          tmp_path, damage):
         data = tmp_path / "data.csv"
@@ -692,8 +706,9 @@ INPUT_FLAGS = {
 
 class TestInputPaths:
     """An input path that names a directory is a config error (exit 3)
-    and one that runs through a regular file is a missing file (exit 4),
-    each told in one `error:` line, not a traceback."""
+    and one that does not exist or runs through a regular file is a
+    missing file (exit 4), each told in one `error:` line naming the bare
+    path, not a traceback."""
 
     @staticmethod
     def run_flag(capsys, tmp_path, flag, path):
@@ -717,5 +732,13 @@ class TestInputPaths:
         inner = plain / "inner.yaml"
         code, out, err = self.run_flag(capsys, tmp_path, flag, inner)
         assert code == EXIT_MISSING_FILE
-        assert err.startswith(f"error: missing file: {inner}")
-        assert err.count("\n") == 1 and out == ""
+        assert err == f"error: missing file: {inner}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", list(INPUT_FLAGS))
+    def test_absent_file_is_a_missing_file(self, capsys, tmp_path, flag):
+        absent = tmp_path / "absent.yaml"
+        code, out, err = self.run_flag(capsys, tmp_path, flag, absent)
+        assert code == EXIT_MISSING_FILE
+        assert err == f"error: missing file: {absent}\n"
+        assert out == ""

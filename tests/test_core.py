@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from arm7ik import (Budget, ConvergenceTrace, KinematicModel, SolveResult,
-                    SolverId, average_traces, end_effector_position)
+from arm7ik import (Budget, KinematicModel, SolveResult, SolverId,
+                    average_traces, end_effector_position)
 from arm7ik.registry import SOLVERS, make_budget, make_config
 
 
 def make_trace(values):
-    t = ConvergenceTrace()
-    for i, v in enumerate(values):
-        t.record(i, v, i * 0.01)
-    return t
+    return [(i, v, i * 0.01) for i, v in enumerate(values)]
+
+
+def fitness_values(trace):
+    return [s[1] for s in trace]
 
 
 class TestBudget:
@@ -47,40 +48,14 @@ class TestSolverId:
         assert SolverId("dtnr") is SolverId.DTNR
 
 
-class TestConvergenceTrace:
-    def test_first_sample_kept_as_is(self):
-        t = ConvergenceTrace()
-        t.record(1, 5.0, 0.0)
-        assert [s[:2] for s in t.samples] == [(1, 5.0)]
-
-    def test_better_candidate_recorded(self):
-        t = ConvergenceTrace()
-        t.record(1, 5.0, 0.0)
-        t.record(2, 3.0, 0.1)
-        assert [s[:2] for s in t.samples] == [(1, 5.0), (2, 3.0)]
-
-    def test_best_property(self):
-        assert ConvergenceTrace().best == math.inf
-        assert make_trace([4.0, 3.0, 1.0]).best == 1.0
-
-    def test_csv_round_trip(self, tmp_path):
-        t = make_trace([4.0, 2.0, 1.5])
-        path = tmp_path / "trace.csv"
-        t.write_csv(path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (3, 3)
-        assert np.allclose(rows[:, 1], [4.0, 2.0, 1.5])
-
-
 class TestAverageTraces:
     def test_single_trace_is_identity(self):
         t = make_trace([5.0, 2.0])
-        avg = average_traces([t])
-        assert avg.fitness_values() == t.fitness_values()
+        assert average_traces([t]) == t
 
     def test_two_constant_traces_average_to_midpoint(self):
         avg = average_traces([make_trace([2.0, 2.0]), make_trace([4.0, 4.0])])
-        assert avg.fitness_values() == [3.0, 3.0]
+        assert fitness_values(avg) == [3.0, 3.0]
 
     def test_unequal_lengths_pad_with_final_value(self):
         traces = [make_trace([4.0, 2.0]), make_trace([8.0, 6.0, 1.0, 0.5])]
@@ -90,10 +65,10 @@ class TestAverageTraces:
         padded = []
         length = max(len(t) for t in traces)
         for t in traces:
-            vals = t.fitness_values()
+            vals = fitness_values(t)
             padded.append(vals + [vals[-1]] * (length - len(vals)))
         expected = [sum(col) / len(col) for col in zip(*padded)]
-        assert avg.fitness_values() == pytest.approx(expected, abs=0.0)
+        assert fitness_values(avg) == pytest.approx(expected, abs=0.0)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -102,7 +77,7 @@ class TestAverageTraces:
     def test_takes_a_generator(self):
         traces = [make_trace([4.0, 2.0]), make_trace([8.0])]
         avg = average_traces(t for t in traces)
-        assert avg.samples == average_traces(traces).samples
+        assert avg == average_traces(traces)
 
     # Samples are multiples of 2**-10 below 2**10, so every sum is exact in
     # any order and the mean is one correctly rounded division.
@@ -113,17 +88,14 @@ class TestAverageTraces:
         traces, padded = [], []
         for length in lengths:
             samples = rng.integers(0, 1 << 20, (length, 2)) / 1024.0
-            t = ConvergenceTrace()
-            for i, (best, elapsed) in enumerate(samples.tolist()):
-                t.record(i, best, elapsed)
-            traces.append(t)
+            traces.append([(i, best, elapsed) for i, (best, elapsed)
+                           in enumerate(samples.tolist())])
             padded.append(np.concatenate(
                 (samples, np.repeat(samples[-1:], max(lengths) - length, 0))))
         got = average_traces(traces)
         want = np.sum(padded, 0) / len(lengths)
-        assert [s[0] for s in got.samples] == list(range(max(lengths)))
-        assert [s[1:] for s in got.samples] == [tuple(r) for r in
-                                                 want.tolist()]
+        assert [s[0] for s in got] == list(range(max(lengths)))
+        assert [s[1:] for s in got] == [tuple(r) for r in want.tolist()]
 
 
 class TestSolveResult:
@@ -135,7 +107,7 @@ class TestSolveResult:
     def test_same_outcome_ignores_wall_clock(self):
         a, b = self._result(), self._result()
         b.elapsed = 99.0
-        b.trace.samples = [(i, f, e + 5.0) for i, f, e in b.trace.samples]
+        b.trace = [(i, f, e + 5.0) for i, f, e in b.trace]
         assert a.same_outcome(b)
 
     def test_same_outcome_detects_differences(self):

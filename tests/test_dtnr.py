@@ -87,8 +87,8 @@ class TestDtnrSolver:
         from arm7ik import sample_workspace
         target = sample_workspace(model.workspace, rng)
         result = run_solver("dtnr", model, target, None, tree=tree)
-        fits = result.trace.fitness_values()
-        assert result.trace.samples[0][0] == 0
+        fits = [s[1] for s in result.trace]
+        assert result.trace[0][0] == 0
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_unreachable_target_not_converged(self, trained):

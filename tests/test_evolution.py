@@ -108,7 +108,7 @@ class TestGaSolver:
                                        rng.uniform(-math.pi, math.pi, 7))
         result = run_solver("ga", model, target, np.random.default_rng(2),
                             budget=Budget(max_iterations=40))
-        fits = result.trace.fitness_values()
+        fits = [s[1] for s in result.trace]
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):
@@ -159,7 +159,7 @@ class TestDeSolver:
                           crossover_rate=1.0)
         result = run_solver("de", model, target, np.random.default_rng(2),
                             config, Budget(max_iterations=25))
-        fits = result.trace.fitness_values()
+        fits = [s[1] for s in result.trace]
         assert all(f == fits[0] for f in fits)
 
     def test_best_fitness_never_regresses(self, model, rng):
@@ -167,7 +167,7 @@ class TestDeSolver:
                                        rng.uniform(-math.pi, math.pi, 7))
         result = run_solver("de", model, target, np.random.default_rng(3),
                             budget=Budget(max_iterations=40))
-        fits = result.trace.fitness_values()
+        fits = [s[1] for s in result.trace]
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):

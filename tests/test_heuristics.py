@@ -56,7 +56,7 @@ class TestCcd:
         target = end_effector_position(model,
                                        rng.uniform(-math.pi, math.pi, 7))
         result = run_solver("ccd", model, target, rng)
-        fits = result.trace.fitness_values()
+        fits = [s[1] for s in result.trace]
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_loop_guard_stops_oscillation(self, model, start_at):
@@ -153,7 +153,7 @@ class TestSaSolver:
                                        rng.uniform(-math.pi, math.pi, 7))
         result = run_solver("sa", model, target, np.random.default_rng(7),
                             budget=Budget(max_iterations=40))
-        fits = result.trace.fitness_values()
+        fits = [s[1] for s in result.trace]
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
 

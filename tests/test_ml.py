@@ -712,6 +712,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match="re-train"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, version", [
+        ("polynomial", 99), ("polynomial", 2), ("polynomial", True),
+        ("polynomial", None), ("linear", 2), ("tree", 99), ("tree", 2.0)])
+    def test_rejects_a_file_of_another_version(self, rng, tmp_path, kind,
+                                               version):
+        ds = synthetic_dataset(rng, n=50, f=lambda p: p @ np.ones((3, 7)))
+        fitted = fit_tree(ds) if kind == "tree" else fit_polynomial(ds, 1)
+        d = {**fitted.to_dict(), "kind": kind, "version": version}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="re-train"):
+            load_model(path)
+
     def test_rejects_a_truncated_file(self, model, tmp_path):
         ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
         path = tmp_path / "tree.json"

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import arm7ik
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,11 +17,15 @@ SRC = str(Path(arm7ik.__file__).resolve().parents[1])
 ALGOS = ("pso", "qpso", "ga", "de")
 
 
-def run_tool(*args):
-    proc = subprocess.run(
+def start_tool(*args):
+    return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "solve_hashes.py"), *args],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": SRC})
+
+
+def run_tool(*args):
+    proc = start_tool(*args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -30,7 +36,8 @@ def test_fingerprint_lines_and_compare_of_two_runs(tmp_path):
                      str(dump)) for dump in dumps]
     assert runs[0] == runs[1]
     lines = runs[0]
-    assert re.fullmatch(r"numpy \S+ simd_found=\S*", lines[0])
+    assert re.fullmatch(r"numpy \S+ simd_found=\S* libc=\S+ "
+                        r"fma3=(True|False) avx2=(True|False)", lines[0])
     sampler_lines = [line for line in lines if line.startswith("sampler[")]
     assert [line.split(" ", 1)[0] for line in sampler_lines] == [
         "sampler[ball]", "sampler[paper]"]
@@ -52,3 +59,13 @@ def test_fingerprint_lines_and_compare_of_two_runs(tmp_path):
         assert fields["solves"] == "3"
         for name in ("iterations", "converged", "fitness", "joints"):
             assert fields[f"{name}_changed"] == "0", line
+
+
+@pytest.mark.parametrize("args, name", [
+    (("0",), "n_targets"), (("-2",), "n_targets"),
+    (("3", "0"), "dataset_rows")])
+def test_a_size_below_one_is_a_usage_error(args, name):
+    proc = start_tool(*args, "--algos", "ga")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"{name} must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -85,7 +85,7 @@ class TestPsoSolver:
                                        rng.uniform(-math.pi, math.pi, 7))
         result = run_solver("pso", model, target, np.random.default_rng(2),
                             budget=Budget(max_iterations=50))
-        fits = result.trace.fitness_values()
+        fits = [s[1] for s in result.trace]
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):
@@ -164,7 +164,7 @@ class TestQpso:
                                        rng.uniform(-math.pi, math.pi, 7))
         result = run_solver("qpso", model, target, np.random.default_rng(5),
                             budget=Budget(max_iterations=50))
-        fits = result.trace.fitness_values()
+        fits = [s[1] for s in result.trace]
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):
@@ -241,7 +241,7 @@ class TestAfsa:
                                        rng.uniform(-math.pi, math.pi, 7))
         result = run_solver("afsa", model, target, np.random.default_rng(3),
                             budget=Budget(max_iterations=60))
-        fits = result.trace.fitness_values()
+        fits = [s[1] for s in result.trace]
         assert all(a >= b for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_under_fixed_seed(self, model, rng):

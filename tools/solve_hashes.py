@@ -28,10 +28,13 @@ through forward kinematics, so the playback's FK and its mean are
 fingerprinted too.
 
 Its first line names the host: numpy's version and the SIMD extensions
-it found on this CPU (the `found` list of `np.show_runtime()`). numpy
-picks some routines' kernels by that list, and the complex multiply of
-the batch pass among them rounds differently from X86_V3 (AVX2 with FMA)
-up, so a hash file says which dispatch made its bits.
+it found on this CPU (the `found` list of `np.show_runtime()`), the C
+library's name and version (`platform.libc_ver()`), and whether the CPU
+has FMA3 and AVX2. numpy picks some routines' kernels by that list, and
+the complex multiply of the batch pass among them rounds differently from
+X86_V3 (AVX2 with FMA) up. glibc picks its `sin`, `cos`, `pow` and
+`log` among FMA variants by the CPU, and the sampler's cube root is a
+libm `pow`. So a hash file says which dispatch made its bits.
 
 It then prints a SHA-256 per DH convention over the kernel's outputs on
 200 fixed random poses of the arm with lengths (0.36, 0.42, 0.4, 0.126):
@@ -98,6 +101,7 @@ success count before and after:
 import argparse
 import hashlib
 import json
+import platform
 
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -136,7 +140,7 @@ class Fingerprint:
         self.digest.update(repr((
             float(result.final_fitness), result.iterations_used,
             bool(result.converged),
-            [(it, float(f)) for it, f, _ in result.trace.samples])).encode())
+            [(it, float(f)) for it, f, _ in result.trace])).encode())
         if self.dump is not None:
             self.dump.write(json.dumps({
                 "algorithm": self.algo, "seed": self.seed,
@@ -242,9 +246,12 @@ def sampler_line(law, seed, n_targets):
 
 
 def host_line():
-    """numpy's version and the SIMD extensions it found on this CPU."""
+    """numpy's version and the SIMD extensions it found on this CPU, the
+    C library's name and version, and whether the CPU has FMA3 and AVX2."""
     found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
-    return f"numpy {np.__version__} simd_found={','.join(found)}"
+    return (f"numpy {np.__version__} simd_found={','.join(found)} "
+            f"libc={'-'.join(platform.libc_ver())} "
+            f"fma3={__cpu_features__['FMA3']} avx2={__cpu_features__['AVX2']}")
 
 
 def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
@@ -351,6 +358,9 @@ if __name__ == "__main__":
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two --dump files instead of solving")
     args = parser.parse_args()
+    for name in ("n_targets", "dataset_rows"):
+        if getattr(args, name) < 1:
+            parser.error(f"{name} must be >= 1, got {getattr(args, name)}")
     if args.compare:
         for line in compare_lines(*map(read_dump, args.compare)):
             print(line)
