@@ -10,7 +10,7 @@ from sys import float_info
 
 import numpy as np
 
-from .kinematics import wrap_angle
+from .kinematics import wrap_float
 
 
 class SolverId(str, enum.Enum):
@@ -153,20 +153,24 @@ def run_steps(steps, budget: Budget) -> SolveResult:
     its joints wrapped (a joint in (-pi, pi] keeps every bit); a generator
     must not change an array it has yielded.
     """
+    tolerance, cap = budget.tolerance, budget.max_iterations
+    limit = budget.wall_clock_limit
     start = time.perf_counter()
     trace = []
     for it, (joints, best) in enumerate(steps):
         elapsed = time.perf_counter() - start
         trace.append((it, best, elapsed))
-        if best < budget.tolerance or it >= budget.max_iterations:
+        if best < tolerance or it >= cap:
             break
-        if it and budget.wall_clock_limit and elapsed > budget.wall_clock_limit:
+        if it and limit and elapsed > limit:
             break
+    if not isinstance(joints, list):
+        joints = np.asarray(joints, dtype=float).tolist()
     return SolveResult(
-        joints=wrap_angle(joints),
+        joints=np.array([wrap_float(v) for v in joints]),
         final_fitness=best,
         iterations_used=it,
         elapsed=time.perf_counter() - start,
-        converged=best < budget.tolerance,
+        converged=best < tolerance,
         trace=trace,
     )

@@ -287,8 +287,9 @@ def tool_point(model: KinematicModel, q, frame=0):
     kernel's frame before joint `frame` (by default the base frame; under
     the standard convention this is DH frame `frame` turned back about x
     by the alpha of the row before). It depends only on the joints from
-    `frame` on, so a solver that holds those still computes it once."""
-    return _horner(model, pose_turns(q), frame)
+    `frame` on, so a solver that holds those still computes it once.
+    Only the turns the rule reads are taken, those of q[frame:6]."""
+    return _horner(model, [None] * frame + pose_turns(q[frame:6]), frame)
 
 
 def joint_axes(model: KinematicModel, q, joints=7, tail=None):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ _TREE_TABLES = (("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
 # FK playback's block: the batch pass's buffers take 120 bytes a row, so
 # a block's stay near 1 MB however many rows are played back.
 PLAYBACK_ROWS = 8192
+# Levels a batch walk takes between setting aside the rows at a leaf.
+WALK_LEVELS = 4
 
 
 @dataclass
@@ -53,9 +56,14 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path):
-        # np.loadtxt's own open error names no file; open's names it.
-        with open(path) as fh:
+        # np.loadtxt's own open error names no file; open's names it. A
+        # file without data rows is told here, not by numpy's warning.
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
             rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+        if not rows.size:
+            raise ValueError(f"{path} holds no data rows")
         if rows.shape[1] != 10:
             raise ValueError("dataset CSV must have 10 columns")
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
@@ -99,17 +107,22 @@ def generate_dataset(model: KinematicModel, count, noise_amplitude=0.1,
         if (k - 1) ** 7 >= count:  # guard against ceil() float fuzz
             k -= 1
         meta["grid_per_axis"] = k
-        axes = [np.linspace(model.lower[j], model.upper[j], k)
-                for j in range(7)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        joints = grid.reshape(-1, 7)
+        # The noise and the subsample are drawn over the full k^7 grid,
+        # but only the kept grid rows are built: row i holds each axis's
+        # value at that axis's digit of i in base k (meshgrid "ij" order).
+        size = k ** 7
+        noise = None
         if noise_amplitude > 0:
-            joints = joints + rng.uniform(-noise_amplitude, noise_amplitude,
-                                          size=joints.shape)
-        if joints.shape[0] > count:
-            idx = np.sort(rng.choice(joints.shape[0], size=count,
-                                     replace=False))
-            joints = joints[idx]
+            noise = rng.uniform(-noise_amplitude, noise_amplitude,
+                                size=(size, 7))
+        idx = np.arange(size)
+        if size > count:
+            idx = np.sort(rng.choice(size, size=count, replace=False))
+        joints = np.stack([
+            np.linspace(model.lower[j], model.upper[j], k).take(at)
+            for j, at in enumerate(np.unravel_index(idx, (k,) * 7))], axis=1)
+        if noise is not None:
+            joints += noise.take(idx, axis=0)
     positions = batch_end_effector_positions(model, joints)
     return Dataset(joints, positions, meta)
 
@@ -281,29 +294,41 @@ class RegressionTree:
         return self.value[node].copy()
 
     def predict_batch(self, positions):
-        """Walk all rows down the tree together, one level per step,
-        advancing only the rows that still sit at an internal node. Every
-        gather is a `take`, which costs less than fancy or mask indexing."""
+        return self.value.take(self.leaves(positions), axis=0)
+
+    def leaves(self, positions):
+        """The leaf id of each row of positions. All rows walk down the
+        tree together, one level per step. In the walk a leaf is its own
+        left child, reached by a split on x at +inf, so a row that reaches
+        it stays put; every WALK_LEVELS levels the rows at a leaf are put
+        aside. Every gather is a `take`, which costs less than fancy or
+        mask indexing, and the steps run in place."""
         positions = _position_batch(positions)
-        feature, threshold = self.feature, self.threshold
+        leaf = self.feature < 0
+        feature = np.where(leaf, 0, self.feature)
+        threshold = np.where(leaf, np.inf, self.threshold)
         # child[2 * node + go_left]: the right child, then the left.
-        child = np.stack([self.right, self.left], axis=1).ravel()
+        child = np.stack([self.right, np.where(leaf, np.arange(leaf.size),
+                                               self.left)], axis=1).ravel()
         n = positions.shape[0]
         flat = positions.ravel()
         leaf_of = np.zeros(n, dtype=np.int64)
-        at = np.arange(0, 3 * n, 3)  # active rows' offsets in flat
+        at = np.arange(0, 3 * n, 3)  # walking rows' offsets in flat
         node = leaf_of.copy()
         while at.size:
-            f = feature.take(node)
-            inner = f >= 0
-            if not inner.all():
-                done = np.flatnonzero(~inner)
-                leaf_of[at.take(done) // 3] = node.take(done)
-                kept = np.flatnonzero(inner)
-                at, node, f = at.take(kept), node.take(kept), f.take(kept)
-            go_left = flat.take(at + f) <= threshold.take(node)
-            node = child.take(2 * node + go_left)
-        return self.value.take(leaf_of, axis=0)
+            for _ in range(WALK_LEVELS):
+                f = feature.take(node)
+                f += at
+                go_left = flat.take(f) <= threshold.take(node)
+                node *= 2
+                node += go_left
+                node = child.take(node)
+            done = leaf.take(node)
+            stop = np.flatnonzero(done)
+            leaf_of[at.take(stop) // 3] = node.take(stop)
+            kept = np.flatnonzero(~done)
+            at, node = at.take(kept), node.take(kept)
+        return leaf_of
 
     def to_dict(self):
         """Model format v2: the node tables as base64 little-endian arrays,
@@ -574,8 +599,15 @@ def _partition(x, orders, counts, feature, threshold):
 
 
 def save_model(model, path):
+    """Write json.dumps(model.to_dict()) to path. A base64 table needs no
+    escape, so its string is spliced into the text as it is rather than
+    sent through the encoder's escape scan."""
+    tables = {name for name, _ in _TREE_TABLES} | {"leaf_value"}
+    parts = [f'{json.dumps(key)}: '
+             + (f'"{value}"' if key in tables else json.dumps(value))
+             for key, value in model.to_dict().items()]
     with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh)
+        fh.write("{" + ", ".join(parts) + "}")
 
 
 def load_model(path):
@@ -610,21 +642,45 @@ class ModelMetrics:
 
 def average_fitness_on_positions(predictor, positions, model: KinematicModel):
     """Mean tool-to-target distance when predicted joints are played back
-    through forward kinematics, PLAYBACK_ROWS rows at a time; the mean is
-    the one a single batch gives, bit for bit."""
+    through forward kinematics (see _playback_fitness); the mean is the
+    one a single batch of all predictions gives, bit for bit."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    return _playback_fitness(predictor.predict_batch(positions), positions,
+    return _playback_fitness(*_predictions(predictor, positions), positions,
                              model)
 
 
-def _playback_fitness(pred, positions, model):
-    """Mean tool-to-target distance. A row's FK and distance do not
-    depend on its block; the mean is taken over all rows at once."""
+def _predictions(predictor, positions):
+    """(rows, at): joint rows to play back, and the row of each position
+    in them, or None when row i is position i's prediction. A tree is
+    piecewise constant, so its rows are the values of the distinct leaves
+    the positions reach, in node order."""
+    if not isinstance(predictor, RegressionTree):
+        return predictor.predict_batch(positions), None
+    leaf = predictor.leaves(positions)
+    hit = np.zeros(predictor.n_nodes, dtype=bool)
+    hit[leaf] = True
+    ids = np.flatnonzero(hit)
+    slot = np.empty(predictor.n_nodes, dtype=np.intp)
+    slot[ids] = np.arange(ids.size)
+    return predictor.value.take(ids, axis=0), slot.take(leaf)
+
+
+def _playback_fitness(rows, at, positions, model):
+    """Mean tool-to-target distance, PLAYBACK_ROWS rows at a time, with
+    rows and at as _predictions gives them. A row's FK and distance do not
+    depend on its block, so one FK per distinct row, gathered per position,
+    gives the bits of a dense playback; the mean is taken over all
+    positions at once."""
+    if at is not None:
+        reached = np.concatenate([
+            batch_end_effector_positions(model, rows[lo:lo + PLAYBACK_ROWS])
+            for lo in range(0, len(rows), PLAYBACK_ROWS)])
     distance = np.empty(len(positions))
     for lo in range(0, len(positions), PLAYBACK_ROWS):
         block = slice(lo, lo + PLAYBACK_ROWS)
-        reached = batch_end_effector_positions(model, pred[block])
-        distance[block] = np.linalg.norm(reached - positions[block], axis=1)
+        points = (batch_end_effector_positions(model, rows[block])
+                  if at is None else reached.take(at[block], axis=0))
+        distance[block] = np.linalg.norm(points - positions[block], axis=1)
     return float(distance.mean())
 
 
@@ -633,7 +689,8 @@ def evaluate(predictor, test: Dataset, model: KinematicModel) -> ModelMetrics:
     FK playback fitness against the rows' stored positions."""
     if len(test) == 0:
         raise ValueError("test set is empty")
-    pred = predictor.predict_batch(test.positions)
+    rows, at = _predictions(predictor, test.positions)
+    pred = rows if at is None else rows.take(at, axis=0)
     truth = test.joints
     resid = truth - pred
     mse = float(np.mean(resid ** 2))
@@ -642,6 +699,6 @@ def evaluate(predictor, test: Dataset, model: KinematicModel) -> ModelMetrics:
     with np.errstate(divide="ignore", invalid="ignore"):
         per_output = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot, 0.0)
     signed = float(per_output.mean())
-    avg_fit = _playback_fitness(pred, test.positions, model)
+    avg_fit = _playback_fitness(rows, at, test.positions, model)
     return ModelMetrics(r_squared=abs(signed), r_squared_signed=signed,
                         mse=mse, average_fitness=avg_fit)

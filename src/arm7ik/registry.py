@@ -4,6 +4,7 @@ run_solver."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -70,7 +71,7 @@ def run_solver(solver_id, model, target, rng, config=None, budget=None,
     would leave. Joints come back wrapped (see run_steps)."""
     solver_id = SolverId(solver_id)
     target = np.asarray(target, dtype=float)
-    if target.shape != (3,) or not np.all(np.isfinite(target)):
+    if target.shape != (3,) or not all(map(math.isfinite, target.tolist())):
         raise ValueError(
             f"target must be three finite numbers, got {target.tolist()}")
     config_cls, make_steps, _ = SOLVERS[solver_id]

@@ -19,8 +19,9 @@ from arm7ik import Budget, KinematicModel, run_solver
 from arm7ik.core import run_steps
 from arm7ik.evolution import de_donors, tournament_winners
 from arm7ik.heuristics import acceptance_probability, temperature_schedule
-from arm7ik.kinematics import (batch_fitness, end_effector_position, fitness,
-                               joint_axes, wrap_angle)
+from arm7ik.kinematics import (batch_end_effector_positions, batch_fitness,
+                               end_effector_position, fitness, joint_axes,
+                               wrap_angle)
 
 NONUNIT = (0.36, 0.42, 0.4, 0.126)
 # The arms the solver loops are checked against their references on: both
@@ -304,6 +305,29 @@ def reference_tree(positions, joints, max_depth=84, min_leaf=1):
     value = np.array([np.zeros(7) if v is None else v for v in value])
     return (np.array(feature), np.array(threshold), np.array(left),
             np.array(right), value), deepest
+
+
+def reference_dataset(model, count, noise_amplitude, rng):
+    """generate_dataset's grid rows by the full-grid formula: the k^7 grid
+    built by meshgrid, noise added to every row, then `count` rows chosen
+    without replacement, in index order. Counts below 2^7 draw random
+    joints instead. Returns (joints, positions, grid_per_axis)."""
+    if count < 2 ** 7:
+        joints = model.random_joints(rng, count)
+        return joints, batch_end_effector_positions(model, joints), None
+    k = math.ceil(count ** (1.0 / 7.0))
+    if (k - 1) ** 7 >= count:
+        k -= 1
+    axes = [np.linspace(model.lower[j], model.upper[j], k) for j in range(7)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    joints = grid.reshape(-1, 7)
+    if noise_amplitude > 0:
+        joints = joints + rng.uniform(-noise_amplitude, noise_amplitude,
+                                      size=joints.shape)
+    if joints.shape[0] > count:
+        idx = np.sort(rng.choice(joints.shape[0], size=count, replace=False))
+        joints = joints[idx]
+    return joints, batch_end_effector_positions(model, joints), k
 
 
 def reference_ccd_steps(model, target, start, config):

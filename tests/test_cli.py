@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,27 @@ class TestMlPipeline:
                              "--data", str(tmp_path / "absent.csv"),
                              "--out", str(tmp_path / "m.json"))
         assert code == EXIT_MISSING_FILE
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_header_only_data_is_a_config_error(self, capsys, tmp_path,
+                                                command):
+        data = tmp_path / "data.csv"
+        tree = tmp_path / "tree.json"
+        run_cli(capsys, "dataset", "--count", "200", "--out", str(data))
+        run_cli(capsys, "train", "--model", "tree", "--data", str(data),
+                "--out", str(tree))
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(data.read_bytes().splitlines(keepends=True)[0])
+        argv = {"train": ["train", "--model", "tree",
+                          "--out", str(tmp_path / "new.json")],
+                "evaluate": ["evaluate", "--model-file", str(tree)]}[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--data", str(empty))
+        assert code == EXIT_CONFIG
+        assert err == f"error: {empty} holds no data rows\n"
+        assert out == ""
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("flag, value", [("--min-leaf", "0"),
                                              ("--max-depth", "-1")])

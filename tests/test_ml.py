@@ -76,6 +76,23 @@ class TestGenerateDataset:
         assert np.array_equal(a.joints, b.joints)
         assert np.array_equal(a.positions, b.positions)
 
+    @pytest.mark.parametrize("count, noise", [
+        (127, 0.1), (300, 0.1), (25_000, 0.1), (5 ** 7, 0.1), (100_000, 0.1),
+        (25_000, 0.0), (5 ** 7, 0.0)])
+    def test_rows_match_the_full_grid_formula(self, count, noise):
+        # A joint limit box other than (-pi, pi), so each axis differs.
+        arm = oracles.ARMS["limits"]
+        ds = generate_dataset(arm, count, noise, np.random.default_rng(7),
+                              seed=7)
+        joints, positions, k = oracles.reference_dataset(
+            arm, count, noise, np.random.default_rng(7))
+        assert ds.joints.tobytes() == joints.tobytes()
+        assert ds.positions.tobytes() == positions.tobytes()
+        assert ds.joints.shape == (count, 7)
+        assert json.dumps(ds.metadata) == json.dumps({
+            "count": count, "noise_amplitude": noise, "seed": 7,
+            "fallback_random": k is None, "grid_per_axis": k})
+
     def test_validation(self, model):
         with pytest.raises(ValueError):
             generate_dataset(model, 0)
@@ -620,6 +637,28 @@ class TestPersistence:
         assert np.array_equal(back.predict_batch(probe),
                               fitted.predict_batch(probe))
 
+    @pytest.mark.parametrize("builder", [
+        lambda ds: fit_polynomial(ds, degree=3),
+        lambda ds: fit_tree(ds),
+    ], ids=["polynomial", "tree"])
+    def test_file_is_the_json_dump_of_to_dict(self, model, tmp_path,
+                                              builder):
+        fitted = builder(generate_dataset(model, 2_000,
+                                          rng=np.random.default_rng(4)))
+        path = tmp_path / "model.json"
+        save_model(fitted, path)
+        assert path.read_bytes() == json.dumps(fitted.to_dict()).encode()
+        back = load_model(path)
+        if fitted.kind == "tree":
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(back, name),
+                                      getattr(fitted, name)), name
+            assert back.max_depth_used == fitted.max_depth_used
+        else:
+            assert back.degree == fitted.degree
+            assert np.array_equal(back.weights, fitted.weights)
+            assert np.array_equal(back.intercepts, fitted.intercepts)
+
     def test_reads_a_depth_first_file_with_unwrapped_leaves(self, model,
                                                             tmp_path):
         # Earlier releases numbered nodes depth-first and stored leaf means
@@ -845,15 +884,66 @@ class TestPlayback:
                                          max(self.SIZES))
         return model, tree, targets
 
+    @staticmethod
+    def one_batch(model, predictor, positions):
+        """The playback formula over all rows in one batch."""
+        positions = np.atleast_2d(positions)
+        reached = batch_end_effector_positions(
+            model, predictor.predict_batch(positions))
+        return float(np.linalg.norm(reached - positions, axis=1).mean())
+
     @pytest.mark.parametrize("rows", SIZES)
     def test_equals_the_one_batch_formula(self, case, rows):
         model, tree, targets = case
         positions = targets[:rows]
-        reached = batch_end_effector_positions(
-            model, tree.predict_batch(positions))
-        expected = float(np.linalg.norm(reached - positions, axis=1).mean())
         got = average_fitness_on_positions(tree, positions, model)
-        assert got.hex() == expected.hex()
+        assert got.hex() == self.one_batch(model, tree, positions).hex()
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        # Its own training positions reach one leaf each: more distinct
+        # leaves than one playback block holds.
+        model = KinematicModel()
+        ds = generate_dataset(model, 12_000, rng=np.random.default_rng(11))
+        return model, fit_tree(ds), ds.positions
+
+    @pytest.mark.parametrize("rows", [1, 12_000])
+    def test_more_distinct_leaves_than_a_block(self, large, rows):
+        model, tree, positions = large
+        assert np.unique(tree.leaves(positions)).size > ml.PLAYBACK_ROWS
+        positions = positions[:rows]
+        got = average_fitness_on_positions(tree, positions, model)
+        assert got.hex() == self.one_batch(model, tree, positions).hex()
+
+    def test_one_target_as_a_single_position(self, case):
+        model, tree, targets = case
+        got = average_fitness_on_positions(tree, targets[5], model)
+        assert got.hex() == self.one_batch(model, tree, targets[5]).hex()
+
+    def test_every_target_in_one_leaf(self, case):
+        # One distinct leaf is a one-row FK batch, against a dense batch of
+        # many equal rows.
+        model, _, targets = case
+        stump = fit_tree(generate_dataset(model, 400,
+                                          rng=np.random.default_rng(9)),
+                         max_depth=0)
+        positions = targets[:300]
+        got = average_fitness_on_positions(stump, positions, model)
+        assert got.hex() == self.one_batch(model, stump, positions).hex()
+
+    def test_other_predictors_equal_the_one_batch_formula(self, case):
+        model, tree, targets = case
+        positions = targets[:ml.PLAYBACK_ROWS + 1]
+        counting = _Counting(tree)
+        got = average_fitness_on_positions(counting, positions, model)
+        assert counting.calls == 1
+        assert got.hex() == self.one_batch(model, tree, positions).hex()
+
+    def test_leaves_hold_the_predicted_values(self, case):
+        _, tree, targets = case
+        leaf = tree.leaves(targets)
+        assert np.all(tree.feature[leaf] < 0)
+        assert np.array_equal(tree.value[leaf], tree.predict_batch(targets))
 
     def test_predict_batch_equals_predict_per_row(self, case):
         _, tree, targets = case
@@ -872,6 +962,15 @@ class TestEvaluate:
         assert counting.calls == 1
         assert metrics.average_fitness == average_fitness_on_positions(
             tree, ds.positions, model)
+
+    def test_a_tree_scores_as_its_dense_predictions_do(self, model):
+        ds = generate_dataset(model, 3_000, rng=np.random.default_rng(5))
+        train, test = split_dataset(ds, seed=1)
+        tree = fit_tree(train)
+        # _Counting hides the tree, so evaluate plays back one row per
+        # test row.
+        assert evaluate(tree, test, model) == evaluate(_Counting(tree), test,
+                                                       model)
 
     def test_perfect_predictor(self, model):
         ds = generate_dataset(model, 60, rng=np.random.default_rng(0))

@@ -1,16 +1,20 @@
 """tools/solve_hashes.py backs every claim that a change leaves solves bit
 for bit as they were, so a change that breaks its output format or its
 --compare mode fails here. It runs at tiny sizes: three targets, the four
-population solvers, no tree fit."""
+population solvers and no tree fit, or dtnr alone on a 300-row set."""
+import hashlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import arm7ik
+from arm7ik import KinematicModel
+from arm7ik.ml import generate_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(arm7ik.__file__).resolve().parents[1])
@@ -69,3 +73,16 @@ def test_a_size_below_one_is_a_usage_error(args, name):
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"{name} must be >= 1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_dataset_lines_pin_the_generated_bytes():
+    lines = run_tool("3", "300", "--algos", "dtnr")
+    datasets = [line for line in lines if line.startswith("dataset[")]
+    expected = []
+    for rows, rng in ((300, np.random.default_rng(42)), (25_000, None)):
+        ds = generate_dataset(KinematicModel(), rows, 0.1, rng, seed=42)
+        digest = hashlib.sha256(ds.joints.tobytes() + ds.positions.tobytes())
+        expected.append(f"dataset[{rows}] {digest.hexdigest()}")
+    assert datasets == expected
+    assert lines.index(datasets[-1]) + 1 == lines.index(
+        next(line for line in lines if line.startswith("tree[")))

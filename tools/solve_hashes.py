@@ -25,7 +25,12 @@ as it was. After that comes a `playback[<tree>]` line: the `float.hex`
 of `average_fitness_on_positions` on the same 100,000 targets, the mean
 tool-to-target distance when the tree's predictions are played back
 through forward kinematics, so the playback's FK and its mean are
-fingerprinted too.
+fingerprinted too. Before the tree lines come two `dataset[<rows>]`
+lines, one per generated set the trees are fitted on (`dataset_rows`
+rows, 100,000 by default, and the learned_ik workload's 25,000): a
+SHA-256 over its joint bytes and then its position bytes. They pin the
+dataset generator's bytes, which the tree lines see only through the
+fit.
 
 Its first line names the host: numpy's version and the SIMD extensions
 it found on this CPU (the `found` list of `np.show_runtime()`), the C
@@ -170,6 +175,12 @@ def tree_line(name, tree):
             f"depth={tree.max_depth_used}")
 
 
+def dataset_line(ds):
+    digest = hashlib.sha256(ds.joints.tobytes())
+    digest.update(ds.positions.tobytes())
+    return f"dataset[{len(ds)}] {digest.hexdigest()}"
+
+
 def prediction_line(name, tree, targets):
     digest = hashlib.sha256()
     digest.update(np.asarray(tree.predict_batch(targets), float).tobytes())
@@ -292,8 +303,10 @@ def dtnr_lines(arm, targets, dataset_rows, fp):
     probe = sample_workspace_batch(arm.workspace, np.random.default_rng(2024),
                                    100_000)
     tree = fit_tree(train)
-    ik_train, _ = split_dataset(generate_dataset(arm, 25_000, seed=42), 0.25,
-                                seed=0)
+    ik_ds = generate_dataset(arm, 25_000, seed=42)
+    for generated in (ds, ik_ds):
+        print(dataset_line(generated), flush=True)
+    ik_train, _ = split_dataset(ik_ds, 0.25, seed=0)
     for name, fitted in (("criterion_3", tree),
                          ("learned_ik", fit_tree(ik_train)),
                          ("learned_ik_depth12_leaf3",
