@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: fk, sample, solve, dataset, train, evaluate, sweep, bench,
-report. Angles are radians, lengths millimetres; all randomness flows
-from an explicit --seed flag so runs are reproducible from argv plus the
-named config files.
+report. Angles are radians, lengths millimetres. --seed on sample, solve,
+dataset and train, and the spec's master_seed on sweep and bench, seed all
+randomness, so argv plus the named config files reproduce a run.
 """
 from __future__ import annotations
 
@@ -146,9 +146,7 @@ def cmd_solve(args):
 def cmd_dataset(args):
     _check_out(args.out)
     model = _model_from_args(args)
-    rng = np.random.default_rng(args.seed)
-    ds = ml.generate_dataset(model, args.count, args.noise, rng,
-                             seed=args.seed)
+    ds = ml.generate_dataset(model, args.count, args.noise, seed=args.seed)
     ds.save_csv(args.out)
     print(f"wrote {len(ds)} rows to {args.out}")
     return EXIT_OK
@@ -158,8 +156,7 @@ def cmd_train(args):
     _check_out(args.out)
     model = _model_from_args(args)  # a bad --config fails before the fit
     ds = ml.Dataset.load_csv(args.data)
-    rng = np.random.default_rng(args.seed)
-    train, test = ml.split_dataset(ds, args.test_fraction, rng)
+    train, test = ml.split_dataset(ds, args.test_fraction, seed=args.seed)
     if args.model == "tree":
         fitted = ml.fit_tree(train, max_depth=args.max_depth,
                              min_leaf=args.min_leaf)
@@ -242,8 +239,10 @@ def build_parser():
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="robot geometry YAML")
-        p.add_argument("--seed", type=int, default=0)
+        if name != "report":
+            p.add_argument("--config", help="robot geometry YAML")
+        if name in ("sample", "solve", "dataset", "train"):
+            p.add_argument("--seed", type=int, default=0)
         return p
 
     p = add("fk", cmd_fk, "forward kinematics of a joint vector")

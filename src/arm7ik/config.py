@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, fields
 
 from .core import SolverId, check_settings, setting
 from .kinematics import KinematicModel
+from .registry import make_budget, make_config
 
 
 class ConfigError(ValueError):
@@ -93,7 +94,8 @@ class BenchmarkSpec:
 def load_benchmark_spec(path):
     """Benchmark spec file -> BenchmarkSpec. The keys are BenchmarkSpec's
     field names, except that `tree` sets tree_path; an absent key keeps
-    the field's default."""
+    the field's default. Every configs and budgets entry is built here,
+    for a listed solver or not, so a bad one fails every command alike."""
     data = _load_yaml(path)
     keys = {f.name: f.name for f in fields(BenchmarkSpec)}
     keys["tree"] = keys.pop("tree_path")
@@ -101,6 +103,11 @@ def load_benchmark_spec(path):
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(map(str, unknown))}")
     try:
-        return BenchmarkSpec(**{keys[k]: v for k, v in data.items()})
+        spec = BenchmarkSpec(**{keys[k]: v for k, v in data.items()})
+        for solver, overrides in spec.configs.items():
+            make_config(solver, overrides)
+        for solver, overrides in spec.budgets.items():
+            make_budget(solver, overrides)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return spec

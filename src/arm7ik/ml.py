@@ -78,8 +78,16 @@ class Dataset:
         return cls(rows[:, :7], rows[:, 7:], metadata)
 
 
+def _seeded_rng(seed):
+    """default_rng(seed) for an integer seed >= 0, the one kind of seed
+    that names its draw: None would draw OS entropy."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def generate_dataset(model: KinematicModel, count, noise_amplitude=0.1,
-                     rng=None, seed=None):
+                     seed=0):
     """Sweep a regular grid over the joint ranges, perturb each angle by
     uniform +/- noise_amplitude, and store the true FK of the noisy
     angles.
@@ -93,11 +101,10 @@ def generate_dataset(model: KinematicModel, count, noise_amplitude=0.1,
         raise ValueError("count must be >= 1")
     if not 0 <= noise_amplitude < math.inf:
         raise ValueError("noise_amplitude must be finite and >= 0")
-    if rng is None:
-        rng = np.random.default_rng(seed or 0)
+    rng = _seeded_rng(seed)
 
     meta = {"count": int(count), "noise_amplitude": float(noise_amplitude),
-            "seed": seed, "fallback_random": False}
+            "seed": int(seed), "fallback_random": False}
     if count < 2 ** 7:
         joints = model.random_joints(rng, count)
         meta["fallback_random"] = True
@@ -127,15 +134,16 @@ def generate_dataset(model: KinematicModel, count, noise_amplitude=0.1,
     return Dataset(joints, positions, meta)
 
 
-def split_dataset(ds: Dataset, test_fraction=0.25, rng=None, seed=None):
-    """Random disjoint train/test partition."""
+def split_dataset(ds: Dataset, test_fraction=0.25, seed=0):
+    """Random disjoint train/test partition; neither part may be empty."""
     if not 0 < test_fraction < 1:
         raise ValueError("test_fraction must lie in (0, 1)")
-    if rng is None:
-        rng = np.random.default_rng(seed or 0)
     n = len(ds)
-    perm = rng.permutation(n)
     n_test = int(round(n * test_fraction))
+    if not 0 < n_test < n:
+        raise ValueError(f"test_fraction {test_fraction} of {n} rows leaves "
+                         f"the {'test' if n_test == 0 else 'train'} set empty")
+    perm = _seeded_rng(seed).permutation(n)
     return ds.subset(perm[n_test:]), ds.subset(perm[:n_test])
 
 
@@ -651,11 +659,11 @@ def average_fitness_on_positions(predictor, positions, model: KinematicModel):
 
 def _predictions(predictor, positions):
     """(rows, at): joint rows to play back, and the row of each position
-    in them, or None when row i is position i's prediction. A tree is
-    piecewise constant, so its rows are the values of the distinct leaves
-    the positions reach, in node order."""
+    in them. A tree is piecewise constant, so its rows are the values of
+    the distinct leaves the positions reach, in node order; any other
+    predictor's row i is position i's prediction."""
     if not isinstance(predictor, RegressionTree):
-        return predictor.predict_batch(positions), None
+        return predictor.predict_batch(positions), np.arange(len(positions))
     leaf = predictor.leaves(positions)
     hit = np.zeros(predictor.n_nodes, dtype=bool)
     hit[leaf] = True
@@ -671,16 +679,14 @@ def _playback_fitness(rows, at, positions, model):
     depend on its block, so one FK per distinct row, gathered per position,
     gives the bits of a dense playback; the mean is taken over all
     positions at once."""
-    if at is not None:
-        reached = np.concatenate([
-            batch_end_effector_positions(model, rows[lo:lo + PLAYBACK_ROWS])
-            for lo in range(0, len(rows), PLAYBACK_ROWS)])
+    reached = np.concatenate([
+        batch_end_effector_positions(model, rows[lo:lo + PLAYBACK_ROWS])
+        for lo in range(0, len(rows), PLAYBACK_ROWS)])
     distance = np.empty(len(positions))
     for lo in range(0, len(positions), PLAYBACK_ROWS):
         block = slice(lo, lo + PLAYBACK_ROWS)
-        points = (batch_end_effector_positions(model, rows[block])
-                  if at is None else reached.take(at[block], axis=0))
-        distance[block] = np.linalg.norm(points - positions[block], axis=1)
+        distance[block] = np.linalg.norm(
+            reached.take(at[block], axis=0) - positions[block], axis=1)
     return float(distance.mean())
 
 
@@ -690,7 +696,7 @@ def evaluate(predictor, test: Dataset, model: KinematicModel) -> ModelMetrics:
     if len(test) == 0:
         raise ValueError("test set is empty")
     rows, at = _predictions(predictor, test.positions)
-    pred = rows if at is None else rows.take(at, axis=0)
+    pred = rows.take(at, axis=0)
     truth = test.joints
     resid = truth - pred
     mse = float(np.mean(resid ** 2))

@@ -78,9 +78,8 @@ def ik_results(arm, fk_targets):
 @pytest.fixture(scope="module")
 def desk(arm):
     """Desk-scale ML pipeline: 100k rows, 75/25 split, three models."""
-    ds = generate_dataset(arm, 100_000, 0.1, np.random.default_rng(42),
-                          seed=42)
-    train, test = split_dataset(ds, 0.25, np.random.default_rng(1))
+    ds = generate_dataset(arm, 100_000, 0.1, seed=42)
+    train, test = split_dataset(ds, 0.25, seed=1)
     tree = fit_tree(train)
     linear = fit_polynomial(train, 1)
     poly = fit_polynomial(train, degree=8)

@@ -175,8 +175,7 @@ def test_every_setting_rejects_values_of_the_wrong_kind(cls, field):
 
 @pytest.fixture(scope="module")
 def small_tree():
-    return fit_tree(generate_dataset(KinematicModel(), 500,
-                                     rng=np.random.default_rng(3)))
+    return fit_tree(generate_dataset(KinematicModel(), 500, seed=3))
 
 
 class TestStepContract:

@@ -18,8 +18,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-SUBCOMMANDS = ["fk", "sample", "solve", "dataset", "train", "evaluate",
-               "sweep", "bench", "report"]
+# Each subcommand's required flags; parsing them reads no file.
+REQUIRED = {
+    "fk": ["--joints", "0,0,0,0,0,0,0"],
+    "sample": [],
+    "solve": ["--algo", "nr", "--target", "0,0,1"],
+    "dataset": ["--count", "1", "--out", "d.csv"],
+    "train": ["--model", "tree", "--data", "d.csv", "--out", "t.json"],
+    "evaluate": ["--model-file", "t.json", "--data", "d.csv"],
+    "sweep": ["--algo", "ga", "--param", "population_size", "--grid", "5",
+              "--spec", "s.yaml"],
+    "bench": ["--spec", "s.yaml", "--out", "o"],
+    "report": ["--runs", "r.jsonl", "--out", "r.csv"],
+}
+SUBCOMMANDS = list(REQUIRED)
 
 
 class TestParser:
@@ -28,6 +40,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([name, "--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    @pytest.mark.parametrize("flag, value, read_by", [
+        ("--seed", 5, {"sample", "solve", "dataset", "train"}),
+        ("--config", "robot.yaml", set(SUBCOMMANDS) - {"report"})])
+    def test_seed_and_config_are_taken_only_where_read(self, name, flag,
+                                                       value, read_by):
+        argv = [name, *REQUIRED[name], flag, str(value)]
+        if name in read_by:
+            args = build_parser().parse_args(argv)
+            assert getattr(args, flag[2:]) == value
+            return
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     def test_unknown_algorithm_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -285,6 +312,21 @@ class TestMlPipeline:
         assert "noise_amplitude" in err
         assert not data.exists()
 
+    @pytest.mark.parametrize("rows, fraction", [(2, "0.25"), (300, "0.001")])
+    def test_a_split_with_an_empty_test_set_writes_no_model(
+            self, capsys, tmp_path, rows, fraction):
+        data = tmp_path / "data.csv"
+        out_file = tmp_path / "tree.json"
+        run_cli(capsys, "dataset", "--count", str(rows), "--out", str(data))
+        code, out, err = run_cli(capsys, "train", "--model", "tree",
+                                 "--data", str(data), "--out", str(out_file),
+                                 "--test-fraction", fraction)
+        assert code == EXIT_CONFIG
+        assert err == (f"error: test_fraction {fraction} of {rows} rows "
+                       f"leaves the test set empty\n")
+        assert out == ""
+        assert not out_file.exists()
+
     def test_linear_and_poly_variants(self, capsys, tmp_path):
         data = tmp_path / "data.csv"
         run_cli(capsys, "dataset", "--count", "300", "--out", str(data))
@@ -509,6 +551,27 @@ class TestBenchAndReport:
         assert key in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, entry, message", [
+        ("configs", "ga: {popsize: 3}", "unknown ga config keys: ['popsize']"),
+        ("budgets", "ga: {max_iter: 3}", "bad ga budget {'max_iter': 3}"),
+    ])
+    def test_entry_for_an_unlisted_solver_fails_bench_and_sweep_alike(
+            self, capsys, tmp_path, section, entry, message):
+        spec = tmp_path / "bench.yaml"
+        spec.write_text(f"n_targets: 1\nalgorithms: [nr]\n{section}:\n"
+                        f"  {entry}\n")
+        bench = run_cli(capsys, "bench", "--spec", str(spec),
+                        "--out", str(tmp_path / "o"))
+        sweep = run_cli(capsys, "sweep", "--algo", "ga",
+                        "--param", "population_size", "--grid", "5",
+                        "--repeats", "1", "--spec", str(spec))
+        assert bench == sweep
+        code, out, err = bench
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"error: {spec}: {message}")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_empty_config_entry_means_no_overrides(self, capsys, tmp_path):
         spec = tmp_path / "bench.yaml"
         spec.write_text("n_targets: 1\nalgorithms: [ga]\nconfigs:\n  ga:\n"
@@ -543,8 +606,7 @@ class TestBenchAndReport:
 def model_files(tmp_path_factory):
     """A small trained tree and a linear model, saved as model files."""
     out = tmp_path_factory.mktemp("models")
-    data = generate_dataset(KinematicModel(), 300,
-                            rng=np.random.default_rng(4))
+    data = generate_dataset(KinematicModel(), 300, seed=4)
     save_model(fit_tree(data), out / "tree.json")
     save_model(fit_polynomial(data, 1), out / "lin.json")
     return out

@@ -10,7 +10,7 @@ from arm7ik.ml import fit_tree, generate_dataset
 def trained():
     from arm7ik import KinematicModel
     model = KinematicModel()
-    ds = generate_dataset(model, 3000, rng=np.random.default_rng(3))
+    ds = generate_dataset(model, 3000, seed=3)
     tree = fit_tree(ds, min_leaf=1)
     return model, ds, tree
 
@@ -116,8 +116,7 @@ def test_final_fitness_cannot_beat_the_shoulder_sphere():
         lengths = tuple(10.0 ** rng.uniform(-2.0, 2.0, 4))
         model = KinematicModel(lengths=lengths,
                                convention=("standard", "modified")[i % 2])
-        tree = fit_tree(generate_dataset(model, 3000,
-                                         rng=np.random.default_rng(i)))
+        tree = fit_tree(generate_dataset(model, 3000, seed=i))
         s = np.array(joint_axes(model, np.zeros(7))[2][1])
         for _ in range(40):
             t = end_effector_position(model, model.random_joints(rng))

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -31,8 +32,7 @@ def synthetic_dataset(rng, n=200, f=None):
 
 class TestGenerateDataset:
     def test_minimal_grid_hits_the_corners(self, model):
-        ds = generate_dataset(model, 128, noise_amplitude=0.0,
-                              rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 128, noise_amplitude=0.0, seed=0)
         assert len(ds) == 128
         assert ds.metadata["grid_per_axis"] == 2
         corners = {tuple(np.round(row, 9)) for row in ds.joints}
@@ -42,15 +42,13 @@ class TestGenerateDataset:
         assert corners == expected
 
     def test_positions_are_fk_of_the_stored_joints(self, model):
-        ds = generate_dataset(model, 128, noise_amplitude=0.1,
-                              rng=np.random.default_rng(1))
+        ds = generate_dataset(model, 128, noise_amplitude=0.1, seed=1)
         for q, p in zip(ds.joints[:40], ds.positions[:40]):
             assert np.allclose(p, oracles.fk_position(q), atol=1e-10)
 
     def test_noise_stays_within_amplitude(self, model):
         noise = 0.05
-        ds = generate_dataset(model, 128, noise_amplitude=noise,
-                              rng=np.random.default_rng(2))
+        ds = generate_dataset(model, 128, noise_amplitude=noise, seed=2)
         # With two grid points per axis every clean value is a limit
         # endpoint, so each noisy angle must sit near one of the two.
         for j in range(7):
@@ -61,18 +59,18 @@ class TestGenerateDataset:
     def test_oversized_grid_subsamples_to_exact_count(self, model):
         # 150 rows needs 3 points per axis (2^7 = 128 is short), and the
         # 3^7 = 2187 grid rows are subsampled back down to exactly 150.
-        ds = generate_dataset(model, 150, rng=np.random.default_rng(3))
+        ds = generate_dataset(model, 150, seed=3)
         assert len(ds) == 150
         assert ds.metadata["grid_per_axis"] == 3
 
     def test_small_count_falls_back_to_random(self, model):
-        ds = generate_dataset(model, 50, rng=np.random.default_rng(4))
+        ds = generate_dataset(model, 50, seed=4)
         assert len(ds) == 50
         assert ds.metadata["fallback_random"]
 
     def test_same_seed_regenerates_bit_identically(self, model):
-        a = generate_dataset(model, 200, rng=np.random.default_rng(5))
-        b = generate_dataset(model, 200, rng=np.random.default_rng(5))
+        a = generate_dataset(model, 200, seed=5)
+        b = generate_dataset(model, 200, seed=5)
         assert np.array_equal(a.joints, b.joints)
         assert np.array_equal(a.positions, b.positions)
 
@@ -82,8 +80,7 @@ class TestGenerateDataset:
     def test_rows_match_the_full_grid_formula(self, count, noise):
         # A joint limit box other than (-pi, pi), so each axis differs.
         arm = oracles.ARMS["limits"]
-        ds = generate_dataset(arm, count, noise, np.random.default_rng(7),
-                              seed=7)
+        ds = generate_dataset(arm, count, noise, seed=7)
         joints, positions, k = oracles.reference_dataset(
             arm, count, noise, np.random.default_rng(7))
         assert ds.joints.tobytes() == joints.tobytes()
@@ -101,13 +98,26 @@ class TestGenerateDataset:
                 generate_dataset(model, 10, noise_amplitude=bad)
 
     def test_csv_round_trip_is_exact(self, model, tmp_path):
-        ds = generate_dataset(model, 64, rng=np.random.default_rng(6))
+        ds = generate_dataset(model, 64, seed=6)
         path = tmp_path / "data.csv"
         ds.save_csv(path)
         back = Dataset.load_csv(path)
         assert np.array_equal(back.joints, ds.joints)
         assert np.array_equal(back.positions, ds.positions)
         assert back.metadata == ds.metadata
+
+    @pytest.mark.parametrize("count, noise, seed", [(50, 0.1, 3),
+                                                    (200, 0.05, 11)])
+    def test_saved_metadata_regenerates_the_rows(self, model, tmp_path,
+                                                 count, noise, seed):
+        path = tmp_path / "data.csv"
+        generate_dataset(model, count, noise, seed=seed).save_csv(path)
+        saved = Dataset.load_csv(path)
+        meta = json.loads((tmp_path / "data.csv.meta.json").read_text())
+        again = generate_dataset(model, meta["count"],
+                                 meta["noise_amplitude"], seed=meta["seed"])
+        assert again.joints.tobytes() == saved.joints.tobytes()
+        assert again.positions.tobytes() == saved.positions.tobytes()
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
         # Cells whose repr is short, subnormal, exponent-form or extreme.
@@ -131,7 +141,7 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_csv_with_a_non_finite_cell_is_rejected(self, model, tmp_path,
                                                     cell):
-        ds = generate_dataset(model, 5, rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 5, seed=0)
         path = tmp_path / "data.csv"
         ds.save_csv(path)
         lines = path.read_text().splitlines()
@@ -145,29 +155,51 @@ class TestGenerateDataset:
 
 class TestSplitDataset:
     def test_default_quarter_split(self, model):
-        ds = generate_dataset(model, 100, rng=np.random.default_rng(0))
-        train, test = split_dataset(ds, 0.25, np.random.default_rng(1))
+        ds = generate_dataset(model, 100, seed=0)
+        train, test = split_dataset(ds, 0.25, seed=1)
         assert len(train) == 75
         assert len(test) == 25
 
     def test_union_is_the_original_multiset(self, model):
-        ds = generate_dataset(model, 80, rng=np.random.default_rng(2))
-        train, test = split_dataset(ds, 0.25, np.random.default_rng(3))
+        ds = generate_dataset(model, 80, seed=2)
+        train, test = split_dataset(ds, 0.25, seed=3)
         merged = np.vstack([train.joints, test.joints])
         key = np.lexsort(merged.T)
         orig_key = np.lexsort(ds.joints.T)
         assert np.array_equal(merged[key], ds.joints[orig_key])
 
     def test_same_seed_same_partition(self, model):
-        ds = generate_dataset(model, 80, rng=np.random.default_rng(4))
-        a_train, _ = split_dataset(ds, 0.25, np.random.default_rng(5))
-        b_train, _ = split_dataset(ds, 0.25, np.random.default_rng(5))
+        ds = generate_dataset(model, 80, seed=4)
+        a_train, _ = split_dataset(ds, 0.25, seed=5)
+        b_train, _ = split_dataset(ds, 0.25, seed=5)
         assert np.array_equal(a_train.joints, b_train.joints)
 
     def test_fraction_validation(self, model):
-        ds = generate_dataset(model, 40, rng=np.random.default_rng(6))
+        ds = generate_dataset(model, 40, seed=6)
         with pytest.raises(ValueError):
             split_dataset(ds, 0.0)
+
+    @pytest.mark.parametrize("rows, fraction, part", [
+        (2, 0.25, "test"), (300, 0.001, "test"), (4, 0.9, "train")])
+    def test_a_fraction_that_empties_a_part_is_rejected(self, model, rows,
+                                                        fraction, part):
+        ds = generate_dataset(model, rows, seed=0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"test_fraction {fraction} of {rows} rows leaves the {part} "
+                f"set empty")):
+            split_dataset(ds, fraction)
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, np.random.default_rng(0)],
+                         ids=["none", "negative", "float", "generator"])
+def test_a_seed_must_be_an_integer_at_least_zero(model, seed):
+    # default_rng(None) draws OS entropy and default_rng(generator) hands
+    # the generator back: neither draw could be regenerated from a seed.
+    ds = generate_dataset(model, 10)
+    for call in (lambda: generate_dataset(model, 10, seed=seed),
+                 lambda: split_dataset(ds, seed=seed)):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            call()
 
 
 class TestLinearModel:
@@ -247,7 +279,7 @@ class TestPolynomialModel:
 @pytest.mark.parametrize("field", ["positions", "joints"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_training_data_is_rejected(model, fit, field, bad):
-    ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+    ds = generate_dataset(model, 200, seed=0)
     getattr(ds, field)[17, 1] = bad
     with pytest.raises(ValueError, match=f"training {field} must be finite"):
         fit(ds)
@@ -259,7 +291,7 @@ class TestPositionChecks:
 
     @pytest.fixture(params=["tree", "polynomial"])
     def fitted(self, request, model):
-        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 200, seed=0)
         if request.param == "tree":
             return fit_tree(ds, max_depth=6)
         return fit_polynomial(ds, 2)
@@ -392,13 +424,13 @@ class TestRegressionTree:
         assert np.allclose(tree.predict([10.5, 0.0, 0.0]), right_mean)
 
     def test_memorizes_unique_rows_at_min_leaf_one(self, model):
-        ds = generate_dataset(model, 300, rng=np.random.default_rng(1))
+        ds = generate_dataset(model, 300, seed=1)
         tree = fit_tree(ds, min_leaf=1)
         pred = tree.predict_batch(ds.positions)
         assert np.abs(pred - wrap_angle(ds.joints)).max() < 1e-12
 
     def test_larger_min_leaf_gives_a_smaller_tree(self, model):
-        ds = generate_dataset(model, 300, rng=np.random.default_rng(2))
+        ds = generate_dataset(model, 300, seed=2)
         small = fit_tree(ds, min_leaf=10)
         big = fit_tree(ds, min_leaf=1)
         assert small.n_nodes < big.n_nodes
@@ -419,7 +451,7 @@ class TestRegressionTree:
         assert all(a >= b - 1e-15 for a, b in zip(errors, errors[1:]))
 
     def test_predict_and_batch_agree(self, model):
-        ds = generate_dataset(model, 200, rng=np.random.default_rng(4))
+        ds = generate_dataset(model, 200, seed=4)
         tree = fit_tree(ds, max_depth=6)
         probe = ds.positions[:25]
         batch = tree.predict_batch(probe)
@@ -432,7 +464,7 @@ class TestRegressionTree:
 
     @pytest.mark.parametrize("kwargs", [{"min_leaf": 0}, {"max_depth": -1}])
     def test_bad_hyperparameters_rejected(self, model, kwargs):
-        ds = generate_dataset(model, 50, rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 50, seed=0)
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             fit_tree(ds, **kwargs)
 
@@ -442,14 +474,14 @@ class TestRegressionTree:
                                                       max_depth):
         # Quantised positions tie on every feature, and repeated positions
         # with different joints leave nodes that no split can separate.
-        ds = generate_dataset(model, 300, rng=np.random.default_rng(6))
+        ds = generate_dataset(model, 300, seed=6)
         positions = np.round(ds.positions, 1)
         positions[::7] = positions[0]
         assert_matches_reference(Dataset(ds.joints, positions, {}),
                                  max_depth=max_depth, min_leaf=min_leaf)
 
     def test_node_tables_match_the_reference_on_a_larger_set(self, model):
-        ds = generate_dataset(model, 2000, rng=np.random.default_rng(8))
+        ds = generate_dataset(model, 2000, seed=8)
         assert_matches_reference(
             Dataset(ds.joints, np.round(ds.positions, 2), {}))
 
@@ -488,7 +520,7 @@ class TestRegressionTree:
                                                         monkeypatch):
         # Unrounded positions: a per-class sum of squared joint norms,
         # in place of the per-count one, moves a split on this set.
-        ds = generate_dataset(model, 1000, rng=np.random.default_rng(11))
+        ds = generate_dataset(model, 1000, seed=11)
         calls, depth = [], [0]
         best_splits, partition = ml._best_splits, ml._partition
 
@@ -610,7 +642,7 @@ class TestRegressionTree:
             self, model, tmp_path):
         # A large tree's node tables, held as lists, cost each collection
         # that scans them ~10 ms, charged to whatever solve it lands in.
-        ds = generate_dataset(model, 200, rng=np.random.default_rng(5))
+        ds = generate_dataset(model, 200, seed=5)
         fitted = fit_tree(ds)
         save_model(fitted, tmp_path / "tree.json")
         for tree in (fitted, load_model(tmp_path / "tree.json")):
@@ -628,7 +660,7 @@ class TestPersistence:
         lambda ds: fit_tree(ds, max_depth=8),
     ])
     def test_save_load_round_trip(self, model, tmp_path, builder):
-        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 200, seed=0)
         fitted = builder(ds)
         path = tmp_path / "model.json"
         save_model(fitted, path)
@@ -643,8 +675,7 @@ class TestPersistence:
     ], ids=["polynomial", "tree"])
     def test_file_is_the_json_dump_of_to_dict(self, model, tmp_path,
                                               builder):
-        fitted = builder(generate_dataset(model, 2_000,
-                                          rng=np.random.default_rng(4)))
+        fitted = builder(generate_dataset(model, 2_000, seed=4))
         path = tmp_path / "model.json"
         save_model(fitted, path)
         assert path.read_bytes() == json.dumps(fitted.to_dict()).encode()
@@ -663,7 +694,7 @@ class TestPersistence:
                                                             tmp_path):
         # Earlier releases numbered nodes depth-first and stored leaf means
         # unwrapped; such a file predicts bit for bit as the fitted tree.
-        ds = generate_dataset(model, 300, rng=np.random.default_rng(9))
+        ds = generate_dataset(model, 300, seed=9)
         tree = fit_tree(ds)
         d, tables = depth_first_dict(tree)
         assert not np.array_equal(tables["left"], np.asarray(tree.left))
@@ -765,7 +796,7 @@ class TestPersistence:
             load_model(path)
 
     def test_rejects_a_truncated_file(self, model, tmp_path):
-        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 200, seed=0)
         path = tmp_path / "tree.json"
         save_model(fit_tree(ds), path)
         text = path.read_text()
@@ -797,7 +828,7 @@ class TestPersistence:
     ])
     def test_rejects_inconsistent_node_tables(self, model, tmp_path, field,
                                               tamper, message):
-        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 200, seed=0)
         d = fit_tree(ds).to_dict()
         dtype = self.TABLE_TYPES[field]
         table = np.frombuffer(base64.b64decode(d[field]), dtype=dtype)
@@ -811,7 +842,7 @@ class TestPersistence:
     @pytest.mark.parametrize("max_depth_used", [None, -1, 1.5, True, "3"])
     def test_rejects_a_bad_max_depth_used(self, model, tmp_path,
                                           max_depth_used):
-        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 200, seed=0)
         d = fit_tree(ds).to_dict()
         d["max_depth_used"] = max_depth_used
         path = tmp_path / "tree.json"
@@ -827,7 +858,7 @@ class TestPersistence:
     ])
     def test_rejects_missing_or_malformed_tables(self, model, tmp_path,
                                                  damage):
-        ds = generate_dataset(model, 200, rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 200, seed=0)
         d = fit_tree(ds).to_dict()
         damage(d)
         path = tmp_path / "tree.json"
@@ -877,7 +908,7 @@ class TestPlayback:
     @pytest.fixture(scope="class")
     def case(self):
         model = KinematicModel()
-        ds = generate_dataset(model, 400, rng=np.random.default_rng(9))
+        ds = generate_dataset(model, 400, seed=9)
         tree = fit_tree(ds)
         targets = sample_workspace_batch(model.workspace,
                                          np.random.default_rng(10),
@@ -904,7 +935,7 @@ class TestPlayback:
         # Its own training positions reach one leaf each: more distinct
         # leaves than one playback block holds.
         model = KinematicModel()
-        ds = generate_dataset(model, 12_000, rng=np.random.default_rng(11))
+        ds = generate_dataset(model, 12_000, seed=11)
         return model, fit_tree(ds), ds.positions
 
     @pytest.mark.parametrize("rows", [1, 12_000])
@@ -924,8 +955,7 @@ class TestPlayback:
         # One distinct leaf is a one-row FK batch, against a dense batch of
         # many equal rows.
         model, _, targets = case
-        stump = fit_tree(generate_dataset(model, 400,
-                                          rng=np.random.default_rng(9)),
+        stump = fit_tree(generate_dataset(model, 400, seed=9),
                          max_depth=0)
         positions = targets[:300]
         got = average_fitness_on_positions(stump, positions, model)
@@ -955,7 +985,7 @@ class TestPlayback:
 
 class TestEvaluate:
     def test_predicts_the_test_set_once(self, model):
-        ds = generate_dataset(model, 200, rng=np.random.default_rng(3))
+        ds = generate_dataset(model, 200, seed=3)
         tree = fit_tree(ds, max_depth=4)
         counting = _Counting(tree)
         metrics = evaluate(counting, ds, model)
@@ -964,7 +994,7 @@ class TestEvaluate:
             tree, ds.positions, model)
 
     def test_a_tree_scores_as_its_dense_predictions_do(self, model):
-        ds = generate_dataset(model, 3_000, rng=np.random.default_rng(5))
+        ds = generate_dataset(model, 3_000, seed=5)
         train, test = split_dataset(ds, seed=1)
         tree = fit_tree(train)
         # _Counting hides the tree, so evaluate plays back one row per
@@ -973,14 +1003,14 @@ class TestEvaluate:
                                                        model)
 
     def test_perfect_predictor(self, model):
-        ds = generate_dataset(model, 60, rng=np.random.default_rng(0))
+        ds = generate_dataset(model, 60, seed=0)
         metrics = evaluate(_Echo(ds), ds, model)
         assert metrics.r_squared == pytest.approx(1.0)
         assert metrics.mse == 0.0
         assert metrics.average_fitness == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_mean_predictor_scores_zero(self, model):
-        ds = generate_dataset(model, 60, rng=np.random.default_rng(1))
+        ds = generate_dataset(model, 60, seed=1)
         metrics = evaluate(_ConstantMean(ds), ds, model)
         assert metrics.r_squared_signed == pytest.approx(0.0, abs=1e-12)
         assert metrics.r_squared == pytest.approx(0.0, abs=1e-12)
@@ -988,5 +1018,5 @@ class TestEvaluate:
     def test_empty_test_set_rejected(self, model):
         with pytest.raises(ValueError):
             evaluate(_ConstantMean(generate_dataset(
-                model, 10, rng=np.random.default_rng(2))),
+                model, 10, seed=2)),
                 Dataset(np.zeros((0, 7)), np.zeros((0, 3)), {}), model)

@@ -297,9 +297,8 @@ def main(n_targets=100, dataset_rows=100_000, seed=0, algos=ALGOS,
 def dtnr_lines(arm, targets, dataset_rows, fp):
     """Print the trees' table and prediction lines and dtnr's line,
     folding dtnr's results into `fp`; returns its digest."""
-    ds = generate_dataset(arm, dataset_rows, 0.1, np.random.default_rng(42),
-                          seed=42)
-    train, _ = split_dataset(ds, 0.25, np.random.default_rng(1))
+    ds = generate_dataset(arm, dataset_rows, 0.1, seed=42)
+    train, _ = split_dataset(ds, 0.25, seed=1)
     probe = sample_workspace_batch(arm.workspace, np.random.default_rng(2024),
                                    100_000)
     tree = fit_tree(train)
